@@ -13,9 +13,9 @@ of the V - C gap.
 Run:  python demos/coherence_visibility_surface.py
 """
 
-import math
-import warnings
 from pathlib import Path
+
+import numpy as np
 
 from duality_lab import emit_outputs, run_sweep, surface_grid
 
@@ -23,24 +23,24 @@ out_dir = Path("demo_output")
 out_dir.mkdir(exist_ok=True)
 
 # gamma = |alpha_2| / |alpha_1| in (0, 1], |alpha| = |alpha_2| in [0, 10];
-# the |alpha| = 0 column is skipped (the ratio is undefined there)
-with warnings.catch_warnings():
-    warnings.simplefilter("ignore")
-    rows = run_sweep(surface_grid())
+# the |alpha| = 0 column is skipped (the ratio is undefined there), which
+# the sweep reports on stderr
+table = run_sweep(surface_grid())
 
-paths = emit_outputs(rows, "svg", out_dir / "surface.svg", measures=("C", "V", "mu_s2", "P2"))
+paths = emit_outputs(table, "svg", out_dir / "surface.svg", measures=("C", "V", "mu_s2", "P2"))
 for path in paths:
     print(f"wrote {path}")
 
-gaps = [(row.V - math.sqrt(row.C2), row) for row in rows]
-widest, row = max(gaps)
+cols = table.columns
+gaps = cols["V"] - np.sqrt(cols["C2"])
+widest = int(np.argmax(gaps))
 print()
 print(
-    f"widest V - C gap: {widest:.3f} at gamma = {row.gamma:.2f}, "
-    f"|alpha_2| = {row.alpha2_abs:.2f} (weak seeds: high visibility, no coherence)"
+    f"widest V - C gap: {gaps[widest]:.3f} at gamma = {cols['gamma'][widest]:.2f}, "
+    f"|alpha_2| = {cols['alpha2_abs'][widest]:.2f} (weak seeds: high visibility, no coherence)"
 )
-narrow = [g for g in gaps if g[1].gamma == 1.0 and g[1].alpha2_abs == 10.0][0]
+narrow = gaps[(cols["gamma"] == 1.0) & (cols["alpha2_abs"] == 10.0)][0]
 print(
-    f"at gamma = 1, |alpha_2| = 10 the gap has closed to {narrow[0]:.6f} "
+    f"at gamma = 1, |alpha_2| = 10 the gap has closed to {narrow:.6f} "
     "(bright equal seeds: the detector can no longer tell the paths apart)"
 )

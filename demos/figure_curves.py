@@ -17,27 +17,26 @@ Run:  python demos/figure_curves.py
 import math
 from pathlib import Path
 
+import numpy as np
+
 from duality_lab import emit_outputs, fig2a_grid, fig2b_grid, run_sweep
 
 out_dir = Path("demo_output")
 out_dir.mkdir(exist_ok=True)
 
 for name, grid in (("equal_seeds", fig2a_grid()), ("ratio_seeds", fig2b_grid())):
-    rows = run_sweep(grid)
+    table = run_sweep(grid)
     for fmt in ("csv", "svg"):
-        paths = emit_outputs(rows, fmt, out_dir / f"curves_{name}.{fmt}")
-        print(f"{name}: wrote {len(rows)} rows -> {paths[0]}")
+        paths = emit_outputs(table, fmt, out_dir / f"curves_{name}.{fmt}")
+        print(f"{name}: wrote {len(table)} rows -> {paths[0]}")
 
 # locate the E^2 / C^2 crossing on a finer grid
-fine = run_sweep(fig2a_grid(alpha_max=2.0, alpha_step=0.001))
-crossing = next(
-    (lo, hi)
-    for lo, hi in zip(fine, fine[1:])
-    if (lo.E2 - lo.C2) > 0 >= (hi.E2 - hi.C2)
-)
+fine = run_sweep(fig2a_grid(alpha_max=2.0, alpha_step=0.001)).columns
+signs = fine["E2"] - fine["C2"]
+k = np.flatnonzero((signs[:-1] > 0) & (signs[1:] <= 0))[0]
 exact = math.sqrt(1.0 + math.sqrt(2.0))
 print()
 print(
-    f"E^2/C^2 crossing bracketed in [{crossing[0].alpha1_abs:.3f}, "
-    f"{crossing[1].alpha1_abs:.3f}]; exact |alpha| = sqrt(1+sqrt(2)) = {exact:.6f}"
+    f"E^2/C^2 crossing bracketed in [{fine['alpha1_abs'][k]:.3f}, "
+    f"{fine['alpha1_abs'][k + 1]:.3f}]; exact |alpha| = sqrt(1+sqrt(2)) = {exact:.6f}"
 )

@@ -65,7 +65,7 @@ from .output import (
 from .sweep import (
     AxisSpec,
     SweepGrid,
-    SweepRow,
+    SweepTable,
     explicit_grid,
     fig2a_grid,
     fig2b_grid,
@@ -122,7 +122,7 @@ __all__ = [
     "write_scan_csv",
     "AxisSpec",
     "SweepGrid",
-    "SweepRow",
+    "SweepTable",
     "explicit_grid",
     "fig2a_grid",
     "fig2b_grid",

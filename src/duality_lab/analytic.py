@@ -100,12 +100,6 @@ class QuantonDensityMatrix:
             )
         object.__setattr__(self, "rho12", complex(self.rho12))
 
-    def as_matrix(self) -> np.ndarray:
-        return np.array(
-            [[self.rho11, self.rho12], [self.rho12.conjugate(), self.rho22]],
-            dtype=complex,
-        )
-
     def purity(self) -> float:
         """Tr[rho^2] = rho11^2 + rho22^2 + 2 |rho12|^2."""
         off = abs(self.rho12)
@@ -114,12 +108,12 @@ class QuantonDensityMatrix:
 
 @dataclass(frozen=True)
 class ComplementarityMeasures:
-    """All seven measures at one seed point, mutually consistent by construction.
+    """All seven measures, at one seed point (floats) or at many (equal-length arrays).
 
-    The cross-field identities (D^2 = P^2 + E^2, P^2 + E^2 + C^2 = 1,
-    P^2 + C^2 = mu_s^2, mu_s^2 + E^2 = 1, C = V |F|, V^2 + P^2 = 1) are
-    enforced at construction, so a record that exists is a record that is
-    internally consistent to 1e-12.
+    A plain record.  The cross-field identities (D^2 = P^2 + E^2,
+    P^2 + E^2 + C^2 = 1, P^2 + C^2 = mu_s^2, mu_s^2 + E^2 = 1, C = V |F|,
+    V^2 + P^2 = 1) are checked by ``validate_measures``, which every route
+    that produces measures passes its result through once.
     """
 
     D: float
@@ -131,21 +125,6 @@ class ComplementarityMeasures:
     mu_s: float
 
     _FIELD_ORDER = ("D", "P", "E", "V", "C", "F_abs", "mu_s")
-
-    def __post_init__(self):
-        for name in self._FIELD_ORDER:
-            value = getattr(self, name)
-            if not (-1e-15 <= value <= 1.0 + 1e-12):
-                raise ValueError(f"{name} = {value!r} outside [0, 1]")
-        for name, residual in self.identity_residuals().items():
-            if residual > IDENTITY_ATOL:
-                raise ValueError(
-                    f"identity '{name}' violated by {residual:.3e}"
-                )
-        if self.C > self.V + IDENTITY_ATOL:
-            raise ValueError("C must not exceed V")
-        if self.P > self.D + IDENTITY_ATOL:
-            raise ValueError("P must not exceed D")
 
     def identity_residuals(self) -> dict:
         """Absolute residuals of the six cross-field identities."""
@@ -172,10 +151,47 @@ class ComplementarityMeasures:
 MEASURE_FIELDS = ComplementarityMeasures._FIELD_ORDER
 
 
-def _clamped_sqrt(x: float) -> float:
-    if x < -_CLAMP_WINDOW or x > 1.0 + _CLAMP_WINDOW:
-        raise ValueError(f"radicand {x!r} outside the clamp window around [0, 1]")
-    return math.sqrt(min(1.0, max(0.0, x)))
+def validate_measures(measures: ComplementarityMeasures) -> ComplementarityMeasures:
+    """Return ``measures`` unchanged if every point is internally consistent.
+
+    Each field must lie in [0, 1] (up to rounding), the six identities must
+    hold to 1e-12, and C <= V, P <= D.  Raises ValueError naming the first
+    check that fails.  Works on scalar and array records alike.
+    """
+    values = np.array([getattr(measures, name) for name in MEASURE_FIELDS], dtype=float)
+    values = values.reshape(len(MEASURE_FIELDS), -1)
+    inside = (values >= -1e-15) & (values <= 1.0 + 1e-12)
+    if not inside.all():
+        field, point = np.argwhere(~inside)[0]
+        raise ValueError(
+            f"{MEASURE_FIELDS[field]} = {float(values[field, point])!r} outside [0, 1]"
+        )
+    identities = measures.identity_residuals()
+    residuals = np.array(list(identities.values()), dtype=float)
+    residuals = residuals.reshape(len(identities), -1)
+    violated = residuals > IDENTITY_ATOL
+    if violated.any():
+        identity = np.argwhere(violated)[0][0]
+        raise ValueError(
+            f"identity '{list(identities)[identity]}' violated by "
+            f"{residuals[identity].max():.3e}"
+        )
+    by_name = dict(zip(MEASURE_FIELDS, values))
+    if (by_name["C"] > by_name["V"] + IDENTITY_ATOL).any():
+        raise ValueError("C must not exceed V")
+    if (by_name["P"] > by_name["D"] + IDENTITY_ATOL).any():
+        raise ValueError("P must not exceed D")
+    return measures
+
+
+def _clamped_sqrt(x):
+    x = np.asarray(x, dtype=float)
+    outside = (x < -_CLAMP_WINDOW) | (x > 1.0 + _CLAMP_WINDOW)
+    if outside.any():
+        raise ValueError(
+            f"radicand {float(x[outside].flat[0])!r} outside the clamp window around [0, 1]"
+        )
+    return np.sqrt(np.minimum(1.0, np.maximum(0.0, x)))
 
 
 def quanton_amplitudes(seeds: SeedPair) -> QuantonAmplitudes:
@@ -230,22 +246,21 @@ def quanton_density_closed(seeds: SeedPair) -> QuantonDensityMatrix:
     return QuantonDensityMatrix(rho11, rho22, magnitude * phase)
 
 
-def complementarity_measures(seeds: SeedPair) -> ComplementarityMeasures:
-    """Evaluate all seven measures at one seed point.
+def closed_form_measures(alpha1_abs, alpha2_abs) -> ComplementarityMeasures:
+    """Evaluate all seven measures from the seed magnitudes |alpha_1|, |alpha_2|.
 
-    With r = rho11 rho22 and |F| the detector fidelity:
+    Takes scalars or equal-shape arrays and returns an unvalidated record of
+    the same shape.  With r = rho11 rho22 and |F| the detector fidelity:
 
         D^2   = 1 - 4 r |F|^2        P^2 = 1 - 4 r
         E^2   = 4 r (1 - |F|^2)      V   = 2 sqrt(r)
         C     = 2 |alpha_1||alpha_2| / (2 + |alpha_1|^2 + |alpha_2|^2) = V |F|
         mu_s  = sqrt(1 - E^2)
 
-    All fields are returned together because the interesting contracts are
-    cross-field identities that only make sense at a single evaluation point.
-    Each depends on the seed magnitudes only.
+    Callers pass the result through ``validate_measures``.
     """
-    a = abs(seeds.alpha1)
-    b = abs(seeds.alpha2)
+    a = alpha1_abs
+    b = alpha2_abs
     na = 1.0 + a * a
     nb = 1.0 + b * b
     total = na + nb
@@ -253,15 +268,29 @@ def complementarity_measures(seeds: SeedPair) -> ComplementarityMeasures:
     rho22 = nb / total
     # Grouped so that equal seeds give four_r == 1.0 exactly and hence P == 0.
     four_r = 4.0 * na * nb / (total * total)
-    f_abs = a * b / math.sqrt(na * nb)
+    f_abs = a * b / np.sqrt(na * nb)
     f2 = f_abs * f_abs
     e2 = four_r * (1.0 - f2)
+    d, p, e, mu_s = _clamped_sqrt([1.0 - four_r * f2, 1.0 - four_r, e2, 1.0 - e2])
     return ComplementarityMeasures(
-        D=_clamped_sqrt(1.0 - four_r * f2),
-        P=_clamped_sqrt(1.0 - four_r),
-        E=_clamped_sqrt(e2),
-        V=2.0 * math.sqrt(rho11 * rho22),
+        D=d,
+        P=p,
+        E=e,
+        V=2.0 * np.sqrt(rho11 * rho22),
         C=2.0 * a * b / total,
         F_abs=f_abs,
-        mu_s=_clamped_sqrt(1.0 - e2),
+        mu_s=mu_s,
+    )
+
+
+def complementarity_measures(seeds: SeedPair) -> ComplementarityMeasures:
+    """All seven measures at one seed point, validated, as plain floats.
+
+    The measures depend on the seed magnitudes only.
+    """
+    measures = validate_measures(
+        closed_form_measures(abs(seeds.alpha1), abs(seeds.alpha2))
+    )
+    return ComplementarityMeasures(
+        *(float(getattr(measures, name)) for name in MEASURE_FIELDS)
     )

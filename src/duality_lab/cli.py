@@ -6,8 +6,7 @@ optional Fock-space cross-check), ``verify`` (randomized identity suite),
 to CSV plus a fitted-vs-analytic summary) and ``fit`` (fit a scan file).
 
 Exit codes: 0 success (and, for ``verify``, all checks passed); 1 validation
-or verification failure; 2 I/O or parse error.  The environment variable
-``DUALITY_LAB_THREADS`` caps worker threads (0 or unset = auto).
+or verification failure; 2 I/O or parse error.
 """
 
 from __future__ import annotations
@@ -70,7 +69,6 @@ def build_parser() -> argparse.ArgumentParser:
             "simulation and figure sweeps for the seeded double-path "
             "interferometer."
         ),
-        epilog="DUALITY_LAB_THREADS caps worker threads (0 = auto).",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -185,10 +183,10 @@ def _cmd_sweep(args) -> int:
             else DEFAULT_FIG2_ALPHA_STEP,
             oracle_check=args.oracle,
         )
-    rows = run_sweep(grid)
-    written = emit_outputs(rows, args.format, args.out)
+    table = run_sweep(grid)
+    written = emit_outputs(table, args.format, args.out)
     names = ", ".join(str(p) for p in written)
-    print(f"wrote {len(rows)} rows -> {names}")
+    print(f"wrote {len(table)} rows -> {names}")
     return 0
 
 

@@ -18,14 +18,16 @@ also reports standard errors.
 
 from __future__ import annotations
 
+import logging
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .analytic import SeedPair, complementarity_measures
+from .analytic import SeedPair
+
+logger = logging.getLogger(__name__)
 
 NOISE_MODES = ("none", "poisson")
 
@@ -71,7 +73,7 @@ class FringeConfig:
     dark counts): integrated counts per point are Poisson with mean
     rate * integration_time.  A scan whose expected counts dip below one
     per point still runs, but the fit is meaningless there, so construction
-    warns.
+    logs a warning.
     """
 
     seeds: SeedPair
@@ -95,10 +97,10 @@ class FringeConfig:
             b = abs(self.seeds.alpha2)
             floor = self.pump_rate_scale * (2.0 + (a - b) ** 2) * self.integration_time
             if floor < 1.0:
-                warnings.warn(
-                    f"expected counts per point dip to {floor:.3g} < 1; "
+                logger.warning(
+                    "expected counts per point dip to %.3g < 1; "
                     "a fringe fit on this scan will be meaningless",
-                    stacklevel=2,
+                    floor,
                 )
 
 
@@ -287,7 +289,3 @@ def fit_fringe(scan: FringeScan) -> FringeFit:
         residual_rms=residual_rms,
     )
 
-
-def analytic_coherence(seeds: SeedPair) -> float:
-    """Closed-form C for comparison against fitted or extracted contrast."""
-    return complementarity_measures(seeds).C

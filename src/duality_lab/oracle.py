@@ -26,16 +26,17 @@ from typing import Optional
 
 import numpy as np
 
-from ._parallel import ordered_map
 from .analytic import (
+    _SEED_MAGNITUDE_MAX,
     MEASURE_FIELDS,
     ComplementarityMeasures,
     QuantonAmplitudes,
     QuantonDensityMatrix,
     SeedPair,
     _clamped_sqrt,
-    complementarity_measures,
+    closed_form_measures,
     quanton_amplitudes,
+    validate_measures,
 )
 from .fock import (
     DEFAULT_POLICY,
@@ -132,7 +133,8 @@ def measures_from_state(state: CompositeState) -> ComplementarityMeasures:
     the reduced matrix via sqrt(2 Tr[rho_r^2] - 1), evaluated in its
     unit-trace form (rho11 - rho22)^2 + 4 |rho12|^2, which is the same
     number without the catastrophic cancellation near zero purity excess.
-    None of the closed forms used by the analytic route appear here.
+    None of the closed forms used by the analytic route appear here.  The
+    result is checked by ``validate_measures``.
     """
     c1, c2 = state.amplitudes.c1, state.amplitudes.c2
     rho11 = c1 * c1
@@ -144,14 +146,18 @@ def measures_from_state(state: CompositeState) -> ComplementarityMeasures:
     reduced = reduce_quanton(state)
     balance = reduced.rho11 - reduced.rho22
     coherence_off = abs(reduced.rho12)
-    return ComplementarityMeasures(
-        D=_clamped_sqrt(1.0 - paired_root_f * paired_root_f),
-        P=_clamped_sqrt(1.0 - paired_root * paired_root),
-        E=_clamped_sqrt(paired_root * paired_root - paired_root_f * paired_root_f),
-        V=visibility,
-        C=visibility * f_abs,
-        F_abs=f_abs,
-        mu_s=_clamped_sqrt(balance * balance + 4.0 * coherence_off * coherence_off),
+    d, p, e, mu_s = _clamped_sqrt(
+        [
+            1.0 - paired_root_f * paired_root_f,
+            1.0 - paired_root * paired_root,
+            paired_root * paired_root - paired_root_f * paired_root_f,
+            balance * balance + 4.0 * coherence_off * coherence_off,
+        ]
+    ).tolist()
+    return validate_measures(
+        ComplementarityMeasures(
+            D=d, P=p, E=e, V=visibility, C=visibility * f_abs, F_abs=f_abs, mu_s=mu_s
+        )
     )
 
 
@@ -225,26 +231,22 @@ class VerificationReport:
         return json.dumps(self.to_json_dict(), indent=2)
 
 
-def _sample_seed_pairs(
-    rng: np.random.Generator, count: int, magnitude_max: float
-) -> list[SeedPair]:
+def _sample_seeds(rng: np.random.Generator, count: int, magnitude_max: float) -> np.ndarray:
+    """``count`` seed pairs as a (count, 2) complex array."""
     mags = rng.uniform(0.0, magnitude_max, size=(count, 2))
     phases = rng.uniform(0.0, 2.0 * math.pi, size=(count, 2))
-    z = mags * np.exp(1j * phases)
-    return [SeedPair(complex(z[k, 0]), complex(z[k, 1])) for k in range(count)]
+    return mags * np.exp(1j * phases)
 
 
-class _WorstTracker:
-    __slots__ = ("residual", "seeds")
-
-    def __init__(self):
-        self.residual = 0.0
-        self.seeds = (0j, 0j)
-
-    def update(self, residual: float, seeds: SeedPair):
-        if residual >= self.residual:
-            self.residual = residual
-            self.seeds = (seeds.alpha1, seeds.alpha2)
+def _worst_check(
+    name: str, residuals: np.ndarray, seeds: np.ndarray, tolerance: float
+) -> IdentityCheck:
+    """The check's verdict at its largest residual; a later tie wins."""
+    worst, pair = 0.0, (0j, 0j)
+    if len(residuals):
+        k = len(residuals) - 1 - int(np.argmax(residuals[::-1]))
+        worst, pair = float(residuals[k]), (complex(seeds[k, 0]), complex(seeds[k, 1]))
+    return IdentityCheck(name, len(residuals), tolerance, worst, pair, worst <= tolerance)
 
 
 def verify_identities(
@@ -269,83 +271,54 @@ def verify_identities(
     """
     if sample_count < 1:
         raise ValueError(f"sample_count must be >= 1, got {sample_count}")
+    if not alpha_max <= _SEED_MAGNITUDE_MAX:
+        raise ValueError(
+            f"alpha_max (--alpha-max) = {alpha_max:g} exceeds the sanity bound "
+            f"{_SEED_MAGNITUDE_MAX:g}"
+        )
     if oracle_sample_count is None:
         oracle_sample_count = min(sample_count, _DEFAULT_ORACLE_SAMPLES)
     if oracle_sample_count < 0:
         raise ValueError("oracle_sample_count must be >= 0")
 
     rng = np.random.default_rng(rng_seed)
-    closed_samples = _sample_seed_pairs(rng, sample_count, alpha_max)
-    oracle_samples = _sample_seed_pairs(rng, oracle_sample_count, oracle_alpha_max)
+    closed_seeds = _sample_seeds(rng, sample_count, alpha_max)
+    oracle_seeds = _sample_seeds(rng, oracle_sample_count, oracle_alpha_max)
 
-    identity_names = (
-        "D^2 = P^2 + E^2",
-        "P^2 + E^2 + C^2 = 1",
-        "P^2 + C^2 = mu_s^2",
-        "mu_s^2 + E^2 = 1",
-        "C = V |F|",
-        "V^2 + P^2 = 1",
-    )
-    closed_track = {name: _WorstTracker() for name in identity_names}
-
-    def closed_residuals(seeds: SeedPair) -> dict:
-        return complementarity_measures(seeds).identity_residuals()
-
-    for seeds, residuals in zip(
-        closed_samples, ordered_map(closed_residuals, closed_samples)
-    ):
-        for name in identity_names:
-            closed_track[name].update(residuals[name], seeds)
-
-    field_names = MEASURE_FIELDS
-    oracle_track = {name: _WorstTracker() for name in field_names}
-    purity_track = _WorstTracker()
-
-    def oracle_pair(seeds: SeedPair):
-        fock_route = measures_from_state(build_composite(seeds, policy))
-        closed_route = complementarity_measures(seeds)
-        return fock_route, closed_route
-
-    for seeds, (fock_route, closed_route) in zip(
-        oracle_samples, ordered_map(oracle_pair, oracle_samples)
-    ):
-        for name in field_names:
-            residual = abs(getattr(fock_route, name) - getattr(closed_route, name))
-            oracle_track[name].update(residual, seeds)
-        purity_track.update(
-            abs(fock_route.mu_s**2 - closed_route.mu_s**2), seeds
-        )
+    def closed_route(seeds: np.ndarray) -> ComplementarityMeasures:
+        # np.hypot, unlike np.abs, matches abs(complex) bit for bit
+        mags = np.hypot(seeds.real, seeds.imag)
+        return validate_measures(closed_form_measures(mags[:, 0], mags[:, 1]))
 
     checks = [
-        IdentityCheck(
-            name=name,
-            samples=sample_count,
-            tolerance=tolerances.closed_form,
-            worst_residual=tracker.residual,
-            worst_seed_pair=tracker.seeds,
-            passed=tracker.residual <= tolerances.closed_form,
-        )
-        for name, tracker in closed_track.items()
+        _worst_check(name, residuals, closed_seeds, tolerances.closed_form)
+        for name, residuals in closed_route(closed_seeds).identity_residuals().items()
     ]
-    checks.extend(
-        IdentityCheck(
-            name=f"fock route matches closed form: {name}",
-            samples=oracle_sample_count,
-            tolerance=tolerances.oracle,
-            worst_residual=tracker.residual,
-            worst_seed_pair=tracker.seeds,
-            passed=tracker.residual <= tolerances.oracle,
+
+    closed = closed_route(oracle_seeds)
+    fock = [
+        measures_from_state(build_composite(SeedPair(z1, z2), policy))
+        for z1, z2 in oracle_seeds.tolist()
+    ]
+    for name in MEASURE_FIELDS:
+        residuals = np.abs([getattr(m, name) for m in fock] - getattr(closed, name))
+        checks.append(
+            _worst_check(
+                f"fock route matches closed form: {name}",
+                residuals,
+                oracle_seeds,
+                tolerances.oracle,
+            )
         )
-        for name, tracker in oracle_track.items()
+    purity = np.array(
+        [abs(m.mu_s**2 - mu**2) for m, mu in zip(fock, closed.mu_s.tolist())]
     )
     checks.append(
-        IdentityCheck(
-            name="mu_s^2: reduced purity vs closed form",
-            samples=oracle_sample_count,
-            tolerance=tolerances.oracle,
-            worst_residual=purity_track.residual,
-            worst_seed_pair=purity_track.seeds,
-            passed=purity_track.residual <= tolerances.oracle,
+        _worst_check(
+            "mu_s^2: reduced purity vs closed form",
+            purity,
+            oracle_seeds,
+            tolerances.oracle,
         )
     )
     return VerificationReport(rng_seed=rng_seed, checks=tuple(checks))

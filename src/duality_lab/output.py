@@ -1,4 +1,4 @@
-"""File emitters and ingestion: sweep tables, fringe scans, reports.
+"""File emitters and ingestion: sweep tables and fringe scans.
 
 Formats are deliberately boring: CSV with full-precision floats (``repr``
 round-trips exactly), JSON arrays of records with the same field names, and
@@ -22,12 +22,13 @@ from __future__ import annotations
 import json
 import math
 from pathlib import Path
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Union
+
+import numpy as np
 
 from .analytic import SeedPair
 from .interferometer import FringeConfig, FringeScan
-from .oracle import VerificationReport
-from .sweep import ORACLE_RESIDUAL_FIELD, ROW_FIELDS, ROW_IDENTITY_ATOL, SweepRow
+from .sweep import ORACLE_RESIDUAL_FIELD, ROW_FIELDS, SweepTable
 
 SCAN_HEADER = "delta_theta,counts"
 
@@ -190,68 +191,41 @@ def scan_to_json_text(scan: FringeScan) -> str:
 
 
 # ---------------------------------------------------------------------------
-# sweep rows
+# sweep tables
 
 
-def _check_rows(rows: Sequence[SweepRow]):
-    if not rows:
+def _table_columns(table: SweepTable) -> dict:
+    if not len(table):
         raise ValueError("no rows to emit")
-    for index, row in enumerate(rows):
-        for name, residual in row.identity_residuals().items():
-            if residual > ROW_IDENTITY_ATOL:
-                raise ValueError(
-                    f"refusing to emit row {index}: '{name}' violated by "
-                    f"{residual:.3e}"
-                )
+    return table.columns
 
 
-def _row_columns(rows: Sequence[SweepRow]) -> tuple:
-    with_oracle = any(row.oracle_residual is not None for row in rows)
-    return ROW_FIELDS + ((ORACLE_RESIDUAL_FIELD,) if with_oracle else ())
-
-
-def rows_to_csv_text(rows: Sequence[SweepRow]) -> str:
-    _check_rows(rows)
-    columns = _row_columns(rows)
+def rows_to_csv_text(table: SweepTable) -> str:
+    columns = _table_columns(table)
+    cells = []
+    for name, column in columns.items():
+        if name == ORACLE_RESIDUAL_FIELD:  # NaN marks a point above the oracle cap
+            cells.append("" if math.isnan(v) else repr(v) for v in column.tolist())
+        else:
+            cells.append(map(repr, column.tolist()))
     lines = [",".join(columns)]
-    for row in rows:
-        cells = []
-        for name in columns:
-            value = getattr(row, name)
-            cells.append("" if value is None else repr(float(value)))
-        lines.append(",".join(cells))
+    lines.extend(map(",".join, zip(*cells)))
     return "\n".join(lines) + "\n"
 
 
-def _json_safe(value) -> Optional[float]:
-    if value is None:
-        return None
-    value = float(value)
+def _json_safe(value: float) -> Optional[float]:
     return value if math.isfinite(value) else None
 
 
-def rows_to_json_text(rows: Sequence[SweepRow]) -> str:
-    _check_rows(rows)
-    columns = _row_columns(rows)
+def rows_to_json_text(table: SweepTable) -> str:
+    columns = _table_columns(table)
+    # One expression, so the per-column lists are freed before json.dumps;
+    # this emitter sets the peak memory of a sweep.
     records = [
-        {name: _json_safe(getattr(row, name)) for name in columns} for row in rows
+        dict(zip(columns, row))
+        for row in zip(*(map(_json_safe, column.tolist()) for column in columns.values()))
     ]
     return json.dumps(records, indent=2) + "\n"
-
-
-# ---------------------------------------------------------------------------
-# verification reports
-
-
-def report_to_csv_text(report: VerificationReport) -> str:
-    lines = ["identity,samples,tolerance,worst_residual,worst_alpha1,worst_alpha2,pass"]
-    for check in report.checks:
-        a1, a2 = check.worst_seed_pair
-        lines.append(
-            f"{check.name.replace(',', ';')},{check.samples},{check.tolerance!r},"
-            f"{check.worst_residual!r},{a1!r},{a2!r},{check.passed}"
-        )
-    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -268,12 +242,12 @@ def _svg_header(width: int, height: int, title: str) -> list[str]:
     ]
 
 
-def render_curves_svg(rows: Sequence[SweepRow], title: str = "duality measures") -> str:
+def render_curves_svg(table: SweepTable, title: str = "duality measures") -> str:
     """Six measure curves against |alpha_1| with axes and a legend."""
-    _check_rows(rows)
+    columns = _table_columns(table)
     width, height = 840, 560
     left, right, top, bottom = 70.0, 660.0, 50.0, 500.0
-    xs = [row.alpha1_abs for row in rows]
+    xs = columns["alpha1_abs"].tolist()
     x_min, x_max = min(xs), max(xs)
     span = x_max - x_min or 1.0
 
@@ -316,8 +290,7 @@ def render_curves_svg(rows: Sequence[SweepRow], title: str = "duality measures")
     )
     for index, (field_name, label, color) in enumerate(_CURVE_SERIES):
         coords = " ".join(
-            f"{px(row.alpha1_abs):.2f},{py(getattr(row, field_name)):.2f}"
-            for row in rows
+            f"{px(x):.2f},{py(y):.2f}" for x, y in zip(xs, columns[field_name].tolist())
         )
         parts.append(
             f'<polyline points="{coords}" fill="none" stroke="{color}" '
@@ -356,22 +329,22 @@ def _heat_color(value: float) -> str:
     return "#fde725"
 
 
-def _row_measure(row: SweepRow, measure: str) -> float:
-    if measure == "C":
-        return math.sqrt(row.C2)
-    if measure in ROW_FIELDS[3:]:
-        return getattr(row, measure)
-    raise ValueError(f"unknown measure {measure!r} for heat map")
-
-
-def render_heatmap_svg(rows: Sequence[SweepRow], measure: str) -> str:
+def render_heatmap_svg(table: SweepTable, measure: str) -> str:
     """One gamma-|alpha| heat map of ``measure`` on the fixed [0, 1] scale."""
-    _check_rows(rows)
-    gammas = sorted({row.gamma for row in rows})
-    alphas = sorted({row.alpha2_abs for row in rows})
-    if any(math.isnan(g) for g in gammas) or len(rows) != len(gammas) * len(alphas):
+    columns = _table_columns(table)
+    if measure == "C":
+        values = np.sqrt(columns["C2"])
+    elif measure in ROW_FIELDS[3:]:
+        values = columns[measure]
+    else:
+        raise ValueError(f"unknown measure {measure!r} for heat map")
+    point_gamma = columns["gamma"].tolist()
+    point_alpha = columns["alpha2_abs"].tolist()
+    gammas = sorted(set(point_gamma))
+    alphas = sorted(set(point_alpha))
+    if any(math.isnan(g) for g in gammas) or len(table) != len(gammas) * len(alphas):
         raise ValueError("heat map needs a complete rectangular gamma-|alpha| grid")
-    lookup = {(row.gamma, row.alpha2_abs): _row_measure(row, measure) for row in rows}
+    lookup = dict(zip(zip(point_gamma, point_alpha), values.tolist()))
     width, height = 760, 620
     left, right, top, bottom = 90.0, 640.0, 50.0, 560.0
     cell_w = (right - left) / len(gammas)
@@ -442,25 +415,18 @@ def render_heatmap_svg(rows: Sequence[SweepRow], measure: str) -> str:
 # dispatcher
 
 
-def _infer_rows_layout(rows: Sequence[SweepRow]) -> str:
-    gammas = {row.gamma for row in rows}
-    if any(math.isnan(g) for g in gammas):
-        raise ValueError("svg output needs a regular grid, not explicit seed lists")
-    return "curves" if len(gammas) == 1 else "surface"
-
-
 def emit_outputs(
-    data: Union[Sequence[SweepRow], FringeScan, VerificationReport],
+    data: Union[SweepTable, FringeScan],
     format: str,
     path,
     measures: Iterable[str] = DEFAULT_SURFACE_MEASURES,
 ) -> list[Path]:
     """Write ``data`` to ``path`` in the requested format; returns paths written.
 
-    Sweep rows support csv, json and svg (svg picks curve or heat-map layout
-    from the grid shape; heat maps write one file per selected measure, named
-    ``<stem>_<measure>.svg``).  Fringe scans support csv and json; reports
-    support csv and json.  Identical input produces identical bytes.
+    Sweep tables support csv, json and svg (svg picks curve or heat-map
+    layout from the grid shape; heat maps write one file per selected
+    measure, named ``<stem>_<measure>.svg``).  Fringe scans support csv and
+    json.  Identical input produces identical bytes.
     """
     if format not in ("csv", "json", "svg"):
         raise ValueError(f"format must be csv, json or svg, got {format!r}")
@@ -474,29 +440,21 @@ def emit_outputs(
             return [path]
         raise ValueError("svg output is not defined for fringe scans")
 
-    if isinstance(data, VerificationReport):
-        if format == "csv":
-            path.write_text(report_to_csv_text(data), encoding="ascii", newline="")
-            return [path]
-        if format == "json":
-            path.write_text(data.to_json() + "\n", encoding="ascii", newline="")
-            return [path]
-        raise ValueError("svg output is not defined for verification reports")
-
-    rows = list(data)
     if format == "csv":
-        path.write_text(rows_to_csv_text(rows), encoding="ascii", newline="")
+        path.write_text(rows_to_csv_text(data), encoding="ascii", newline="")
         return [path]
     if format == "json":
-        path.write_text(rows_to_json_text(rows), encoding="ascii", newline="")
+        path.write_text(rows_to_json_text(data), encoding="ascii", newline="")
         return [path]
-    layout = _infer_rows_layout(rows)
-    if layout == "curves":
-        path.write_text(render_curves_svg(rows), encoding="ascii", newline="")
+    gammas = data.columns["gamma"]
+    if np.isnan(gammas).any():
+        raise ValueError("svg output needs a regular grid, not explicit seed lists")
+    if len(np.unique(gammas)) == 1:
+        path.write_text(render_curves_svg(data), encoding="ascii", newline="")
         return [path]
     written = []
     for measure in measures:
         target = path.with_name(f"{path.stem}_{measure}{path.suffix or '.svg'}")
-        target.write_text(render_heatmap_svg(rows, measure), encoding="ascii", newline="")
+        target.write_text(render_heatmap_svg(data, measure), encoding="ascii", newline="")
         written.append(target)
     return written

@@ -7,31 +7,36 @@ Three canned grids cover the interesting landscape:
   * ``surface`` — two axes, the seed ratio gamma = |alpha_2|/|alpha_1| and
     the magnitude |alpha| = |alpha_2|, so |alpha_1| = |alpha| / gamma.
 
-Every row carries the squared measures plus |F| and V, and is validated
-against the identity residual bounds before it can exist; the emitters in
-``output`` refuse anything that slips past.  An optional oracle check
-re-evaluates eligible rows through the Fock-space route and records the
-worst per-field deviation.
+A sweep expands its grid into magnitude columns, evaluates the closed forms
+over all points in one call and returns a ``SweepTable``, which validates
+the measures when it is built; the emitters in ``output`` write its columns.
+An optional oracle check re-evaluates eligible points through the
+Fock-space route and records the worst per-field deviation.
 """
 
 from __future__ import annotations
 
-import dataclasses
+import logging
 import math
-import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 
-from ._parallel import ordered_map
-from .analytic import MEASURE_FIELDS, SeedPair, complementarity_measures
+from .analytic import (
+    _SEED_MAGNITUDE_MAX,
+    MEASURE_FIELDS,
+    ComplementarityMeasures,
+    SeedPair,
+    closed_form_measures,
+    validate_measures,
+)
 from .fock import DEFAULT_POLICY, CutoffPolicy
 from .oracle import ORACLE_ALPHA_MAX, build_composite, measures_from_state
 
-SWEEP_MODES = ("fig2a", "fig2b", "surface", "explicit")
+logger = logging.getLogger(__name__)
 
-ROW_IDENTITY_ATOL = 1e-12
+SWEEP_MODES = ("fig2a", "fig2b", "surface", "explicit")
 
 MAX_GRID_POINTS = 1_000_000
 
@@ -67,6 +72,10 @@ class AxisSpec:
         # the last point may overshoot stop by rounding; pin it back
         return np.minimum(vals, self.stop)
 
+    def last(self) -> float:
+        """``values()[-1]``, without expanding the axis."""
+        return min(self.start + (self.count() - 1) * self.step, self.stop)
+
 
 @dataclass(frozen=True)
 class SweepGrid:
@@ -88,6 +97,17 @@ class SweepGrid:
                 raise ValueError(f"{self.mode} mode needs an alpha axis")
             if self.mode == "surface" and self.gamma_axis is None:
                 raise ValueError("surface mode needs a gamma axis")
+            # checked here because expansion builds no SeedPair per point
+            largest = self.alpha_axis.last()
+            flags = "--amax"
+            if self.mode == "surface":
+                largest /= self.gamma_axis.start
+                flags = "--amax / --gstep"
+            if not largest <= _SEED_MAGNITUDE_MAX:
+                raise ValueError(
+                    f"largest |alpha1| = {largest:.6g} exceeds the sanity bound "
+                    f"{_SEED_MAGNITUDE_MAX:g} (set by {flags})"
+                )
 
     def point_count(self) -> int:
         if self.mode == "explicit":
@@ -139,84 +159,114 @@ def explicit_grid(seed_pairs: Sequence[SeedPair], oracle_check: bool = False) ->
     return SweepGrid("explicit", seeds=tuple(seed_pairs), oracle_check=oracle_check)
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    """One grid point: seed magnitudes, ratio, and the plotted measures.
-
-    Construction re-checks the three identity residual bounds, so a row can
-    only exist if its squared measures are mutually consistent to 1e-12.
-    ``oracle_residual`` is the worst per-field deviation of the Fock-space
-    route at this point, present only when the sweep ran its oracle check
-    and the point was within the oracle's seed-magnitude cap.
-    """
-
-    alpha1_abs: float
-    alpha2_abs: float
-    gamma: float
-    D2: float
-    P2: float
-    E2: float
-    C2: float
-    F_abs: float
-    mu_s2: float
-    V: float
-    oracle_residual: Optional[float] = None
-
-    def __post_init__(self):
-        for name, residual in self.identity_residuals().items():
-            if residual > ROW_IDENTITY_ATOL:
-                raise ValueError(f"row violates '{name}' by {residual:.3e}")
-
-    def identity_residuals(self) -> dict:
-        return {
-            "D2 = P2 + E2": abs(self.D2 - self.P2 - self.E2),
-            "P2 + E2 + C2 = 1": abs(self.P2 + self.E2 + self.C2 - 1.0),
-            "P2 + C2 = mu_s2": abs(self.P2 + self.C2 - self.mu_s2),
-        }
-
-
-# Columns shared by the CSV and JSON emitters, in declaration order.
-ROW_FIELDS = tuple(f.name for f in dataclasses.fields(SweepRow) if f.name != "oracle_residual")
+# Emitted columns: coordinates, then the plotted measures.
+ROW_FIELDS = ("alpha1_abs", "alpha2_abs", "gamma", "D2", "P2", "E2", "C2", "F_abs", "mu_s2", "V")
 ORACLE_RESIDUAL_FIELD = "oracle_residual"
 
 
-def _grid_points(grid: SweepGrid) -> list[tuple[SeedPair, float]]:
-    """Expand the grid to (seeds, gamma) pairs in row-major axis order."""
+@dataclass(frozen=True, eq=False)
+class SweepTable:
+    """A sweep's result as columns, one entry per grid point in row-major order.
+
+    Construction validates ``measures`` (see ``validate_measures``), so a
+    table that exists holds mutually consistent measures at every point.
+    ``columns`` maps each emitted column name (``ROW_FIELDS``, then
+    ``oracle_residual`` when the sweep ran its oracle check on at least one
+    point) to a read-only array.  ``oracle_residual`` is the worst per-field
+    deviation of the Fock-space route, NaN where a point was above the
+    oracle's seed-magnitude cap.
+    """
+
+    alpha1_abs: np.ndarray
+    alpha2_abs: np.ndarray
+    gamma: np.ndarray
+    measures: ComplementarityMeasures
+    oracle_residual: Optional[np.ndarray] = None
+    columns: dict = field(init=False, repr=False)
+
+    def __post_init__(self):
+        m = validate_measures(self.measures)
+        values = (
+            self.alpha1_abs, self.alpha2_abs, self.gamma,
+            m.D * m.D, m.P * m.P, m.E * m.E, m.C * m.C, m.F_abs, m.mu_s * m.mu_s, m.V,
+        )
+        columns = dict(zip(ROW_FIELDS, values))
+        if self.oracle_residual is not None:
+            columns[ORACLE_RESIDUAL_FIELD] = self.oracle_residual
+        shape = np.shape(self.gamma)
+        for name, column in columns.items():
+            column = np.array(column, dtype=float)
+            if column.ndim != 1 or column.shape != shape:
+                raise ValueError(f"column {name} has shape {column.shape}, want {shape}")
+            column.setflags(write=False)
+            columns[name] = column
+        object.__setattr__(self, "columns", columns)
+
+    def __len__(self) -> int:
+        return len(self.gamma)
+
+
+def _grid_columns(grid: SweepGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Expand the grid to (|alpha_1|, |alpha_2|, gamma) in row-major axis order."""
     if grid.mode == "explicit":
-        points = []
-        for pair in grid.seeds:
-            a1 = abs(pair.alpha1)
-            gamma = abs(pair.alpha2) / a1 if a1 > 0.0 else math.nan
-            points.append((pair, gamma))
-        return points
+        a1 = np.array([abs(pair.alpha1) for pair in grid.seeds])
+        a2 = np.array([abs(pair.alpha2) for pair in grid.seeds])
+        gamma = np.full_like(a1, math.nan)
+        np.divide(a2, a1, out=gamma, where=a1 > 0.0)
+        return a1, a2, gamma
     alphas = grid.alpha_axis.values()
     if grid.mode == "fig2a":
-        return [(SeedPair(complex(a), complex(a)), 1.0) for a in alphas]
+        return alphas, alphas, np.full_like(alphas, 1.0)
     if grid.mode == "fig2b":
-        return [(SeedPair(complex(a), complex(a / 2.0)), 0.5) for a in alphas]
+        return alphas, alphas / 2.0, np.full_like(alphas, 0.5)
     # surface: gamma outer, |alpha| inner; |alpha_1| = |alpha| / gamma is
-    # undefined at |alpha| = 0, so those rows are skipped with a warning.
-    points = []
-    skipped = 0
-    for gamma in grid.gamma_axis.values():
-        for a in alphas:
-            if a == 0.0:
-                skipped += 1
-                continue
-            points.append((SeedPair(complex(a / gamma), complex(a)), float(gamma)))
+    # undefined at |alpha| = 0, so those points are skipped with a notice.
+    gammas = grid.gamma_axis.values()
+    kept = alphas[alphas != 0.0]
+    skipped = (len(alphas) - len(kept)) * len(gammas)
     if skipped:
-        warnings.warn(
-            f"skipped {skipped} surface grid points with |alpha_1| = 0 "
+        logger.warning(
+            "skipped %d surface grid points with |alpha_1| = 0 "
             "(seed ratio undefined there)",
-            stacklevel=3,
+            skipped,
         )
-    return points
+    a2 = np.tile(kept, len(gammas))
+    gamma = np.repeat(gammas, len(kept))
+    return a2 / gamma, a2, gamma
 
 
-def run_sweep(grid: SweepGrid, policy: CutoffPolicy = DEFAULT_POLICY) -> list[SweepRow]:
-    """Evaluate the closed-form measures over the grid, one row per point.
+def _oracle_residuals(
+    grid: SweepGrid,
+    a1: np.ndarray,
+    a2: np.ndarray,
+    measures: ComplementarityMeasures,
+    policy: CutoffPolicy,
+) -> Optional[np.ndarray]:
+    """Worst per-field Fock-route deviation, NaN above the oracle cap.
 
-    Rows come back in row-major axis order.  With ``grid.oracle_check`` the
+    None when no point is within the cap.
+    """
+    eligible = np.flatnonzero(np.maximum(a1, a2) <= ORACLE_ALPHA_MAX)
+    if not eligible.size:
+        return None
+    residuals = np.full(len(a1), math.nan)
+    for k in eligible:
+        if grid.mode == "explicit":
+            seeds = grid.seeds[k]
+        else:
+            seeds = SeedPair(complex(a1[k]), complex(a2[k]))
+        fock_route = measures_from_state(build_composite(seeds, policy))
+        residuals[k] = max(
+            abs(getattr(fock_route, name) - getattr(measures, name)[k])
+            for name in MEASURE_FIELDS
+        )
+    return residuals
+
+
+def run_sweep(grid: SweepGrid, policy: CutoffPolicy = DEFAULT_POLICY) -> SweepTable:
+    """Evaluate the closed-form measures over the grid as one table.
+
+    Points come back in row-major axis order.  With ``grid.oracle_check`` the
     Fock-space route is also evaluated wherever both seed magnitudes are
     within the oracle cap, and the worst per-field deviation is attached.
     """
@@ -225,44 +275,9 @@ def run_sweep(grid: SweepGrid, policy: CutoffPolicy = DEFAULT_POLICY) -> list[Sw
             f"grid has {grid.point_count()} points, above the "
             f"{MAX_GRID_POINTS} limit"
         )
-    points = _grid_points(grid)
-
-    def evaluate(point: tuple[SeedPair, float]) -> SweepRow:
-        seeds, gamma = point
-        m = complementarity_measures(seeds)
-        return SweepRow(
-            alpha1_abs=abs(seeds.alpha1),
-            alpha2_abs=abs(seeds.alpha2),
-            gamma=gamma,
-            D2=m.D * m.D,
-            P2=m.P * m.P,
-            E2=m.E * m.E,
-            C2=m.C * m.C,
-            F_abs=m.F_abs,
-            mu_s2=m.mu_s * m.mu_s,
-            V=m.V,
-        )
-
-    rows = ordered_map(evaluate, points)
-    if not grid.oracle_check:
-        return rows
-
-    eligible = [
-        k
-        for k, (seeds, _) in enumerate(points)
-        if max(abs(seeds.alpha1), abs(seeds.alpha2)) <= ORACLE_ALPHA_MAX
-    ]
-
-    def oracle_residual(k: int) -> float:
-        seeds = points[k][0]
-        fock_route = measures_from_state(build_composite(seeds, policy))
-        closed_route = complementarity_measures(seeds)
-        return max(
-            abs(getattr(fock_route, name) - getattr(closed_route, name))
-            for name in MEASURE_FIELDS
-        )
-
-    residuals = ordered_map(oracle_residual, eligible)
-    for k, residual in zip(eligible, residuals):
-        rows[k] = dataclasses.replace(rows[k], oracle_residual=residual)
-    return rows
+    a1, a2, gamma = _grid_columns(grid)
+    measures = closed_form_measures(a1, a2)
+    oracle_residual = None
+    if grid.oracle_check:
+        oracle_residual = _oracle_residuals(grid, a1, a2, measures, policy)
+    return SweepTable(a1, a2, gamma, measures, oracle_residual)

@@ -5,6 +5,7 @@ lines alongside the pytest verdicts.  Tolerances are pinned here and nowhere
 else; a failure means the package does not meet its contract.
 """
 
+import logging
 import math
 import time
 
@@ -111,28 +112,22 @@ def test_criterion_3_known_points(capsys):
 
 def test_criterion_4_figure_curve_structure(capsys):
     """Equal-seed curve structure and the E^2/C^2 crossing bracket."""
-    rows = run_sweep(fig2a_grid())
-    fidelities = [row.F_abs for row in rows]
-    assert all(row.P2 == 0.0 for row in rows)
-    assert all(abs(row.C2 - row.F_abs**2) < 1e-14 for row in rows)
-    assert all(b > a for a, b in zip(fidelities, fidelities[1:]))
+    cols = run_sweep(fig2a_grid()).columns
+    assert np.all(cols["P2"] == 0.0)
+    assert np.all(np.abs(cols["C2"] - cols["F_abs"] ** 2) < 1e-14)
+    assert np.all(np.diff(cols["F_abs"]) > 0)
 
-    fine = run_sweep(fig2a_grid(alpha_max=2.0, alpha_step=0.01))
-    signs = [row.E2 - row.C2 for row in fine]
-    flips = [
-        (fine[k].alpha1_abs, fine[k + 1].alpha1_abs)
-        for k in range(len(fine) - 1)
-        if signs[k] > 0 >= signs[k + 1]
-    ]
+    fine = run_sweep(fig2a_grid(alpha_max=2.0, alpha_step=0.01)).columns
+    signs = fine["E2"] - fine["C2"]
+    flips = np.flatnonzero((signs[:-1] > 0) & (signs[1:] <= 0))
     assert len(flips) == 1
-    lo, hi = flips[0]
+    lo, hi = fine["alpha1_abs"][flips[0]], fine["alpha1_abs"][flips[0] + 1]
     exact = math.sqrt(1.0 + math.sqrt(2.0))
     assert 1.55 - 1e-9 <= lo <= exact <= hi <= 1.56 + 1e-9
 
-    rows_b = run_sweep(fig2b_grid())
-    for row in rows_b:
-        for residual in row.identity_residuals().values():
-            assert residual < 1e-12
+    measures_b = run_sweep(fig2b_grid()).measures
+    for residual in measures_b.identity_residuals().values():
+        assert np.all(residual < 1e-12)
     with capsys.disabled():
         report(
             f"criterion 4 PASS: equal-seed sweep has P2 == 0, C2 == F^2, "
@@ -182,22 +177,21 @@ def test_criterion_5_fringe_monte_carlo(capsys):
         )
 
 
-def test_criterion_6_surface_asymptotics(capsys):
+def test_criterion_6_surface_asymptotics(capsys, caplog):
     """V - C vanishes at (gamma=1, |alpha|=10) and exceeds 0.2 in the corner."""
-    with pytest.warns(UserWarning, match="skipped"):
-        rows = run_sweep(surface_grid())
-    corner = [
-        row
-        for row in rows
-        if abs(row.gamma - 1.0) < 1e-12 and abs(row.alpha2_abs - 10.0) < 1e-12
-    ]
-    assert len(corner) == 1
-    gap_at_limit = corner[0].V - math.sqrt(corner[0].C2)
+    with caplog.at_level(logging.WARNING, logger="duality_lab"):
+        cols = run_sweep(surface_grid()).columns
+    assert "skipped" in caplog.text
+    gamma, alpha2 = cols["gamma"], cols["alpha2_abs"]
+    gap = cols["V"] - np.sqrt(cols["C2"])
+    corner = (np.abs(gamma - 1.0) < 1e-12) & (np.abs(alpha2 - 10.0) < 1e-12)
+    assert corner.sum() == 1
+    gap_at_limit = float(gap[corner][0])
     assert gap_at_limit < 0.01
 
-    region = [row for row in rows if row.gamma < 0.5 and row.alpha2_abs < 5.0]
-    assert region
-    best = max(row.V - math.sqrt(row.C2) for row in region)
+    region = (gamma < 0.5) & (alpha2 < 5.0)
+    assert region.any()
+    best = float(gap[region].max())
     assert best > 0.2
     with capsys.disabled():
         report(

@@ -9,10 +9,12 @@ from duality_lab.analytic import (
     ComplementarityMeasures,
     QuantonDensityMatrix,
     SeedPair,
+    closed_form_measures,
     complementarity_measures,
     detector_fidelity,
     quanton_amplitudes,
     quanton_density_closed,
+    validate_measures,
 )
 
 
@@ -110,8 +112,6 @@ class TestQuantonDensityClosed:
             QuantonDensityMatrix(0.6, 0.6, 0.1)
         with pytest.raises(ValueError, match="positivity"):
             QuantonDensityMatrix(0.5, 0.5, 0.9)
-        matrix = quanton_density_closed(SeedPair(2, 1)).as_matrix()
-        assert np.allclose(matrix, matrix.conj().T)
 
 
 class TestComplementarityMeasures:
@@ -202,6 +202,32 @@ class TestComplementarityMeasures:
 
     def test_record_validation_fails_closed(self):
         with pytest.raises(ValueError, match="identity"):
-            ComplementarityMeasures(D=1, P=0, E=1, V=1, C=0.5, F_abs=0, mu_s=0)
+            validate_measures(ComplementarityMeasures(D=1, P=0, E=1, V=1, C=0.5, F_abs=0, mu_s=0))
         with pytest.raises(ValueError, match="outside"):
-            ComplementarityMeasures(D=1.5, P=0, E=1, V=1, C=0, F_abs=0, mu_s=0)
+            validate_measures(ComplementarityMeasures(D=1.5, P=0, E=1, V=1, C=0, F_abs=0, mu_s=0))
+
+    def test_validation_covers_every_point_of_an_array_record(self):
+        good = closed_form_measures(np.array([0.0, 1.0, 2.0]), np.array([0.0, 1.0, 1.0]))
+        assert validate_measures(good) is good
+        forged = ComplementarityMeasures(
+            **{name: getattr(good, name).copy() for name in MEASURE_FIELDS}
+        )
+        forged.C[2] = forged.V[2] + 1e-9  # only the last point is bad
+        with pytest.raises(ValueError, match="identity"):
+            validate_measures(forged)
+        with pytest.raises(ValueError, match="outside"):  # NaN fails closed
+            validate_measures(closed_form_measures(np.array([1.0]), np.array([np.nan])))
+
+    def test_columnar_kernel_matches_scalar_route_bitwise(self):
+        # the sweep and verify paths take magnitudes with np.hypot and evaluate
+        # whole arrays; each point must equal the one-point route exactly
+        rng = np.random.default_rng(7)
+        seeds = random_seed_pairs(rng, 500, 10.0)
+        z = np.array([[s.alpha1, s.alpha2] for s in seeds])
+        mags = np.hypot(z.real, z.imag)
+        columns = closed_form_measures(mags[:, 0], mags[:, 1])
+        for k, pair in enumerate(seeds):
+            assert mags[k].tolist() == [abs(pair.alpha1), abs(pair.alpha2)]
+            m = complementarity_measures(pair)
+            for name in MEASURE_FIELDS:
+                assert getattr(columns, name)[k] == getattr(m, name)

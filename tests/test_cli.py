@@ -3,7 +3,12 @@ import math
 
 import pytest
 
+from duality_lab import oracle, sweep
 from duality_lab.cli import main
+
+
+def _fail_if_called(*args, **kwargs):
+    raise AssertionError("evaluation started before the input was rejected")
 
 
 class TestMeasuresCommand:
@@ -67,6 +72,11 @@ class TestVerifyCommand:
     def test_bad_sample_count_exits_one(self, capsys):
         assert main(["verify", "--samples", "0", "--seed", "1"]) == 1
 
+    def test_alpha_max_above_seed_bound_exits_one_up_front(self, monkeypatch, capsys):
+        monkeypatch.setattr(oracle, "closed_form_measures", _fail_if_called)
+        assert main(["verify", "--alpha-max", "1001"]) == 1
+        assert "--alpha-max" in capsys.readouterr().err
+
 
 class TestSweepCommand:
     def test_fig2a_csv(self, tmp_path, capsys):
@@ -104,6 +114,15 @@ class TestSweepCommand:
         assert rc == 0
         header = out.read_text().splitlines()[0]
         assert header.endswith("oracle_residual")
+
+    def test_surface_seed_bound_exits_one_up_front(self, tmp_path, monkeypatch, capsys):
+        # |alpha_1| = |alpha| / gamma reaches 10 / 0.002 = 5000 on this grid
+        monkeypatch.setattr(sweep, "_grid_columns", _fail_if_called)
+        out = tmp_path / "surface.csv"
+        rc = main(["sweep", "--mode", "surface", "--gstep", "0.002", "--out", str(out)])
+        assert rc == 1
+        assert "--gstep" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_repeat_runs_byte_identical(self, tmp_path):
         args = ["sweep", "--mode", "fig2a", "--amax", "2", "--astep", "0.1"]
@@ -175,20 +194,3 @@ class TestFringeAndFitCommands:
         assert rc == 2
         assert "line 2" in capsys.readouterr().err
 
-
-class TestThreadEnvironment:
-    def test_thread_cap_does_not_change_results(self, tmp_path, monkeypatch):
-        args = ["sweep", "--mode", "fig2a", "--amax", "3", "--astep", "0.05",
-                "--oracle", "--format", "json"]
-        serial = tmp_path / "serial.json"
-        threaded = tmp_path / "threaded.json"
-        assert main(args + ["--out", str(serial)]) == 0
-        monkeypatch.setenv("DUALITY_LAB_THREADS", "4")
-        assert main(args + ["--out", str(threaded)]) == 0
-        assert serial.read_bytes() == threaded.read_bytes()
-
-    def test_invalid_thread_env_is_validation_failure(self, monkeypatch, capsys):
-        monkeypatch.setenv("DUALITY_LAB_THREADS", "many")
-        rc = main(["verify", "--samples", "100", "--seed", "1"])
-        assert rc == 1
-        assert "DUALITY_LAB_THREADS" in capsys.readouterr().err

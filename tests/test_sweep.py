@@ -1,4 +1,5 @@
 import dataclasses
+import logging
 import math
 
 import numpy as np
@@ -8,7 +9,6 @@ from duality_lab.analytic import SeedPair
 from duality_lab.sweep import (
     AxisSpec,
     SweepGrid,
-    SweepRow,
     explicit_grid,
     fig2a_grid,
     fig2b_grid,
@@ -54,90 +54,92 @@ class TestGridConstruction:
         assert surface_grid().point_count() == 50 * 101
 
     def test_too_large_rejected(self):
-        grid = surface_grid(alpha_step=0.001, gamma_step=0.0005)
+        grid = surface_grid(alpha_step=0.0001, gamma_step=0.01)  # 100001 x 100 points
         with pytest.raises(ValueError, match="limit"):
             run_sweep(grid)
+        # this grid is also too large, but its |alpha_1| reaches 10 / 0.0005
+        with pytest.raises(ValueError, match="sanity bound"):
+            surface_grid(alpha_step=0.001, gamma_step=0.0005)
+
+    def test_seed_bound_checked_before_expansion(self):
+        with pytest.raises(ValueError, match="--amax / --gstep"):
+            surface_grid(gamma_step=0.002)  # |alpha_1| up to 10 / 0.002 = 5000
+        with pytest.raises(ValueError, match="--amax"):
+            fig2a_grid(alpha_max=1000.5)
+        with pytest.raises(ValueError, match="--amax"):
+            fig2b_grid(alpha_max=1001.0, alpha_step=1.0)
+        # the bound applies to the last grid value, not to the requested maximum
+        assert fig2a_grid(alpha_max=1000.5, alpha_step=1.0).alpha_axis.last() == 1000.0
+        assert surface_grid(alpha_max=10.0, gamma_step=0.01).point_count() == 101 * 100
+
+    def test_axis_last_matches_values(self):
+        for axis in (AxisSpec(0.0, 6.0, 0.05), AxisSpec(0.02, 1.0, 0.02), AxisSpec(0.0, 8.0, 0.04),
+                     AxisSpec(0.0, 10.05, 0.1)):
+            assert axis.last() == axis.values()[-1]
 
 
 class TestFig2Sweeps:
     def test_fig2a_zero_seed_row(self):
-        rows = run_sweep(fig2a_grid())
-        first = rows[0]
-        assert (first.D2, first.P2, first.E2, first.C2, first.F_abs, first.mu_s2) == (
-            1.0,
-            0.0,
-            1.0,
-            0.0,
-            0.0,
-            0.0,
-        )
-        assert first.gamma == 1.0
+        cols = run_sweep(fig2a_grid()).columns
+        first = tuple(cols[name][0] for name in ("D2", "P2", "E2", "C2", "F_abs", "mu_s2"))
+        assert first == (1.0, 0.0, 1.0, 0.0, 0.0, 0.0)
+        assert cols["gamma"][0] == 1.0
 
     def test_fig2a_structure(self):
-        rows = run_sweep(fig2a_grid())
-        fidelities = [row.F_abs for row in rows]
-        assert all(b > a for a, b in zip(fidelities, fidelities[1:]))
-        for row in rows:
-            assert row.P2 == 0.0
-            assert abs(row.C2 - row.F_abs**2) < 1e-15
-            assert row.V == 1.0
+        cols = run_sweep(fig2a_grid()).columns
+        assert np.all(np.diff(cols["F_abs"]) > 0)
+        assert np.all(cols["P2"] == 0.0)
+        assert np.all(np.abs(cols["C2"] - cols["F_abs"] ** 2) < 1e-15)
+        assert np.all(cols["V"] == 1.0)
 
     def test_crossing_bracketed(self):
         # E^2 and C^2 cross where the squared fidelity hits one half
-        rows = run_sweep(fig2a_grid(alpha_max=2.0, alpha_step=0.01))
-        signs = [row.E2 - row.C2 for row in rows]
-        flips = [
-            (rows[k].alpha1_abs, rows[k + 1].alpha1_abs)
-            for k in range(len(rows) - 1)
-            if signs[k] > 0 >= signs[k + 1]
-        ]
+        cols = run_sweep(fig2a_grid(alpha_max=2.0, alpha_step=0.01)).columns
+        signs = cols["E2"] - cols["C2"]
+        flips = np.flatnonzero((signs[:-1] > 0) & (signs[1:] <= 0))
         assert len(flips) == 1
-        lo, hi = flips[0]
+        lo, hi = cols["alpha1_abs"][flips[0]], cols["alpha1_abs"][flips[0] + 1]
         exact = math.sqrt(1 + math.sqrt(2))
         assert lo <= exact <= hi
         assert 1.55 - 1e-9 <= lo and hi <= 1.56 + 1e-9
 
     def test_fig2b_ratio_and_identities(self):
-        rows = run_sweep(fig2b_grid())
-        for row in rows:
-            assert row.alpha2_abs == pytest.approx(row.alpha1_abs / 2, abs=1e-15)
-            assert row.gamma == 0.5
-            for residual in row.identity_residuals().values():
-                assert residual < 1e-12
+        table = run_sweep(fig2b_grid())
+        cols = table.columns
+        assert np.all(np.abs(cols["alpha2_abs"] - cols["alpha1_abs"] / 2) <= 1e-15)
+        assert np.all(cols["gamma"] == 0.5)
+        for residual in table.measures.identity_residuals().values():
+            assert np.all(residual < 1e-12)
 
 
 class TestSurfaceSweep:
-    def test_skips_undefined_ratio_with_warning(self):
-        with pytest.warns(UserWarning, match="skipped 50"):
-            rows = run_sweep(surface_grid())
-        assert len(rows) == 50 * 101 - 50
-        assert all(row.alpha1_abs > 0 for row in rows)
+    def test_skips_undefined_ratio_with_warning(self, caplog):
+        with caplog.at_level(logging.WARNING, logger="duality_lab"):
+            table = run_sweep(surface_grid())
+        assert "skipped 50" in caplog.text
+        assert len(table) == 50 * 101 - 50
+        assert np.all(table.columns["alpha1_abs"] > 0)
 
     def test_gamma_one_has_unit_visibility(self):
-        with pytest.warns(UserWarning):
-            rows = run_sweep(surface_grid())
-        gamma_one = [row for row in rows if row.gamma == 1.0]
-        assert len(gamma_one) == 100
-        assert all(row.V == 1.0 for row in gamma_one)
+        cols = run_sweep(surface_grid()).columns
+        gamma_one = cols["gamma"] == 1.0
+        assert gamma_one.sum() == 100
+        assert np.all(cols["V"][gamma_one] == 1.0)
 
     def test_visibility_coherence_gap_corner(self):
-        with pytest.warns(UserWarning):
-            rows = run_sweep(surface_grid())
-        corner = [
-            row
-            for row in rows
-            if abs(row.gamma - 1.0) < 1e-12 and abs(row.alpha2_abs - 10.0) < 1e-12
-        ]
+        cols = run_sweep(surface_grid()).columns
+        corner = np.flatnonzero(
+            (np.abs(cols["gamma"] - 1.0) < 1e-12) & (np.abs(cols["alpha2_abs"] - 10.0) < 1e-12)
+        )
         assert len(corner) == 1
-        row = corner[0]
-        assert math.sqrt(row.C2) == pytest.approx(100 / 101, abs=1e-12)
-        assert row.V - math.sqrt(row.C2) == pytest.approx(1 / 101, abs=1e-12)
+        c = math.sqrt(cols["C2"][corner[0]])
+        assert c == pytest.approx(100 / 101, abs=1e-12)
+        assert cols["V"][corner[0]] - c == pytest.approx(1 / 101, abs=1e-12)
 
     def test_row_major_ordering(self):
-        with pytest.warns(UserWarning):
-            rows = run_sweep(surface_grid(alpha_max=1.0, alpha_step=0.5, gamma_step=0.5))
+        cols = run_sweep(surface_grid(alpha_max=1.0, alpha_step=0.5, gamma_step=0.5)).columns
         # gamma outer, |alpha| inner, zero-|alpha| points dropped
-        assert [(row.gamma, row.alpha2_abs) for row in rows] == [
+        assert list(zip(cols["gamma"].tolist(), cols["alpha2_abs"].tolist())) == [
             (0.5, 0.5),
             (0.5, 1.0),
             (1.0, 0.5),
@@ -148,36 +150,53 @@ class TestSurfaceSweep:
 class TestExplicitSweep:
     def test_rows_follow_input_order(self):
         grid = explicit_grid([SeedPair(2, 1), SeedPair(1, 1)])
-        rows = run_sweep(grid)
-        assert [row.alpha1_abs for row in rows] == [2.0, 1.0]
-        assert rows[0].gamma == 0.5
+        cols = run_sweep(grid).columns
+        assert cols["alpha1_abs"].tolist() == [2.0, 1.0]
+        assert cols["gamma"][0] == 0.5
 
     def test_zero_first_seed_gets_nan_gamma(self):
-        rows = run_sweep(explicit_grid([SeedPair(0, 1)]))
-        assert math.isnan(rows[0].gamma)
+        cols = run_sweep(explicit_grid([SeedPair(0, 1)])).columns
+        assert math.isnan(cols["gamma"][0])
 
 
 class TestOracleCheck:
     def test_residuals_attached_within_cap(self):
-        rows = run_sweep(explicit_grid([SeedPair(2, 1), SeedPair(8, 1)], oracle_check=True))
-        assert rows[0].oracle_residual is not None
-        assert rows[0].oracle_residual < 1e-8
+        table = run_sweep(explicit_grid([SeedPair(2, 1), SeedPair(8, 1)], oracle_check=True))
+        residual = table.columns["oracle_residual"]
+        assert residual[0] < 1e-8
         # |alpha| above the oracle cap: closed form only
-        assert rows[1].oracle_residual is None
+        assert math.isnan(residual[1])
+
+    def test_no_residual_column_when_nothing_within_cap(self):
+        table = run_sweep(explicit_grid([SeedPair(8, 1)], oracle_check=True))
+        assert table.oracle_residual is None
+        assert "oracle_residual" not in table.columns
 
     def test_fig2a_oracle_sweep(self):
-        rows = run_sweep(fig2a_grid(alpha_max=2.0, alpha_step=0.5, oracle_check=True))
-        assert all(row.oracle_residual is not None for row in rows)
-        assert max(row.oracle_residual for row in rows) < 1e-8
+        table = run_sweep(fig2a_grid(alpha_max=2.0, alpha_step=0.5, oracle_check=True))
+        residual = table.columns["oracle_residual"]
+        assert not np.any(np.isnan(residual))
+        assert residual.max() < 1e-8
 
 
 class TestSweepRow:
+    """Per-point consistency, enforced when a SweepTable is built."""
+
     def test_identity_violation_rejected(self):
-        row = run_sweep(explicit_grid([SeedPair(2, 1)]))[0]
-        with pytest.raises(ValueError, match="violates"):
-            dataclasses.replace(row, D2=row.D2 + 1e-6)
+        table = run_sweep(explicit_grid([SeedPair(2, 1)]))
+        forged = dataclasses.replace(table.measures, D=table.measures.D + 1e-6)
+        with pytest.raises(ValueError, match="violated"):
+            dataclasses.replace(table, measures=forged)
 
     def test_replace_with_consistent_values_ok(self):
-        row = run_sweep(explicit_grid([SeedPair(2, 1)]))[0]
-        clone = dataclasses.replace(row, oracle_residual=1e-12)
-        assert clone.oracle_residual == 1e-12
+        table = run_sweep(explicit_grid([SeedPair(2, 1)]))
+        clone = dataclasses.replace(table, oracle_residual=np.array([1e-12]))
+        assert clone.columns["oracle_residual"][0] == 1e-12
+
+    def test_columns_read_only_and_equal_length(self):
+        table = run_sweep(explicit_grid([SeedPair(2, 1), SeedPair(1, 1)]))
+        with pytest.raises(ValueError, match="read-only"):
+            table.columns["E2"][0] = 0.0
+        with pytest.raises(ValueError, match="shape"):
+            dataclasses.replace(table, oracle_residual=np.array([1e-12]))
+
