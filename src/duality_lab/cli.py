@@ -12,6 +12,7 @@ or verification failure; 2 I/O or parse error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -61,7 +62,13 @@ def _complex_arg(text: str) -> complex:
     )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's argument parser, built once per process.
+
+    ``parse_args`` keeps no state between calls: each returns a new
+    namespace filled from the parser's immutable defaults.
+    """
     parser = argparse.ArgumentParser(
         prog="duality-lab",
         description=(

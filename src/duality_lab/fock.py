@@ -1,7 +1,9 @@
 """Truncated-Fock-space state vectors for the seeded two-crystal interferometer.
 
 The state zoo needed here is deliberately small: coherent seed states, their
-single-photon-added counterparts, and tensor products of the two idler modes.
+single-photon-added counterparts, and tensor products of the two idler modes
+(the oracle keeps its product states as their factors; ``tensor_product``
+builds the joint vector for tests that contract it in full).
 A state is a plain vector of complex amplitudes over photon-number basis
 states, truncated at a cutoff chosen so that the discarded photon-number tail
 carries negligible probability for the seed amplitudes in play.
@@ -18,10 +20,40 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, Optional
 
 import numpy as np
-from scipy.special import gammainc
+from scipy.special import gammainc, gammaln
+
+from .analytic import _SEED_MAGNITUDE_MAX
+
+
+def poisson_tail_mass(mean: float, n: int) -> float:
+    """P(X >= n) for X ~ Poisson(mean); the photon-number tail of |alpha|^2 = mean."""
+    if n <= 0:
+        return 1.0
+    if mean == 0.0:
+        return 0.0
+    return float(gammainc(n, mean))
+
+
+def _smallest_cutoff(mean: float, tolerance: float, lo: int, hi: int) -> Optional[int]:
+    """Smallest N in [lo, hi] with ``poisson_tail_mass(mean, N) < tolerance``.
+
+    The tail falls monotonically in N, so bisection needs about
+    log2(hi - lo) evaluations.  None when even ``hi`` leaves too much tail.
+    """
+    if poisson_tail_mass(mean, hi) >= tolerance:
+        return None
+    if poisson_tail_mass(mean, lo) < tolerance:
+        return lo
+    while hi - lo > 1:  # tail(lo) >= tolerance > tail(hi)
+        mid = (lo + hi) // 2
+        if poisson_tail_mass(mean, mid) < tolerance:
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 @dataclass(frozen=True)
@@ -29,18 +61,28 @@ class CutoffPolicy:
     """How photon-number cutoffs are chosen.
 
     tail_tolerance: largest truncated probability mass accepted per seed.
-    floor, ceiling: hard bounds on the cutoff search range.
+    floor, ceiling: hard bounds on the cutoff search range.  The default
+    ceiling is the cutoff the largest seed ``SeedPair`` accepts
+    (|alpha| = 1000) needs at this tail tolerance, so no valid seed is refused.
     """
 
     tail_tolerance: float = 1e-12
     floor: int = 16
-    ceiling: int = 512
+    ceiling: Optional[int] = None
 
     def __post_init__(self):
         if not (0.0 < self.tail_tolerance < 1.0):
             raise ValueError(
                 f"tail_tolerance must lie in (0, 1), got {self.tail_tolerance}"
             )
+        if self.ceiling is None:
+            # twice the mean photon number lies ~1000 standard deviations out,
+            # where the Poisson tail underflows to zero
+            mean = _SEED_MAGNITUDE_MAX**2
+            ceiling = _smallest_cutoff(
+                mean, self.tail_tolerance, self.floor, max(self.floor, int(2 * mean))
+            )
+            object.__setattr__(self, "ceiling", ceiling)
         if self.floor < 1 or self.floor > self.ceiling:
             raise ValueError(
                 f"need 1 <= floor <= ceiling, got floor={self.floor}, "
@@ -131,7 +173,7 @@ def coherent_state(
         amps[0] = 1.0
         return FockVector(1, cutoff, amps)
     n = np.arange(d)
-    log_mag = n * math.log(mag) - 0.5 * np.array([math.lgamma(k + 1) for k in n])
+    log_mag = n * math.log(mag) - 0.5 * gammaln(n + 1.0)
     log_mag -= log_mag.max()
     amps = np.exp(log_mag) * np.exp(1j * n * cmath.phase(alpha))
     amps /= np.linalg.norm(amps)
@@ -173,6 +215,19 @@ def apply_creation(
     return FockVector(state.modes, state.cutoff, out.reshape(-1))
 
 
+def photon_added(
+    state: FockVector, tail_tolerance: float = DEFAULT_POLICY.tail_tolerance
+) -> FockVector:
+    """a†|state> divided by its measured norm: one photon added, unit length.
+
+    Single-mode states only; ``apply_creation`` guards the top level.
+    """
+    if state.modes != 1:
+        raise ValueError(f"need a single-mode state, got {state.modes} modes")
+    raised = apply_creation(state, 0, tail_tolerance)
+    return FockVector(1, state.cutoff, raised.amplitudes / raised.norm)
+
+
 def spacs_state(
     alpha: complex, cutoff: int, policy: CutoffPolicy = DEFAULT_POLICY
 ) -> FockVector:
@@ -184,9 +239,7 @@ def spacs_state(
     dividing by the measured norm keeps the result exactly unit length.
     For alpha = 0 this is exactly the one-photon state |1>.
     """
-    base = coherent_state(alpha, cutoff, policy)
-    raised = apply_creation(base, 0, policy.tail_tolerance)
-    return FockVector(1, cutoff, raised.amplitudes / raised.norm)
+    return photon_added(coherent_state(alpha, cutoff, policy), policy.tail_tolerance)
 
 
 def inner_product(a: FockVector, b: FockVector) -> complex:
@@ -208,15 +261,6 @@ def tensor_product(a: FockVector, b: FockVector) -> FockVector:
     return FockVector(a.modes + b.modes, a.cutoff, np.kron(a.amplitudes, b.amplitudes))
 
 
-def poisson_tail_mass(mean: float, n: int) -> float:
-    """P(X >= n) for X ~ Poisson(mean); the photon-number tail of |alpha|^2 = mean."""
-    if n <= 0:
-        return 1.0
-    if mean == 0.0:
-        return 0.0
-    return float(gammainc(n, mean))
-
-
 def choose_cutoff(
     alphas: Iterable[complex], policy: CutoffPolicy = DEFAULT_POLICY
 ) -> int:
@@ -224,7 +268,8 @@ def choose_cutoff(
 
     Safe means the Poisson(|alpha|^2) photon-number tail above N - 1 is below
     the policy's tail tolerance; the extra level reserves headroom for one
-    creation-operator application.  Deterministic in its inputs.
+    creation-operator application.  Found by bisection; deterministic in its
+    inputs.
     """
     alphas = [complex(a) for a in alphas]
     if not alphas:
@@ -233,12 +278,10 @@ def choose_cutoff(
         if not (math.isfinite(a.real) and math.isfinite(a.imag)):
             raise ValueError("seed amplitudes must be finite")
     lam = max(abs(a) ** 2 for a in alphas)
-    candidates = np.arange(policy.floor, policy.ceiling + 1)
-    tails = gammainc(candidates, lam) if lam > 0 else np.zeros(candidates.shape)
-    below = np.nonzero(tails < policy.tail_tolerance)[0]
-    if below.size == 0:
+    cutoff = _smallest_cutoff(lam, policy.tail_tolerance, policy.floor, policy.ceiling)
+    if cutoff is None:
         raise ValueError(
             f"no cutoff <= ceiling {policy.ceiling} bounds the photon-number "
             f"tail below {policy.tail_tolerance:.3e} for |alpha|^2 = {lam:.6g}"
         )
-    return int(candidates[below[0]])
+    return cutoff

@@ -8,8 +8,10 @@ then form the measures from their definitions.  The two routes share no
 formula beyond the path amplitudes, so agreement between them is a real
 check, not a tautology:
 
-  * |F| comes from an explicit inner product of two-mode idler vectors, not
-    from its closed form;
+  * |F| comes from explicit inner products of the idler states, not from
+    its closed form.  Each detector state is a product over the two idler
+    modes, so its overlaps are products of single-mode inner products and
+    no two-mode vector is ever formed;
   * D, P, E, V, C come from their definitional sums over path pairs;
   * mu_s comes from the purity of the numerically reduced quanton matrix,
     never from the closed-form expression the analytic module uses.
@@ -45,8 +47,7 @@ from .fock import (
     choose_cutoff,
     coherent_state,
     inner_product,
-    spacs_state,
-    tensor_product,
+    photon_added,
 )
 
 _STATE_NORM_ATOL = 1e-10
@@ -59,30 +60,65 @@ _DEFAULT_ORACLE_SAMPLES = 200
 
 
 @dataclass(frozen=True, eq=False)
+class DetectorState:
+    """A product state |idler1>|idler2> of the two idler modes, kept as its factors.
+
+    Overlaps of product states factorise, <a1 a2|b1 b2> = <a1|b1> <a2|b2>,
+    so nothing here needs the (cutoff + 1)**2-element joint vector;
+    ``fock.tensor_product(idler1, idler2)`` builds it where a test wants it.
+    """
+
+    idler1: FockVector
+    idler2: FockVector
+
+    def __post_init__(self):
+        for name in ("idler1", "idler2"):
+            factor = getattr(self, name)
+            if factor.modes != 1:
+                raise ValueError(f"{name} must be a single-mode vector")
+            if abs(factor.norm - 1.0) > _STATE_NORM_ATOL:
+                raise ValueError(f"{name} norm {factor.norm!r} is not unit")
+        if self.idler1.cutoff != self.idler2.cutoff:
+            raise ValueError(
+                f"idler cutoffs differ: {self.idler1.cutoff} vs {self.idler2.cutoff}"
+            )
+
+    @property
+    def cutoff(self) -> int:
+        return self.idler1.cutoff
+
+    @property
+    def norm(self) -> float:
+        return self.idler1.norm * self.idler2.norm
+
+    def overlap(self, other: "DetectorState") -> complex:
+        """<self|other>, conjugate-linear in ``self``."""
+        return inner_product(self.idler1, other.idler1) * inner_product(
+            self.idler2, other.idler2
+        )
+
+
+@dataclass(frozen=True, eq=False)
 class CompositeState:
     """Joint quanton-detector state in a truncated photon-number basis.
 
     The quanton factor is kept as an explicit two-level path label (the
     signal photon occupies exactly one of two orthonormal modes), while each
-    detector vector lives in the two idler modes at a shared cutoff.  The
-    global state is c1 |path 1>|d1> + c2 |path 2>|d2>.
+    detector is a product state of the two idler modes at a shared cutoff.
+    The global state is c1 |path 1>|d1> + c2 |path 2>|d2>.
     """
 
     amplitudes: QuantonAmplitudes
-    detector1: FockVector
-    detector2: FockVector
+    detector1: DetectorState
+    detector2: DetectorState
     cutoff: int
 
     quanton_dim = 2
 
     def __post_init__(self):
         for name, det in (("detector1", self.detector1), ("detector2", self.detector2)):
-            if det.modes != 2:
-                raise ValueError(f"{name} must be a two-mode idler vector")
             if det.cutoff != self.cutoff:
                 raise ValueError(f"{name} cutoff {det.cutoff} != {self.cutoff}")
-            if abs(det.norm - 1.0) > _STATE_NORM_ATOL:
-                raise ValueError(f"{name} norm {det.norm!r} is not unit")
         c1, c2 = self.amplitudes.c1, self.amplitudes.c2
         global_norm_sq = (
             c1 * c1 * self.detector1.norm**2 + c2 * c2 * self.detector2.norm**2
@@ -97,30 +133,32 @@ def build_composite(
     """Construct the joint state for one seed pair.
 
     Detector 1 pairs the photon-added state of idler 1 with the unchanged
-    coherent state of idler 2; detector 2 is the mirror image.  Both are
-    built at the cutoff the policy picks for the larger seed.
+    coherent state of idler 2; detector 2 is the mirror image.  All four
+    single-mode factors are built at the cutoff the policy picks for the
+    larger seed, each coherent state once.
     """
     cutoff = choose_cutoff((seeds.alpha1, seeds.alpha2), policy)
     coh1 = coherent_state(seeds.alpha1, cutoff, policy)
     coh2 = coherent_state(seeds.alpha2, cutoff, policy)
-    d1 = tensor_product(spacs_state(seeds.alpha1, cutoff, policy), coh2)
-    d2 = tensor_product(coh1, spacs_state(seeds.alpha2, cutoff, policy))
+    d1 = DetectorState(photon_added(coh1, policy.tail_tolerance), coh2)
+    d2 = DetectorState(coh1, photon_added(coh2, policy.tail_tolerance))
     return CompositeState(quanton_amplitudes(seeds), d1, d2, cutoff)
 
 
 def reduce_quanton(state: CompositeState) -> QuantonDensityMatrix:
     """Trace the detector out of the pure composite state.
 
-    For |psi> = sum_j c_j |j>|d_j| the partial trace over the detector is
+    For |psi> = sum_j c_j |j>|d_j> the partial trace over the detector is
     rho[i][j] = c_i c_j <d_j|d_i>, which is evaluated here with explicit
-    Fock inner products (the full index contraction gives the same matrix;
-    the test suite checks that equivalence).  Hermiticity and positivity
-    are enforced by the returned type.
+    Fock inner products of the detector factors (the full index contraction
+    over the joint idler vectors gives the same matrix; the test suite
+    checks that equivalence).  Hermiticity and positivity are enforced by
+    the returned type.
     """
     c1, c2 = state.amplitudes.c1, state.amplitudes.c2
-    rho11 = c1 * c1 * inner_product(state.detector1, state.detector1).real
-    rho22 = c2 * c2 * inner_product(state.detector2, state.detector2).real
-    rho12 = c1 * c2 * inner_product(state.detector2, state.detector1)
+    rho11 = c1 * c1 * state.detector1.overlap(state.detector1).real
+    rho22 = c2 * c2 * state.detector2.overlap(state.detector2).real
+    rho12 = c1 * c2 * state.detector2.overlap(state.detector1)
     return QuantonDensityMatrix(rho11, rho22, rho12)
 
 
@@ -139,7 +177,7 @@ def measures_from_state(state: CompositeState) -> ComplementarityMeasures:
     c1, c2 = state.amplitudes.c1, state.amplitudes.c2
     rho11 = c1 * c1
     rho22 = c2 * c2
-    f_abs = abs(inner_product(state.detector1, state.detector2))
+    f_abs = abs(state.detector1.overlap(state.detector2))
     paired_root = 2.0 * math.sqrt(rho11 * rho22)
     paired_root_f = paired_root * f_abs
     visibility = 2.0 * c1 * c2

@@ -118,6 +118,15 @@ class SweepGrid:
         return count
 
 
+def _alpha_axis(alpha_max: float, alpha_step: float) -> AxisSpec:
+    """The |alpha| axis 0, alpha_step, ..., alpha_max; errors name the CLI flag."""
+    if not (math.isfinite(alpha_max) and alpha_max >= 0.0):
+        raise ValueError(f"--amax must be finite and >= 0, got {alpha_max:g}")
+    if not (math.isfinite(alpha_step) and alpha_step > 0.0):
+        raise ValueError(f"--astep must be finite and > 0, got {alpha_step:g}")
+    return AxisSpec(0.0, alpha_max, alpha_step)
+
+
 def fig2a_grid(
     alpha_max: float = DEFAULT_FIG2_ALPHA_MAX,
     alpha_step: float = DEFAULT_FIG2_ALPHA_STEP,
@@ -125,7 +134,7 @@ def fig2a_grid(
 ) -> SweepGrid:
     """Equal-seed sweep alpha_1 = alpha_2 = |alpha|."""
     return SweepGrid(
-        "fig2a", alpha_axis=AxisSpec(0.0, alpha_max, alpha_step), oracle_check=oracle_check
+        "fig2a", alpha_axis=_alpha_axis(alpha_max, alpha_step), oracle_check=oracle_check
     )
 
 
@@ -136,7 +145,7 @@ def fig2b_grid(
 ) -> SweepGrid:
     """Fixed-ratio sweep alpha_1 = |alpha| = 2 alpha_2."""
     return SweepGrid(
-        "fig2b", alpha_axis=AxisSpec(0.0, alpha_max, alpha_step), oracle_check=oracle_check
+        "fig2b", alpha_axis=_alpha_axis(alpha_max, alpha_step), oracle_check=oracle_check
     )
 
 
@@ -147,9 +156,11 @@ def surface_grid(
     oracle_check: bool = False,
 ) -> SweepGrid:
     """Two-axis sweep over gamma in (0, 1] and |alpha| = |alpha_2| in [0, alpha_max]."""
+    if not 0.0 < gamma_step <= 1.0:
+        raise ValueError(f"--gstep must lie in (0, 1], got {gamma_step:g}")
     return SweepGrid(
         "surface",
-        alpha_axis=AxisSpec(0.0, alpha_max, alpha_step),
+        alpha_axis=_alpha_axis(alpha_max, alpha_step),
         gamma_axis=AxisSpec(gamma_step, 1.0, gamma_step),
         oracle_check=oracle_check,
     )

@@ -4,7 +4,8 @@ import math
 import pytest
 
 from duality_lab import oracle, sweep
-from duality_lab.cli import main
+from duality_lab.cli import build_parser, main
+from duality_lab.fock import DEFAULT_POLICY, poisson_tail_mass
 
 
 def _fail_if_called(*args, **kwargs):
@@ -31,6 +32,23 @@ class TestMeasuresCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["oracle"]["cutoff"] >= 16
         assert max(payload["oracle"]["residuals"].values()) < 1e-8
+
+    @pytest.mark.parametrize(
+        "alpha1,alpha2",
+        [
+            # |alpha| above 19.4, where the cutoff search used to stop at 512
+            ("20.5", "3"), ("24,7", "0,9"), ("1.5,-2", "-29.5,0.5"),
+            ("100", "3"), ("1000", "999.5"), ("1000", "0.5"),
+        ],
+    )
+    def test_oracle_covers_the_seed_domain(self, capsys, alpha1, alpha2):
+        argv = ["measures", f"--alpha1={alpha1}", f"--alpha2={alpha2}", "--oracle", "--json"]
+        assert main(argv) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert max(payload["oracle"]["residuals"].values()) <= 1e-8
+        lam = max(math.hypot(*payload["alpha1"]), math.hypot(*payload["alpha2"])) ** 2
+        cutoff, tol = payload["oracle"]["cutoff"], DEFAULT_POLICY.tail_tolerance
+        assert poisson_tail_mass(lam, cutoff) < tol <= poisson_tail_mass(lam, cutoff - 1)
 
     def test_complex_argument_parsing(self, capsys):
         assert main(["measures", "--alpha1", "1,1", "--alpha2", "0.5,-0.25", "--json"]) == 0
@@ -124,6 +142,16 @@ class TestSweepCommand:
         assert "--gstep" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "flag,value", [("--gstep", "1.5"), ("--amax", "-1"), ("--astep", "0")]
+    )
+    def test_bad_axis_flag_is_named(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "surface.csv"
+        rc = main(["sweep", "--mode", "surface", f"{flag}={value}", "--out", str(out)])
+        assert rc == 1
+        assert f"error: {flag} must" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_repeat_runs_byte_identical(self, tmp_path):
         args = ["sweep", "--mode", "fig2a", "--amax", "2", "--astep", "0.1"]
         a = tmp_path / "a.json"
@@ -194,3 +222,26 @@ class TestFringeAndFitCommands:
         assert rc == 2
         assert "line 2" in capsys.readouterr().err
 
+
+class TestParserReuse:
+    def test_no_value_or_default_leaks_between_calls(self, tmp_path, capsys):
+        assert build_parser() is build_parser()
+        assert main(["measures", "--alpha1", "2", "--alpha2", "1", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["alpha1"] == [2.0, 0.0]
+        assert main(["measures", "--alpha1", "1", "--alpha2", "0.5"]) == 0
+        assert capsys.readouterr().out.startswith("alpha1 = (1+0j)\n")
+
+        fringe = ["fringe", "--alpha1", "2", "--alpha2", "1"]
+        seeded, default, zero = (tmp_path / f"{n}.csv" for n in ("seeded", "default", "zero"))
+        assert main([*fringe, "--seed", "5", "--out", str(seeded)]) == 0
+        assert main([*fringe, "--out", str(default)]) == 0
+        assert main([*fringe, "--seed", "0", "--out", str(zero)]) == 0
+        assert default.read_bytes() == zero.read_bytes() != seeded.read_bytes()
+
+        parser = build_parser()
+        assert parser.parse_args([*fringe, "--seed", "5", "--noise", "none", "--out", "a"]).seed == 5
+        args = parser.parse_args([*fringe, "--out", "b"])
+        assert (args.seed, args.noise, args.out) == (0, "poisson", "b")
+        args = parser.parse_args(["measures", "--alpha1", "1", "--alpha2", "1"])
+        assert not args.json and not args.oracle
+        assert not hasattr(args, "seed") and not hasattr(args, "out")

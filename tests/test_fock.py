@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import gammainc
 
 from duality_lab.fock import (
     DEFAULT_POLICY,
@@ -11,6 +12,7 @@ from duality_lab.fock import (
     choose_cutoff,
     coherent_state,
     inner_product,
+    photon_added,
     poisson_tail_mass,
     spacs_state,
     tensor_product,
@@ -106,6 +108,12 @@ class TestCoherentState:
     def test_rejects_cutoff_beyond_ceiling(self):
         with pytest.raises(ValueError, match="ceiling"):
             coherent_state(1.0, DEFAULT_POLICY.ceiling + 1)
+        # a seed above the largest SeedPair accepts needs more than the ceiling
+        wider = CutoffPolicy(ceiling=2 * DEFAULT_POLICY.ceiling)
+        needed = choose_cutoff([1100.0], wider)
+        assert needed > DEFAULT_POLICY.ceiling
+        with pytest.raises(ValueError, match="ceiling"):
+            coherent_state(1100.0, needed)
         with pytest.raises(ValueError):
             coherent_state(1.0, 0)
 
@@ -141,6 +149,13 @@ class TestApplyCreation:
 
 
 class TestSpacs:
+    def test_photon_added_to_coherent_is_spacs(self):
+        for alpha in (0.0, 0.7, 2.0 - 1.5j):
+            got = photon_added(coherent_state(alpha, 40))
+            assert np.array_equal(got.amplitudes, spacs_state(alpha, 40).amplitudes)
+        with pytest.raises(ValueError, match="single-mode"):
+            photon_added(tensor_product(coherent_state(0.0, 6), coherent_state(0.0, 6)))
+
     def test_vacuum_gives_single_photon(self):
         v = spacs_state(0.0, 16)
         assert v.amplitudes[1] == 1.0
@@ -247,7 +262,31 @@ class TestChooseCutoff:
 
     def test_ceiling_guard(self):
         with pytest.raises(ValueError, match="ceiling"):
-            choose_cutoff([30.0])
+            choose_cutoff([1100.0])
+
+    def test_default_ceiling_serves_the_largest_seed(self):
+        # |alpha| = 1000 is the largest magnitude SeedPair accepts
+        assert choose_cutoff([1000.0]) == DEFAULT_POLICY.ceiling
+        assert CutoffPolicy(tail_tolerance=1e-15).ceiling > DEFAULT_POLICY.ceiling
+
+    def test_bisection_matches_linear_scan(self):
+        # a linear scan, as choose_cutoff did up to a ceiling of 512, is the reference
+        candidates = np.arange(DEFAULT_POLICY.floor, 601)
+        for alpha in np.linspace(0.0, 19.4, 1941):
+            lam = abs(complex(alpha)) ** 2
+            tails = gammainc(candidates, lam) if lam > 0 else np.zeros(candidates.shape)
+            below = np.flatnonzero(tails < DEFAULT_POLICY.tail_tolerance)
+            assert choose_cutoff([alpha]) == candidates[below[0]], alpha
+
+    def test_minimal_over_the_whole_seed_domain(self):
+        tol = DEFAULT_POLICY.tail_tolerance
+        rng = np.random.default_rng(8)
+        for alpha in [19.5, 20.5, 25.0, 29.5, 100.0, 300.0, 999.5, 1000.0,
+                      *rng.uniform(19.4, 1000.0, 40)]:
+            lam = abs(complex(alpha)) ** 2
+            n = choose_cutoff([alpha])
+            assert poisson_tail_mass(lam, n) < tol
+            assert poisson_tail_mass(lam, n - 1) >= tol
 
     def test_worst_seed_governs(self):
         assert choose_cutoff([0.0, 3.0]) == choose_cutoff([3.0])

@@ -10,8 +10,9 @@ from duality_lab.analytic import (
     complementarity_measures,
     detector_fidelity,
 )
-from duality_lab.fock import inner_product
+from duality_lab.fock import FockVector, coherent_state, spacs_state, tensor_product
 from duality_lab.oracle import (
+    DetectorState,
     Tolerances,
     build_composite,
     measures_from_state,
@@ -27,13 +28,18 @@ def random_seed_pairs(rng, count, mag_max):
     return [SeedPair(complex(z[k, 0]), complex(z[k, 1])) for k in range(count)]
 
 
+def joint_vector(detector):
+    """The detector's two-mode idler vector, rebuilt from its factors."""
+    return tensor_product(detector.idler1, detector.idler2)
+
+
 def partial_trace_by_contraction(state) -> np.ndarray:
     """Reduced quanton matrix the long way: build the full joint amplitude
     table psi[path, idler] and contract the idler index explicitly."""
     psi = np.stack(
         [
-            state.amplitudes.c1 * state.detector1.amplitudes,
-            state.amplitudes.c2 * state.detector2.amplitudes,
+            state.amplitudes.c1 * joint_vector(state.detector1).amplitudes,
+            state.amplitudes.c2 * joint_vector(state.detector2).amplitudes,
         ]
     )
     return psi @ psi.conj().T
@@ -43,26 +49,35 @@ class TestBuildComposite:
     def test_vacuum_seeds_give_orthogonal_detectors(self):
         state = build_composite(SeedPair(0, 0))
         d = state.cutoff + 1
-        assert state.detector1.amplitudes[1 * d + 0] == 1.0
-        assert state.detector2.amplitudes[0 * d + 1] == 1.0
-        assert inner_product(state.detector1, state.detector2) == 0.0
+        assert joint_vector(state.detector1).amplitudes[1 * d + 0] == 1.0
+        assert joint_vector(state.detector2).amplitudes[0 * d + 1] == 1.0
+        assert state.detector1.overlap(state.detector2) == 0.0
 
     def test_equal_unit_seeds_overlap(self):
         state = build_composite(SeedPair(1, 1))
-        got = abs(inner_product(state.detector1, state.detector2))
+        got = abs(state.detector1.overlap(state.detector2))
         assert got == pytest.approx(0.5, abs=1e-10)
 
     def test_two_one_overlap(self):
         state = build_composite(SeedPair(2, 1))
-        got = abs(inner_product(state.detector1, state.detector2))
+        got = abs(state.detector1.overlap(state.detector2))
         assert got == pytest.approx(2 / math.sqrt(10), abs=1e-9)
 
     def test_overlap_matches_closed_form(self):
         rng = np.random.default_rng(21)
         for seeds in random_seed_pairs(rng, 25, 4.0):
             state = build_composite(seeds)
-            fock = inner_product(state.detector1, state.detector2)
+            fock = state.detector1.overlap(state.detector2)
             assert abs(fock - detector_fidelity(seeds)) < 1e-9
+
+    def test_detector_factors_are_checked(self):
+        vacuum = coherent_state(0.0, 8)
+        with pytest.raises(ValueError, match="not unit"):
+            DetectorState(FockVector(1, 8, 2.0 * vacuum.amplitudes), vacuum)
+        with pytest.raises(ValueError, match="single-mode"):
+            DetectorState(tensor_product(vacuum, vacuum), vacuum)
+        with pytest.raises(ValueError, match="cutoffs differ"):
+            DetectorState(spacs_state(0.5, 16), coherent_state(0.5, 17))
 
 
 class TestReduceQuanton:
