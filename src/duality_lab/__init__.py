@@ -21,7 +21,6 @@ from .analytic import (
 )
 from .fock import (
     DEFAULT_POLICY,
-    CutoffPolicy,
     FockVector,
     apply_creation,
     choose_cutoff,
@@ -49,6 +48,7 @@ from .oracle import (
     build_composite,
     measures_from_state,
     reduce_quanton,
+    route_residuals,
     verify_identities,
 )
 from .output import (
@@ -86,7 +86,6 @@ __all__ = [
     "quanton_amplitudes",
     "quanton_density_closed",
     "DEFAULT_POLICY",
-    "CutoffPolicy",
     "FockVector",
     "apply_creation",
     "choose_cutoff",
@@ -110,6 +109,7 @@ __all__ = [
     "build_composite",
     "measures_from_state",
     "reduce_quanton",
+    "route_residuals",
     "verify_identities",
     "ScanFormatError",
     "emit_outputs",

@@ -27,24 +27,9 @@ from .interferometer import (
     pump_scale_for_peak,
     simulate_fringe,
 )
-from .oracle import (
-    Tolerances,
-    build_composite,
-    measures_from_state,
-    verify_identities,
-)
-from .output import ScanFormatError, emit_outputs, ingest_scan_csv
-from .sweep import (
-    DEFAULT_FIG2_ALPHA_MAX,
-    DEFAULT_FIG2_ALPHA_STEP,
-    DEFAULT_SURFACE_ALPHA_MAX,
-    DEFAULT_SURFACE_ALPHA_STEP,
-    DEFAULT_SURFACE_GAMMA_STEP,
-    fig2a_grid,
-    fig2b_grid,
-    run_sweep,
-    surface_grid,
-)
+from .oracle import Tolerances, route_residuals, verify_identities
+from .output import ScanFormatError, emit_outputs, ingest_scan_csv, write_scan_csv
+from .sweep import fig2a_grid, fig2b_grid, run_sweep, surface_grid
 
 
 def _complex_arg(text: str) -> complex:
@@ -130,13 +115,11 @@ def _cmd_measures(args) -> int:
     closed = complementarity_measures(seeds)
     oracle_block = None
     if args.oracle:
-        state = build_composite(seeds)
-        fock_route = measures_from_state(state)
-        residuals = {
-            name: abs(getattr(fock_route, name) - getattr(closed, name))
-            for name in MEASURE_FIELDS
+        residuals, cutoffs = route_residuals([seeds], closed)
+        oracle_block = {
+            "cutoff": int(cutoffs[0]),
+            "residuals": {name: float(residuals[name][0]) for name in MEASURE_FIELDS},
         }
-        oracle_block = {"cutoff": state.cutoff, "residuals": residuals}
     if args.json:
         payload = {
             "alpha1": [seeds.alpha1.real, seeds.alpha1.imag],
@@ -170,27 +153,12 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    factory = {"fig2a": fig2a_grid, "fig2b": fig2b_grid, "surface": surface_grid}[args.mode]
+    flags = {"alpha_max": args.amax, "alpha_step": args.astep}
     if args.mode == "surface":
-        grid = surface_grid(
-            alpha_max=args.amax if args.amax is not None else DEFAULT_SURFACE_ALPHA_MAX,
-            alpha_step=args.astep
-            if args.astep is not None
-            else DEFAULT_SURFACE_ALPHA_STEP,
-            gamma_step=args.gstep
-            if args.gstep is not None
-            else DEFAULT_SURFACE_GAMMA_STEP,
-            oracle_check=args.oracle,
-        )
-    else:
-        factory = fig2a_grid if args.mode == "fig2a" else fig2b_grid
-        grid = factory(
-            alpha_max=args.amax if args.amax is not None else DEFAULT_FIG2_ALPHA_MAX,
-            alpha_step=args.astep
-            if args.astep is not None
-            else DEFAULT_FIG2_ALPHA_STEP,
-            oracle_check=args.oracle,
-        )
-    table = run_sweep(grid)
+        flags["gamma_step"] = args.gstep
+    given = {name: value for name, value in flags.items() if value is not None}
+    table = run_sweep(factory(oracle_check=args.oracle, **given))
     written = emit_outputs(table, args.format, args.out)
     names = ", ".join(str(p) for p in written)
     print(f"wrote {len(table)} rows -> {names}")
@@ -209,19 +177,19 @@ def _cmd_fringe(args) -> int:
         noise=args.noise,
     )
     scan = simulate_fringe(config)
-    written = emit_outputs(scan, "csv", args.out)
+    written = write_scan_csv(scan, args.out)
     analytic_c = complementarity_measures(seeds).C
     if len(scan) >= 8:
         fit = fit_fringe(scan)
         print(
-            f"wrote {len(scan)} points -> {written[0]} | fitted C = "
+            f"wrote {len(scan)} points -> {written} | fitted C = "
             f"{fit.coherence_estimate:.9f} +- {fit.coherence_stderr:.9f} | "
             f"analytic C = {analytic_c:.9f}"
         )
     else:
         contrast = extract_coherence_minmax(scan)
         print(
-            f"wrote {len(scan)} points -> {written[0]} | min/max C = "
+            f"wrote {len(scan)} points -> {written} | min/max C = "
             f"{contrast:.9f} | analytic C = {analytic_c:.9f}"
         )
     return 0

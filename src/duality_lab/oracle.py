@@ -16,7 +16,9 @@ check, not a tautology:
   * mu_s comes from the purity of the numerically reduced quanton matrix,
     never from the closed-form expression the analytic module uses.
 
-``verify_identities`` wraps both routes in a randomized pass/fail report.
+``route_residuals`` is the one comparison of the two routes that the CLI,
+the sweeps and ``verify_identities`` share; ``verify_identities`` wraps it in
+a randomized pass/fail report.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Sequence
 
 import numpy as np
 
@@ -41,8 +43,6 @@ from .analytic import (
     validate_measures,
 )
 from .fock import (
-    DEFAULT_POLICY,
-    CutoffPolicy,
     FockVector,
     choose_cutoff,
     coherent_state,
@@ -53,10 +53,14 @@ from .fock import (
 _STATE_NORM_ATOL = 1e-10
 
 # Beyond this seed magnitude the required cutoffs grow quadratically while the
-# closed forms stay exact, so oracle comparisons default to this cap.
+# closed forms stay exact, so the sweep and verify oracle draws stop here.
 ORACLE_ALPHA_MAX = 4.0
 
-_DEFAULT_ORACLE_SAMPLES = 200
+# verify_identities compares the routes on min(sample_count, this) pairs.
+ORACLE_SAMPLES_MAX = 200
+
+# route_residuals key of the reduced-purity residual |mu_s^2 - closed mu_s^2|.
+PURITY_RESIDUAL = "mu_s^2"
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,8 +78,6 @@ class DetectorState:
     def __post_init__(self):
         for name in ("idler1", "idler2"):
             factor = getattr(self, name)
-            if factor.modes != 1:
-                raise ValueError(f"{name} must be a single-mode vector")
             if abs(factor.norm - 1.0) > _STATE_NORM_ATOL:
                 raise ValueError(f"{name} norm {factor.norm!r} is not unit")
         if self.idler1.cutoff != self.idler2.cutoff:
@@ -113,8 +115,6 @@ class CompositeState:
     detector2: DetectorState
     cutoff: int
 
-    quanton_dim = 2
-
     def __post_init__(self):
         for name, det in (("detector1", self.detector1), ("detector2", self.detector2)):
             if det.cutoff != self.cutoff:
@@ -127,21 +127,19 @@ class CompositeState:
             raise ValueError(f"global state norm^2 {global_norm_sq!r} is not unit")
 
 
-def build_composite(
-    seeds: SeedPair, policy: CutoffPolicy = DEFAULT_POLICY
-) -> CompositeState:
+def build_composite(seeds: SeedPair) -> CompositeState:
     """Construct the joint state for one seed pair.
 
     Detector 1 pairs the photon-added state of idler 1 with the unchanged
     coherent state of idler 2; detector 2 is the mirror image.  All four
-    single-mode factors are built at the cutoff the policy picks for the
-    larger seed, each coherent state once.
+    single-mode factors are built at the cutoff ``choose_cutoff`` picks for
+    the larger seed, each coherent state once.
     """
-    cutoff = choose_cutoff((seeds.alpha1, seeds.alpha2), policy)
-    coh1 = coherent_state(seeds.alpha1, cutoff, policy)
-    coh2 = coherent_state(seeds.alpha2, cutoff, policy)
-    d1 = DetectorState(photon_added(coh1, policy.tail_tolerance), coh2)
-    d2 = DetectorState(coh1, photon_added(coh2, policy.tail_tolerance))
+    cutoff = choose_cutoff((seeds.alpha1, seeds.alpha2))
+    coh1 = coherent_state(seeds.alpha1, cutoff)
+    coh2 = coherent_state(seeds.alpha2, cutoff)
+    d1 = DetectorState(photon_added(coh1), coh2)
+    d2 = DetectorState(coh1, photon_added(coh2))
     return CompositeState(quanton_amplitudes(seeds), d1, d2, cutoff)
 
 
@@ -197,6 +195,34 @@ def measures_from_state(state: CompositeState) -> ComplementarityMeasures:
             D=d, P=p, E=e, V=visibility, C=visibility * f_abs, F_abs=f_abs, mu_s=mu_s
         )
     )
+
+
+def route_residuals(
+    pairs: Sequence[SeedPair], closed: ComplementarityMeasures
+) -> tuple[dict[str, np.ndarray], np.ndarray]:
+    """Compare the Fock route with the caller's closed-form record, pair by pair.
+
+    ``closed`` holds the closed-form measures at ``pairs``: one value per
+    pair, or floats for a single pair.  It is taken as given, not evaluated
+    again.  Returns ``(residuals, cutoffs)``: ``residuals`` maps each name in
+    ``MEASURE_FIELDS`` to |Fock - closed| per pair, then ``PURITY_RESIDUAL``
+    to |mu_s^2 - closed mu_s^2| with mu_s from the reduced purity;
+    ``cutoffs`` holds the cutoff each pair's state was built at.
+    """
+    fock, cutoffs = [], []
+    for seeds in pairs:
+        state = build_composite(seeds)
+        fock.append(measures_from_state(state))
+        cutoffs.append(state.cutoff)
+    residuals = {
+        name: np.abs([getattr(m, name) for m in fock] - np.asarray(getattr(closed, name)))
+        for name in MEASURE_FIELDS
+    }
+    closed_mu = np.broadcast_to(closed.mu_s, len(fock)).tolist()
+    residuals[PURITY_RESIDUAL] = np.array(
+        [abs(m.mu_s**2 - mu**2) for m, mu in zip(fock, closed_mu)]
+    )
+    return residuals, np.array(cutoffs)
 
 
 @dataclass(frozen=True)
@@ -290,38 +316,37 @@ def _worst_check(
 def verify_identities(
     sample_count: int,
     rng_seed: int,
-    policy: CutoffPolicy = DEFAULT_POLICY,
     tolerances: Tolerances = Tolerances(),
     alpha_max: float = 10.0,
-    oracle_alpha_max: float = ORACLE_ALPHA_MAX,
-    oracle_sample_count: Optional[int] = None,
 ) -> VerificationReport:
     """Randomized verification of the closed-form identities and both routes.
 
     Draws ``sample_count`` seed pairs with magnitudes uniform in
     [0, alpha_max] and random phases and checks the six closed-form
-    identities on every one.  A second, smaller draw capped at
-    ``oracle_alpha_max`` (default min(sample_count, 200) pairs) compares the
+    identities on every one.  A second draw of min(sample_count,
+    ``ORACLE_SAMPLES_MAX``) pairs capped at ``ORACLE_ALPHA_MAX`` compares the
     Fock-space route against the closed forms field by field, plus the
     reduced-purity route to the source purity.  Violations are reported,
     not raised; the caller decides what a failing report means.
     Deterministic for a fixed ``rng_seed``.
     """
     if sample_count < 1:
-        raise ValueError(f"sample_count must be >= 1, got {sample_count}")
+        raise ValueError(f"sample_count (--samples) must be >= 1, got {sample_count}")
+    if not (math.isfinite(alpha_max) and alpha_max >= 0.0):
+        raise ValueError(
+            f"alpha_max (--alpha-max) must be finite and >= 0, got {alpha_max:g}"
+        )
     if not alpha_max <= _SEED_MAGNITUDE_MAX:
         raise ValueError(
             f"alpha_max (--alpha-max) = {alpha_max:g} exceeds the sanity bound "
             f"{_SEED_MAGNITUDE_MAX:g}"
         )
-    if oracle_sample_count is None:
-        oracle_sample_count = min(sample_count, _DEFAULT_ORACLE_SAMPLES)
-    if oracle_sample_count < 0:
-        raise ValueError("oracle_sample_count must be >= 0")
 
     rng = np.random.default_rng(rng_seed)
     closed_seeds = _sample_seeds(rng, sample_count, alpha_max)
-    oracle_seeds = _sample_seeds(rng, oracle_sample_count, oracle_alpha_max)
+    oracle_seeds = _sample_seeds(
+        rng, min(sample_count, ORACLE_SAMPLES_MAX), ORACLE_ALPHA_MAX
+    )
 
     def closed_route(seeds: np.ndarray) -> ComplementarityMeasures:
         # np.hypot, unlike np.abs, matches abs(complex) bit for bit
@@ -333,30 +358,15 @@ def verify_identities(
         for name, residuals in closed_route(closed_seeds).identity_residuals().items()
     ]
 
-    closed = closed_route(oracle_seeds)
-    fock = [
-        measures_from_state(build_composite(SeedPair(z1, z2), policy))
-        for z1, z2 in oracle_seeds.tolist()
-    ]
-    for name in MEASURE_FIELDS:
-        residuals = np.abs([getattr(m, name) for m in fock] - getattr(closed, name))
-        checks.append(
-            _worst_check(
-                f"fock route matches closed form: {name}",
-                residuals,
-                oracle_seeds,
-                tolerances.oracle,
-            )
-        )
-    purity = np.array(
-        [abs(m.mu_s**2 - mu**2) for m, mu in zip(fock, closed.mu_s.tolist())]
+    residuals, _ = route_residuals(
+        [SeedPair(z1, z2) for z1, z2 in oracle_seeds.tolist()],
+        closed_route(oracle_seeds),
     )
-    checks.append(
-        _worst_check(
-            "mu_s^2: reduced purity vs closed form",
-            purity,
-            oracle_seeds,
-            tolerances.oracle,
+    for name, residual in residuals.items():
+        label = (
+            f"{name}: reduced purity vs closed form"
+            if name == PURITY_RESIDUAL
+            else f"fock route matches closed form: {name}"
         )
-    )
+        checks.append(_worst_check(label, residual, oracle_seeds, tolerances.oracle))
     return VerificationReport(rng_seed=rng_seed, checks=tuple(checks))

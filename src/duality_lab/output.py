@@ -13,8 +13,9 @@ The fringe-scan CSV format is the toolkit's one wire format::
     delta_theta,counts       <- mandatory header
     0.0,40183.0              <- radians, raw counts per row
 
-Ingestion is strict: a malformed header, non-numeric cell, non-monotone
-phase column or empty body is rejected with the offending line number.
+Ingestion is strict: a non-ASCII byte, malformed header, non-numeric cell,
+non-monotone phase column or empty body is rejected with the offending line
+number.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from __future__ import annotations
 import json
 import math
 from pathlib import Path
-from typing import Iterable, Optional, Union
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -114,7 +115,8 @@ def ingest_scan_csv(path) -> FringeScan:
     metadata block is complete it is echoed back as the scan's config.
     """
     path = Path(path)
-    text = path.read_text(encoding="ascii")
+    # undecodable bytes become lone surrogates, so the loop can name their line
+    text = path.read_text(encoding="ascii", errors="surrogateescape")
     metadata: dict = {}
     header_seen = False
     thetas: list[float] = []
@@ -122,6 +124,9 @@ def ingest_scan_csv(path) -> FringeScan:
     last_line = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
         last_line = lineno
+        if not raw.isascii():
+            byte = next(ord(c) - 0xDC00 for c in raw if not c.isascii())
+            raise ScanFormatError(f"non-ASCII byte 0x{byte:02x}", lineno)
         line = raw.strip()
         if not line:
             continue
@@ -167,27 +172,6 @@ def ingest_scan_csv(path) -> FringeScan:
     if not thetas:
         raise ScanFormatError("empty body", last_line + 1)
     return FringeScan(thetas, counts, "ingested", _config_from_metadata(metadata))
-
-
-def scan_to_json_text(scan: FringeScan) -> str:
-    payload = {
-        "provenance": scan.provenance,
-        "points": [
-            [float(t), float(c)] for t, c in zip(scan.delta_theta, scan.counts)
-        ],
-    }
-    config = scan.config
-    if config is not None:
-        payload["config"] = {
-            "alpha1": [config.seeds.alpha1.real, config.seeds.alpha1.imag],
-            "alpha2": [config.seeds.alpha2.real, config.seeds.alpha2.imag],
-            "pump_rate_scale": config.pump_rate_scale,
-            "integration_time": config.integration_time,
-            "phase_points": config.phase_points,
-            "rng_seed": config.rng_seed,
-            "noise": config.noise,
-        }
-    return json.dumps(payload, indent=2) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -416,29 +400,20 @@ def render_heatmap_svg(table: SweepTable, measure: str) -> str:
 
 
 def emit_outputs(
-    data: Union[SweepTable, FringeScan],
+    data: SweepTable,
     format: str,
     path,
     measures: Iterable[str] = DEFAULT_SURFACE_MEASURES,
 ) -> list[Path]:
-    """Write ``data`` to ``path`` in the requested format; returns paths written.
+    """Write the sweep table ``data`` to ``path`` as csv, json or svg.
 
-    Sweep tables support csv, json and svg (svg picks curve or heat-map
-    layout from the grid shape; heat maps write one file per selected
-    measure, named ``<stem>_<measure>.svg``).  Fringe scans support csv and
-    json.  Identical input produces identical bytes.
+    Returns the paths written.  svg picks curve or heat-map layout from the
+    grid shape; heat maps write one file per selected measure, named
+    ``<stem>_<measure>.svg``.  Identical input produces identical bytes.
     """
     if format not in ("csv", "json", "svg"):
         raise ValueError(f"format must be csv, json or svg, got {format!r}")
     path = Path(path)
-
-    if isinstance(data, FringeScan):
-        if format == "csv":
-            return [write_scan_csv(data, path)]
-        if format == "json":
-            path.write_text(scan_to_json_text(data), encoding="ascii", newline="")
-            return [path]
-        raise ValueError("svg output is not defined for fringe scans")
 
     if format == "csv":
         path.write_text(rows_to_csv_text(data), encoding="ascii", newline="")

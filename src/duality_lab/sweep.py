@@ -31,8 +31,7 @@ from .analytic import (
     closed_form_measures,
     validate_measures,
 )
-from .fock import DEFAULT_POLICY, CutoffPolicy
-from .oracle import ORACLE_ALPHA_MAX, build_composite, measures_from_state
+from .oracle import ORACLE_ALPHA_MAX, route_residuals
 
 logger = logging.getLogger(__name__)
 
@@ -251,7 +250,6 @@ def _oracle_residuals(
     a1: np.ndarray,
     a2: np.ndarray,
     measures: ComplementarityMeasures,
-    policy: CutoffPolicy,
 ) -> Optional[np.ndarray]:
     """Worst per-field Fock-route deviation, NaN above the oracle cap.
 
@@ -260,21 +258,20 @@ def _oracle_residuals(
     eligible = np.flatnonzero(np.maximum(a1, a2) <= ORACLE_ALPHA_MAX)
     if not eligible.size:
         return None
-    residuals = np.full(len(a1), math.nan)
-    for k in eligible:
-        if grid.mode == "explicit":
-            seeds = grid.seeds[k]
-        else:
-            seeds = SeedPair(complex(a1[k]), complex(a2[k]))
-        fock_route = measures_from_state(build_composite(seeds, policy))
-        residuals[k] = max(
-            abs(getattr(fock_route, name) - getattr(measures, name)[k])
-            for name in MEASURE_FIELDS
-        )
-    return residuals
+    if grid.mode == "explicit":
+        pairs = [grid.seeds[k] for k in eligible]
+    else:
+        pairs = [SeedPair(complex(a1[k]), complex(a2[k])) for k in eligible]
+    closed = ComplementarityMeasures(
+        **{name: getattr(measures, name)[eligible] for name in MEASURE_FIELDS}
+    )
+    residuals, _ = route_residuals(pairs, closed)
+    worst = np.full(len(a1), math.nan)
+    worst[eligible] = np.max([residuals[name] for name in MEASURE_FIELDS], axis=0)
+    return worst
 
 
-def run_sweep(grid: SweepGrid, policy: CutoffPolicy = DEFAULT_POLICY) -> SweepTable:
+def run_sweep(grid: SweepGrid) -> SweepTable:
     """Evaluate the closed-form measures over the grid as one table.
 
     Points come back in row-major axis order.  With ``grid.oracle_check`` the
@@ -290,5 +287,5 @@ def run_sweep(grid: SweepGrid, policy: CutoffPolicy = DEFAULT_POLICY) -> SweepTa
     measures = closed_form_measures(a1, a2)
     oracle_residual = None
     if grid.oracle_check:
-        oracle_residual = _oracle_residuals(grid, a1, a2, measures, policy)
+        oracle_residual = _oracle_residuals(grid, a1, a2, measures)
     return SweepTable(a1, a2, gamma, measures, oracle_residual)

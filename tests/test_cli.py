@@ -4,6 +4,7 @@ import math
 import pytest
 
 from duality_lab import oracle, sweep
+from duality_lab.analytic import SeedPair, complementarity_measures
 from duality_lab.cli import build_parser, main
 from duality_lab.fock import DEFAULT_POLICY, poisson_tail_mass
 
@@ -50,6 +51,19 @@ class TestMeasuresCommand:
         cutoff, tol = payload["oracle"]["cutoff"], DEFAULT_POLICY.tail_tolerance
         assert poisson_tail_mass(lam, cutoff) < tol <= poisson_tail_mass(lam, cutoff - 1)
 
+    def test_callers_share_one_comparison(self, capsys):
+        # the sweep, measures --oracle and route_residuals agree bit for bit
+        seeds = SeedPair(1.5 - 0.5j, 0.7 + 2j)
+        argv = ["measures", "--alpha1=1.5,-0.5", "--alpha2=0.7,2", "--oracle", "--json"]
+        assert main(argv) == 0
+        printed = json.loads(capsys.readouterr().out)["oracle"]
+        table = sweep.run_sweep(sweep.explicit_grid([seeds], oracle_check=True))
+        assert table.columns["oracle_residual"][0] == max(printed["residuals"].values())
+        residuals, cutoffs = oracle.route_residuals([seeds], complementarity_measures(seeds))
+        by_route = {name: residuals[name][0] for name in printed["residuals"]}
+        assert by_route == printed["residuals"]
+        assert cutoffs.tolist() == [printed["cutoff"]]
+
     def test_complex_argument_parsing(self, capsys):
         assert main(["measures", "--alpha1", "1,1", "--alpha2", "0.5,-0.25", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
@@ -87,8 +101,17 @@ class TestVerifyCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["all_passed"] is True
 
-    def test_bad_sample_count_exits_one(self, capsys):
+    def test_bad_sample_count_exits_one(self, monkeypatch, capsys):
+        monkeypatch.setattr(oracle, "_sample_seeds", _fail_if_called)
         assert main(["verify", "--samples", "0", "--seed", "1"]) == 1
+        assert "--samples" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["-5", "nan"])
+    def test_bad_alpha_max_is_named(self, monkeypatch, capsys, value):
+        monkeypatch.setattr(oracle, "_sample_seeds", _fail_if_called)
+        assert main(["verify", f"--alpha-max={value}"]) == 1
+        err = capsys.readouterr().err
+        assert "error: alpha_max (--alpha-max) must be finite and >= 0" in err
 
     def test_alpha_max_above_seed_bound_exits_one_up_front(self, monkeypatch, capsys):
         monkeypatch.setattr(oracle, "closed_form_measures", _fail_if_called)
@@ -221,6 +244,12 @@ class TestFringeAndFitCommands:
         rc = main(["fit", "--input", str(bad)])
         assert rc == 2
         assert "line 2" in capsys.readouterr().err
+
+    def test_fit_non_ascii_file_names_the_line(self, tmp_path, capsys):
+        bad = tmp_path / "latin1.csv"
+        bad.write_bytes(b"# alpha1=(2+0j)\n# note=caf\xe9\ndelta_theta,counts\n0.0,1.0\n")
+        assert main(["fit", "--input", str(bad)]) == 2
+        assert "line 2: non-ASCII byte 0xe9" in capsys.readouterr().err
 
 
 class TestParserReuse:

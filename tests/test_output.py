@@ -209,15 +209,6 @@ class TestEmitOutputs:
         with pytest.raises(ValueError, match="regular grid"):
             emit_outputs(rows, "svg", tmp_path / "x.svg")
 
-    def test_scan_csv_json_but_not_svg(self, poisson_scan, tmp_path):
-        emit_outputs(poisson_scan, "csv", tmp_path / "scan.csv")
-        emit_outputs(poisson_scan, "json", tmp_path / "scan.json")
-        payload = json.loads((tmp_path / "scan.json").read_text())
-        assert payload["provenance"] == "simulated"
-        assert len(payload["points"]) == 24
-        with pytest.raises(ValueError, match="not defined"):
-            emit_outputs(poisson_scan, "svg", tmp_path / "scan.svg")
-
     def test_unknown_format(self, small_rows, tmp_path):
         with pytest.raises(ValueError, match="format"):
             emit_outputs(small_rows, "xml", tmp_path / "rows.xml")
@@ -231,6 +222,6 @@ class TestEmitOutputs:
             assert a.read_bytes() == b.read_bytes()
         a = tmp_path / "scan_a.csv"
         b = tmp_path / "scan_b.csv"
-        emit_outputs(poisson_scan, "csv", a)
-        emit_outputs(poisson_scan, "csv", b)
+        write_scan_csv(poisson_scan, a)
+        write_scan_csv(poisson_scan, b)
         assert a.read_bytes() == b.read_bytes()
