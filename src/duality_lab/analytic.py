@@ -42,9 +42,11 @@ class SeedPair:
         for name, z in (("alpha1", a1), ("alpha2", a2)):
             if not cmath.isfinite(z):
                 raise ValueError(f"{name} must be finite, got {z!r}")
-            if abs(z) > _SEED_MAGNITUDE_MAX:
+            # abs(z) raises OverflowError where |z| passes 1.8e308; hypot gives inf
+            magnitude = math.hypot(z.real, z.imag)
+            if magnitude > _SEED_MAGNITUDE_MAX:
                 raise ValueError(
-                    f"|{name}| = {abs(z):.6g} exceeds the sanity bound "
+                    f"|{name}| = {magnitude:.6g} exceeds the sanity bound "
                     f"{_SEED_MAGNITUDE_MAX:g}"
                 )
         object.__setattr__(self, "alpha1", a1)

@@ -154,9 +154,9 @@ def _cmd_verify(args) -> int:
 
 def _cmd_sweep(args) -> int:
     factory = {"fig2a": fig2a_grid, "fig2b": fig2b_grid, "surface": surface_grid}[args.mode]
-    flags = {"alpha_max": args.amax, "alpha_step": args.astep}
-    if args.mode == "surface":
-        flags["gamma_step"] = args.gstep
+    if args.gstep is not None and args.mode != "surface":
+        raise ValueError(f"--gstep applies to --mode surface only, not {args.mode}")
+    flags = {"alpha_max": args.amax, "alpha_step": args.astep, "gamma_step": args.gstep}
     given = {name: value for name, value in flags.items() if value is not None}
     table = run_sweep(factory(oracle_check=args.oracle, **given))
     written = emit_outputs(table, args.format, args.out)

@@ -6,6 +6,12 @@ hand-rolled static SVG for the two figure styles (measure curves versus
 |alpha|, and gamma-|alpha| heat maps).  All emitters produce byte-identical
 output for identical input.
 
+The sweep emitters work on whole columns.  Each distinct float of a column
+is formatted once, JSON records are filled from one template, and heat-map
+cells are placed by index arithmetic with colours from one vectorised ramp.
+The bytes are those of formatting every cell on its own: ``repr`` per CSV
+cell, and ``json.dumps(records, indent=2)`` with non-finite values as null.
+
 The fringe-scan CSV format is the toolkit's one wire format::
 
     # alpha1=(2+0j)          <- optional key=value metadata comments
@@ -20,6 +26,7 @@ number.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from pathlib import Path
@@ -184,32 +191,46 @@ def _table_columns(table: SweepTable) -> dict:
     return table.columns
 
 
+def _float_cells(column: np.ndarray, marker: str, marked) -> list[str]:
+    """The ``repr`` text of each value of ``column``, as the scalar emitters wrote it.
+
+    Each distinct bit pattern is formatted once (so ``-0.0`` and ``0.0`` stay
+    apart), and the distinct values for which ``marked`` holds read ``marker``.
+    """
+    keys, inverse = np.unique(column.view(np.int64), return_inverse=True)
+    values = keys.view(np.float64)
+    texts = np.array(repr(values.tolist())[1:-1].split(", "), dtype=object)
+    if marked is not None:
+        texts[marked(values)] = marker
+    return texts[inverse].tolist()
+
+
+def _nonfinite(values: np.ndarray) -> np.ndarray:
+    return ~np.isfinite(values)
+
+
 def rows_to_csv_text(table: SweepTable) -> str:
     columns = _table_columns(table)
-    cells = []
-    for name, column in columns.items():
-        if name == ORACLE_RESIDUAL_FIELD:  # NaN marks a point above the oracle cap
-            cells.append("" if math.isnan(v) else repr(v) for v in column.tolist())
-        else:
-            cells.append(map(repr, column.tolist()))
+    cells = [
+        # NaN marks a point above the oracle cap: an empty cell
+        _float_cells(column, "", np.isnan if name == ORACLE_RESIDUAL_FIELD else None)
+        for name, column in columns.items()
+    ]
     lines = [",".join(columns)]
     lines.extend(map(",".join, zip(*cells)))
     return "\n".join(lines) + "\n"
 
 
-def _json_safe(value: float) -> Optional[float]:
-    return value if math.isfinite(value) else None
-
-
 def rows_to_json_text(table: SweepTable) -> str:
+    """The table as ``json.dumps(records, indent=2)`` writes it, non-finite as null."""
     columns = _table_columns(table)
-    # One expression, so the per-column lists are freed before json.dumps;
-    # this emitter sets the peak memory of a sweep.
-    records = [
-        dict(zip(columns, row))
-        for row in zip(*(map(_json_safe, column.tolist()) for column in columns.values()))
-    ]
-    return json.dumps(records, indent=2) + "\n"
+    record = (
+        "  {\n"
+        + ",\n".join(f"    {json.dumps(name)}: %s" for name in columns)
+        + "\n  }"
+    )
+    cells = [_float_cells(column, "null", _nonfinite) for column in columns.values()]
+    return "[\n" + ",\n".join(map(record.__mod__, zip(*cells))) + "\n]\n"
 
 
 # ---------------------------------------------------------------------------
@@ -293,24 +314,25 @@ def render_curves_svg(table: SweepTable, title: str = "duality measures") -> str
     return "\n".join(parts) + "\n"
 
 
-def _heat_color(value: float) -> str:
-    """A small fixed color ramp from dark blue to yellow over [0, 1]."""
-    stops = (
-        (0.00, (68, 1, 84)),
-        (0.25, (59, 82, 139)),
-        (0.50, (33, 145, 140)),
-        (0.75, (94, 201, 98)),
-        (1.00, (253, 231, 37)),
-    )
-    value = min(1.0, max(0.0, value))
-    for (lo, lo_rgb), (hi, hi_rgb) in zip(stops, stops[1:]):
-        if value <= hi:
-            frac = (value - lo) / (hi - lo)
-            rgb = tuple(
-                int(round(c0 + frac * (c1 - c0))) for c0, c1 in zip(lo_rgb, hi_rgb)
-            )
-            return f"#{rgb[0]:02x}{rgb[1]:02x}{rgb[2]:02x}"
-    return "#fde725"
+# A small fixed color ramp from dark blue to yellow over [0, 1].
+_HEAT_STOPS = np.array((0.00, 0.25, 0.50, 0.75, 1.00))
+_HEAT_RGB = np.array(
+    ((68, 1, 84), (59, 82, 139), (33, 145, 140), (94, 201, 98), (253, 231, 37))
+)
+
+
+def _heat_colors(values: np.ndarray) -> list[str]:
+    """``#rrggbb`` of each value on the ramp; values are clamped to [0, 1], NaN to 0."""
+    values = np.fmin(np.fmax(values, 0.0), 1.0)
+    # segment k spans stops k..k+1; a value on a stop takes the lower segment
+    k = np.maximum(np.searchsorted(_HEAT_STOPS, values) - 1, 0)
+    lo, hi = _HEAT_STOPS[k], _HEAT_STOPS[k + 1]
+    frac = ((values - lo) / (hi - lo))[:, None]
+    lo_rgb, hi_rgb = _HEAT_RGB[k], _HEAT_RGB[k + 1]
+    rgb = np.rint(lo_rgb + frac * (hi_rgb - lo_rgb)).astype(np.int64)
+    codes, inverse = np.unique(rgb @ (65536, 256, 1), return_inverse=True)
+    texts = np.array([f"#{code:06x}" for code in codes.tolist()], dtype=object)
+    return texts[inverse].tolist()
 
 
 def render_heatmap_svg(table: SweepTable, measure: str) -> str:
@@ -322,27 +344,37 @@ def render_heatmap_svg(table: SweepTable, measure: str) -> str:
         values = columns[measure]
     else:
         raise ValueError(f"unknown measure {measure!r} for heat map")
-    point_gamma = columns["gamma"].tolist()
-    point_alpha = columns["alpha2_abs"].tolist()
-    gammas = sorted(set(point_gamma))
-    alphas = sorted(set(point_alpha))
-    if any(math.isnan(g) for g in gammas) or len(table) != len(gammas) * len(alphas):
+    point_gamma = columns["gamma"]
+    point_alpha = columns["alpha2_abs"]
+    gammas, gamma_index = np.unique(point_gamma, return_inverse=True)
+    alphas, alpha_index = np.unique(point_alpha, return_inverse=True)
+    cell = gamma_index * len(alphas) + alpha_index
+    if (
+        np.isnan(point_gamma).any()
+        or len(table) != len(gammas) * len(alphas)
+        or np.unique(cell).size != len(cell)
+    ):
         raise ValueError("heat map needs a complete rectangular gamma-|alpha| grid")
-    lookup = dict(zip(zip(point_gamma, point_alpha), values.tolist()))
+    grid = np.empty(len(cell))
+    grid[cell] = values
+    gammas = gammas.tolist()
+    alphas = alphas.tolist()
     width, height = 760, 620
     left, right, top, bottom = 90.0, 640.0, 50.0, 560.0
     cell_w = (right - left) / len(gammas)
     cell_h = (bottom - top) / len(alphas)
     parts = _svg_header(width, height, f"{measure} over seed ratio and magnitude")
-    for i, gamma in enumerate(gammas):
-        for j, alpha in enumerate(alphas):
-            value = lookup[(gamma, alpha)]
-            x = left + i * cell_w
-            y = bottom - (j + 1) * cell_h
-            parts.append(
-                f'<rect x="{x:.2f}" y="{y:.2f}" width="{cell_w:.2f}" '
-                f'height="{cell_h:.2f}" fill="{_heat_color(value)}"/>'
-            )
+    # gamma-major, |alpha| minor, as the cells of ``grid``
+    x_open = [f'<rect x="{left + i * cell_w:.2f}" y="' for i in range(len(gammas))]
+    y_fill = [
+        f'{bottom - (j + 1) * cell_h:.2f}" width="{cell_w:.2f}" '
+        f'height="{cell_h:.2f}" fill="'
+        for j in range(len(alphas))
+    ]
+    parts.extend(
+        x + y + color + '"/>'
+        for (x, y), color in zip(itertools.product(x_open, y_fill), _heat_colors(grid))
+    )
     parts.append(
         f'<rect x="{left:.2f}" y="{top:.2f}" width="{right - left:.2f}" '
         f'height="{bottom - top:.2f}" fill="none" stroke="black"/>'
@@ -372,12 +404,12 @@ def render_heatmap_svg(table: SweepTable, measure: str) -> str:
     )
     # colorbar, fixed [0, 1] scale
     bar_x, bar_w, steps = 680.0, 24.0, 32
-    for k in range(steps):
-        value = (k + 0.5) / steps
+    bar_colors = _heat_colors((np.arange(steps) + 0.5) / steps)
+    for k, color in enumerate(bar_colors):
         y = bottom - (k + 1) / steps * (bottom - top)
         parts.append(
             f'<rect x="{bar_x:.2f}" y="{y:.2f}" width="{bar_w:.2f}" '
-            f'height="{(bottom - top) / steps:.2f}" fill="{_heat_color(value)}"/>'
+            f'height="{(bottom - top) / steps:.2f}" fill="{color}"/>'
         )
     parts.append(
         f'<rect x="{bar_x:.2f}" y="{top:.2f}" width="{bar_w:.2f}" '

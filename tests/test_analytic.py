@@ -37,6 +37,9 @@ class TestSeedPair:
     def test_rejects_huge_magnitude(self):
         with pytest.raises(ValueError, match="sanity"):
             SeedPair(2000.0, 1.0)
+        # |z| overflows a float here; abs(z) would raise OverflowError
+        with pytest.raises(ValueError, match="= inf exceeds the sanity bound"):
+            SeedPair(1.0, complex(1.7e308, 1.7e308))
 
 
 class TestQuantonAmplitudes:

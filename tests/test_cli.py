@@ -175,6 +175,17 @@ class TestSweepCommand:
         assert f"error: {flag} must" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("mode", ["fig2a", "fig2b"])
+    def test_gstep_outside_surface_mode_is_named(self, tmp_path, monkeypatch, capsys, mode):
+        monkeypatch.setattr(sweep, "_grid_columns", _fail_if_called)
+        out = tmp_path / "g.csv"
+        rc = main(["sweep", "--mode", mode, "--gstep", "5", "--amax", "1", "--out", str(out)])
+        assert rc == 1
+        assert f"error: --gstep applies to --mode surface only, not {mode}" in (
+            capsys.readouterr().err
+        )
+        assert not out.exists()
+
     def test_repeat_runs_byte_identical(self, tmp_path):
         args = ["sweep", "--mode", "fig2a", "--amax", "2", "--astep", "0.1"]
         a = tmp_path / "a.json"

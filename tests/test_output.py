@@ -4,11 +4,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from duality_lab.analytic import SeedPair
-from duality_lab.interferometer import FringeConfig, FringeScan, simulate_fringe
+from duality_lab.interferometer import TWO_PI, FringeConfig, FringeScan, simulate_fringe
 from duality_lab.output import (
+    _SCAN_META_KEYS,
+    SCAN_HEADER,
     ScanFormatError,
+    _heat_colors,
     emit_outputs,
     ingest_scan_csv,
     render_curves_svg,
@@ -18,7 +23,71 @@ from duality_lab.output import (
     scan_to_csv_text,
     write_scan_csv,
 )
-from duality_lab.sweep import explicit_grid, fig2a_grid, run_sweep, surface_grid
+from duality_lab.sweep import SweepTable, explicit_grid, fig2a_grid, run_sweep, surface_grid
+
+
+# Scalar, per-cell references for the column-wise emitters: the code the
+# emitters replaced, kept to check them byte for byte.
+
+
+def reference_csv_text(table):
+    columns = table.columns
+    cells = []
+    for name, column in columns.items():
+        if name == "oracle_residual":
+            cells.append(["" if math.isnan(v) else repr(v) for v in column.tolist()])
+        else:
+            cells.append([repr(v) for v in column.tolist()])
+    lines = [",".join(columns)] + [",".join(row) for row in zip(*cells)]
+    return "\n".join(lines) + "\n"
+
+
+def reference_json_text(table):
+    columns = table.columns
+    records = [
+        {name: value if math.isfinite(value) else None for name, value in zip(columns, row)}
+        for row in zip(*(column.tolist() for column in columns.values()))
+    ]
+    return json.dumps(records, indent=2) + "\n"
+
+
+def reference_heat_color(value):
+    stops = (
+        (0.00, (68, 1, 84)),
+        (0.25, (59, 82, 139)),
+        (0.50, (33, 145, 140)),
+        (0.75, (94, 201, 98)),
+        (1.00, (253, 231, 37)),
+    )
+    value = min(1.0, max(0.0, value))
+    for (lo, lo_rgb), (hi, hi_rgb) in zip(stops, stops[1:]):
+        if value <= hi:
+            frac = (value - lo) / (hi - lo)
+            rgb = tuple(
+                int(round(c0 + frac * (c1 - c0))) for c0, c1 in zip(lo_rgb, hi_rgb)
+            )
+            return f"#{rgb[0]:02x}{rgb[1]:02x}{rgb[2]:02x}"
+    return "#fde725"
+
+
+# Values no golden output holds: non-finite, signed zeros, the smallest
+# subnormal, NaNs with other payloads and signs, and floats whose shortest
+# repr is long or switches to exponent form.
+ADVERSARIAL = np.array(
+    [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e16, 1e-5, 0.1 + 0.2,
+     1.0, -1.5, 1e300, 123456789.123, 1e-300, 2.0**53 + 2.0]
+    + np.array([0x7FF8000000000001, -0x0008000000000000], dtype=np.int64)
+    .view(np.float64).tolist()
+)
+
+
+def adversarial_table(rng_seed):
+    """A valid table whose coordinate and residual columns hold ADVERSARIAL values."""
+    rng = np.random.default_rng(rng_seed)
+    n = 3 * len(ADVERSARIAL)
+    valid = run_sweep(explicit_grid([SeedPair(1 + k / n, 2 - k / n) for k in range(n)]))
+    draw = [rng.permutation(np.tile(ADVERSARIAL, 3)) for _ in range(4)]
+    return SweepTable(draw[0], draw[1], draw[2], valid.measures, oracle_residual=draw[3])
 
 
 @pytest.fixture
@@ -88,6 +157,73 @@ class TestRowEmitters:
     def test_empty_rows_rejected(self):
         with pytest.raises(ValueError, match="no rows"):
             rows_to_csv_text([])
+
+
+class TestColumnEmittersMatchScalarReference:
+    @pytest.mark.parametrize("rng_seed", range(4))
+    def test_csv_and_json_on_adversarial_columns(self, rng_seed):
+        table = adversarial_table(rng_seed)
+        assert rows_to_csv_text(table) == reference_csv_text(table)
+        assert rows_to_json_text(table) == reference_json_text(table)
+
+    def test_csv_keeps_nan_in_other_columns_and_inf_in_the_residual(self):
+        text = rows_to_csv_text(adversarial_table(0))
+        rows = [line.split(",") for line in text.splitlines()[1:]]
+        assert {"nan", "inf", "-inf", "-0.0", "5e-324", "1e+16", "1e-05"} <= {
+            row[2] for row in rows
+        }
+        residuals = {row[-1] for row in rows}
+        assert "" in residuals and "inf" in residuals and "nan" not in residuals
+
+    @pytest.mark.parametrize("grid", [
+        fig2a_grid(alpha_max=2.0, alpha_step=0.1, oracle_check=True),
+        surface_grid(alpha_max=3.0, alpha_step=0.25, gamma_step=0.1),
+    ], ids=["fig2a-oracle", "surface"])
+    def test_csv_and_json_on_sweeps(self, grid):
+        table = run_sweep(grid)
+        assert rows_to_csv_text(table) == reference_csv_text(table)
+        assert rows_to_json_text(table) == reference_json_text(table)
+
+    def test_heat_colors(self):
+        stops = [0.0, 0.25, 0.5, 0.75, 1.0]
+        midpoints = [0.125, 0.375, 0.625, 0.875]  # odd channel steps land on .5
+        clamped = [-math.inf, -1.0, -1e-300, -0.0, 1.0 + 1e-16, 1.5, math.inf, math.nan]
+        values = stops + midpoints + clamped + np.linspace(-0.1, 1.1, 4801).tolist()
+        expected = [reference_heat_color(v) for v in values]
+        assert _heat_colors(np.array(values)) == expected
+        assert len(set(expected)) > 200
+
+
+def _scan_like_bytes():
+    """Files near the scan format: metadata, header, ordered rows and stray lines,
+    so the fuzzer reaches the body and metadata parsers as well as the header."""
+    number = st.one_of(
+        st.floats().map(repr),
+        st.integers(-(10**20), 10**20).map(str),
+        st.text("0123456789.e+-_ nainfINF", max_size=8),
+    )
+    value = st.one_of(
+        number,
+        st.complex_numbers().map(repr),
+        st.sampled_from(["poisson", "none"]),
+        st.text(max_size=8),
+    )
+    metadata = st.lists(value, min_size=7, max_size=7).map(
+        lambda values: [f"# {k}={v}" for k, v in zip(_SCAN_META_KEYS, values)]
+    )
+    rows = st.dictionaries(st.floats(0.0, 6.3), st.floats(0.0, 1e12), max_size=6).map(
+        lambda points: [f"{t!r},{c!r}" for t, c in sorted(points.items())]
+    )
+    stray = st.lists(
+        st.one_of(st.builds("{},{}".format, number, number), st.text(max_size=12)),
+        max_size=4,
+    )
+    head = st.one_of(st.just([]), metadata)
+    body = st.one_of(st.just([]), st.just([SCAN_HEADER]))
+    return st.builds(
+        lambda *parts: parts[-1].join(sum(parts[:-1], [])).encode("utf-8", "surrogatepass"),
+        head, body, rows, stray, st.sampled_from(["\n", "\r\n", "\r", "\x0b", "\x1c"]),
+    )
 
 
 class TestScanCsv:
@@ -160,6 +296,33 @@ class TestScanCsv:
         with pytest.raises(ScanFormatError, match="negative"):
             ingest_scan_csv(path)
 
+    @settings(
+        max_examples=400,
+        deadline=None,
+        database=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(data=st.one_of(st.binary(), _scan_like_bytes()))
+    @example(data=(
+        b"# alpha1=(1.7e308+1.7e308j)\n# alpha2=1\n# pump_rate_scale=1\n"
+        b"# integration_time=1\n# phase_points=4\n# rng_seed=0\n# noise=none\n"
+        b"delta_theta,counts\n0.0,1.0\n"
+    ))
+    def test_fuzzed_bytes_give_a_valid_scan_or_a_format_error(self, tmp_path, data):
+        path = tmp_path / "fuzz.csv"
+        path.write_bytes(data)
+        try:
+            scan = ingest_scan_csv(path)
+        except ScanFormatError as exc:
+            assert exc.line >= 1
+            return
+        theta, counts = scan.delta_theta, scan.counts
+        assert scan.provenance == "ingested" and len(scan) >= 1
+        assert np.all(np.isfinite(theta)) and np.all(np.isfinite(counts))
+        assert theta[0] >= 0.0 and theta[-1] < TWO_PI
+        assert np.all(np.diff(theta) > 0.0) and np.all(counts >= 0.0)
+        assert scan.config is None or isinstance(scan.config, FringeConfig)
+
 
 class TestSvg:
     def test_curves_have_six_polylines(self, small_rows):
@@ -180,6 +343,18 @@ class TestSvg:
         surf = run_sweep(surface_grid(alpha_max=1.0, alpha_step=0.5, gamma_step=0.25))
         svg = render_heatmap_svg(surf, "C")
         assert svg.count("<rect") > len(surf)
+
+    def test_heatmap_rejects_a_repeated_cell(self):
+        # 2 gammas x 2 alphas and 4 rows, but (0.5, 1.0) twice and (1.0, 2.0) missing
+        valid = run_sweep(explicit_grid([SeedPair(k + 1, 1) for k in range(4)]))
+        table = SweepTable(
+            valid.columns["alpha1_abs"],
+            np.array([1.0, 2.0, 1.0, 1.0]),
+            np.array([0.5, 0.5, 1.0, 1.0]),
+            valid.measures,
+        )
+        with pytest.raises(ValueError, match=r"complete rectangular gamma-\|alpha\| grid"):
+            render_heatmap_svg(table, "C")
 
     def test_unknown_measure_rejected(self):
         surf = run_sweep(surface_grid(alpha_max=1.0, alpha_step=0.5, gamma_step=0.5))
