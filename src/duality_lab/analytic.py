@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -56,21 +56,57 @@ class SeedPair:
         return SeedPair(self.alpha2, self.alpha1)
 
 
+class PointError(ValueError):
+    """A check failed at one point of a batch; ``index`` names the point."""
+
+    def __init__(self, index: int, detail: str):
+        super().__init__(f"point {index}: {detail}")
+        self.index = index
+        self.detail = detail
+
+
+def _fail_first(bad, detail) -> None:
+    """Raise at the first point where ``bad`` is true; ``detail(k)`` words it.
+
+    ``k`` is the flat index of that point.  A batch (``bad`` with a shape)
+    raises ``PointError``; a single point raises a plain ValueError.
+    """
+    bad = np.asarray(bad)
+    if np.count_nonzero(bad):
+        k = int(np.argmax(bad.ravel()))
+        if bad.ndim:
+            raise PointError(k, detail(k))
+        raise ValueError(detail(k))
+
+
 @dataclass(frozen=True)
 class QuantonAmplitudes:
-    """Real, non-negative path amplitudes (c1, c2) with c1^2 + c2^2 = 1."""
+    """Real, non-negative path amplitudes (c1, c2) with c1^2 + c2^2 = 1.
+
+    Floats for one seed pair or equal-length arrays for a batch.
+    ``density`` holds (c1^2, c2^2, c1 c2), the elements rho11, rho22 and
+    rho12 of the pure path state's density matrix.
+    """
 
     c1: float
     c2: float
+    density: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.c1 < 0.0 or self.c2 < 0.0:
-            raise ValueError("path amplitudes must be non-negative")
-        residual = abs(self.c1 * self.c1 + self.c2 * self.c2 - 1.0)
-        if residual > IDENTITY_ATOL:
-            raise ValueError(
-                f"c1^2 + c2^2 deviates from 1 by {residual:.3e}"
-            )
+        c1, c2 = np.asarray(self.c1, dtype=float), np.asarray(self.c2, dtype=float)
+        density = (c1 * c1, c2 * c2, c1 * c2)
+        object.__setattr__(self, "density", density)
+        residual = np.abs(density[0] + density[1] - 1.0)
+        # a NaN compares false, so it fails here and is judged below
+        if np.count_nonzero((residual <= IDENTITY_ATOL) & (np.minimum(c1, c2) >= 0.0)) == c1.size:
+            return
+        negative = (c1 < 0.0) | (c2 < 0.0)
+        _fail_first(
+            negative | (residual > IDENTITY_ATOL),
+            lambda k: "path amplitudes must be non-negative"
+            if negative.flat[k]
+            else f"c1^2 + c2^2 deviates from 1 by {residual.flat[k]:.3e}",
+        )
 
 
 @dataclass(frozen=True)
@@ -81,26 +117,45 @@ class QuantonDensityMatrix:
     Positivity demands |rho12| <= sqrt(rho11 rho22); equality holds exactly
     when the matrix describes the pure path superposition, while a reduced
     (detector-traced) state sits strictly inside the bound for |F| < 1.
+    Scalars for one seed pair or equal-length arrays for a batch; a failed
+    check names the first point at fault.  ``coherence`` is |rho12|.
     """
 
     rho11: float
     rho22: float
     rho12: complex
+    coherence: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.rho11 < 0.0 or self.rho22 < 0.0:
-            raise ValueError("diagonal probabilities must be non-negative")
-        if abs(self.rho11 + self.rho22 - 1.0) > IDENTITY_ATOL:
-            raise ValueError(
-                f"trace deviates from 1 by {abs(self.rho11 + self.rho22 - 1.0):.3e}"
+        rho11 = np.asarray(self.rho11, dtype=float)
+        rho22 = np.asarray(self.rho22, dtype=float)
+        rho12 = np.asarray(self.rho12, dtype=complex)
+        object.__setattr__(self, "rho12", complex(self.rho12) if rho12.ndim == 0 else rho12)
+        # |rho12|; np.hypot, unlike np.abs, matches abs(complex) bit for bit
+        coherence = np.hypot(rho12.real, rho12.imag)
+        object.__setattr__(self, "coherence", coherence)
+        trace_error = np.abs(rho11 + rho22 - 1.0)
+        lowest = np.minimum(rho11, rho22)
+        # the bound of a point with a negative diagonal is never read
+        bound = np.sqrt(np.maximum(rho11 * rho22, 0.0))
+        holds = (lowest >= 0.0) & (trace_error <= IDENTITY_ATOL)
+        holds &= coherence <= bound + IDENTITY_ATOL
+        if np.count_nonzero(holds) == holds.size:
+            return
+        negative = lowest < 0.0
+        off_trace = trace_error > IDENTITY_ATOL
+
+        def detail(k):
+            if negative.flat[k]:
+                return "diagonal probabilities must be non-negative"
+            if off_trace.flat[k]:
+                return f"trace deviates from 1 by {trace_error.flat[k]:.3e}"
+            return (
+                f"|rho12| = {coherence.flat[k]:.12g} violates positivity bound "
+                f"{bound.flat[k]:.12g}"
             )
-        bound = math.sqrt(self.rho11 * self.rho22)
-        if abs(self.rho12) > bound + IDENTITY_ATOL:
-            raise ValueError(
-                f"|rho12| = {abs(self.rho12):.12g} violates positivity bound "
-                f"{bound:.12g}"
-            )
-        object.__setattr__(self, "rho12", complex(self.rho12))
+
+        _fail_first(negative | off_trace | (coherence > bound + IDENTITY_ATOL), detail)
 
     def purity(self) -> float:
         """Tr[rho^2] = rho11^2 + rho22^2 + 2 |rho12|^2."""
@@ -130,20 +185,8 @@ class ComplementarityMeasures:
 
     def identity_residuals(self) -> dict:
         """Absolute residuals of the six cross-field identities."""
-        d2 = self.D * self.D
-        p2 = self.P * self.P
-        e2 = self.E * self.E
-        c2 = self.C * self.C
-        v2 = self.V * self.V
-        m2 = self.mu_s * self.mu_s
-        return {
-            "D^2 = P^2 + E^2": abs(d2 - p2 - e2),
-            "P^2 + E^2 + C^2 = 1": abs(p2 + e2 + c2 - 1.0),
-            "P^2 + C^2 = mu_s^2": abs(p2 + c2 - m2),
-            "mu_s^2 + E^2 = 1": abs(m2 + e2 - 1.0),
-            "C = V |F|": abs(self.C - self.V * self.F_abs),
-            "V^2 + P^2 = 1": abs(v2 + p2 - 1.0),
-        }
+        values = np.array([getattr(self, name) for name in self._FIELD_ORDER], dtype=float)
+        return {name: abs(term) for name, term in zip(IDENTITY_NAMES, _identity_terms(values))}
 
     def as_dict(self) -> dict:
         return {name: getattr(self, name) for name in self._FIELD_ORDER}
@@ -151,6 +194,32 @@ class ComplementarityMeasures:
 
 # Field order of ComplementarityMeasures, shared by reports and emitters.
 MEASURE_FIELDS = ComplementarityMeasures._FIELD_ORDER
+
+IDENTITY_NAMES = (
+    "D^2 = P^2 + E^2",
+    "P^2 + E^2 + C^2 = 1",
+    "P^2 + C^2 = mu_s^2",
+    "mu_s^2 + E^2 = 1",
+    "C = V |F|",
+    "V^2 + P^2 = 1",
+)
+
+
+def _identity_terms(values: np.ndarray) -> list:
+    """The six identities' signed residuals from the seven fields stacked along the first axis.
+
+    For a single point the rows are numpy scalars, for a batch arrays.
+    """
+    d2, p2, e2, v2, c2, _, m2 = values * values
+    _, _, _, v, c, f_abs, _ = values
+    return [
+        d2 - p2 - e2,
+        p2 + e2 + c2 - 1.0,
+        p2 + c2 - m2,
+        m2 + e2 - 1.0,
+        c - v * f_abs,
+        v2 + p2 - 1.0,
+    ]
 
 
 def validate_measures(measures: ComplementarityMeasures) -> ComplementarityMeasures:
@@ -162,52 +231,75 @@ def validate_measures(measures: ComplementarityMeasures) -> ComplementarityMeasu
     """
     values = np.array([getattr(measures, name) for name in MEASURE_FIELDS], dtype=float)
     values = values.reshape(len(MEASURE_FIELDS), -1)
+    # a single point's rows are numpy scalars, whose arithmetic costs less
+    terms = _identity_terms(values[:, 0] if values.shape[1] == 1 else values)
+    residuals = np.abs(terms).reshape(len(IDENTITY_NAMES), -1)
+    d, p, _, v, c, _, _ = values
     inside = (values >= -1e-15) & (values <= 1.0 + 1e-12)
+    # a NaN compares false, so it fails here and is judged below
+    if (
+        np.count_nonzero(inside) == inside.size
+        and np.count_nonzero(residuals <= IDENTITY_ATOL) == residuals.size
+        and np.count_nonzero((c <= v + IDENTITY_ATOL) & (p <= d + IDENTITY_ATOL)) == c.size
+    ):
+        return measures
     if not inside.all():
-        field, point = np.argwhere(~inside)[0]
+        field_index, point = np.argwhere(~inside)[0]
         raise ValueError(
-            f"{MEASURE_FIELDS[field]} = {float(values[field, point])!r} outside [0, 1]"
+            f"{MEASURE_FIELDS[field_index]} = {float(values[field_index, point])!r} "
+            "outside [0, 1]"
         )
-    identities = measures.identity_residuals()
-    residuals = np.array(list(identities.values()), dtype=float)
-    residuals = residuals.reshape(len(identities), -1)
     violated = residuals > IDENTITY_ATOL
     if violated.any():
         identity = np.argwhere(violated)[0][0]
         raise ValueError(
-            f"identity '{list(identities)[identity]}' violated by "
+            f"identity '{IDENTITY_NAMES[identity]}' violated by "
             f"{residuals[identity].max():.3e}"
         )
-    by_name = dict(zip(MEASURE_FIELDS, values))
-    if (by_name["C"] > by_name["V"] + IDENTITY_ATOL).any():
+    if (c > v + IDENTITY_ATOL).any():
         raise ValueError("C must not exceed V")
-    if (by_name["P"] > by_name["D"] + IDENTITY_ATOL).any():
+    if (p > d + IDENTITY_ATOL).any():
         raise ValueError("P must not exceed D")
     return measures
 
 
-def _clamped_sqrt(x):
-    x = np.asarray(x, dtype=float)
-    outside = (x < -_CLAMP_WINDOW) | (x > 1.0 + _CLAMP_WINDOW)
-    if outside.any():
-        raise ValueError(
-            f"radicand {float(x[outside].flat[0])!r} outside the clamp window around [0, 1]"
+def _clamped_sqrt(radicands):
+    """Square roots of radicands stacked along the first axis, one column per point.
+
+    Rounding may push a radicand a hair outside [0, 1]; it is clamped back,
+    and one beyond ``_CLAMP_WINDOW`` fails naming its point.
+    """
+    x = np.asarray(radicands, dtype=float)
+    if np.count_nonzero((x >= -_CLAMP_WINDOW) & (x <= 1.0 + _CLAMP_WINDOW)) != x.size:
+        grid = x.reshape(len(x), -1)
+        outside = (grid < -_CLAMP_WINDOW) | (grid > 1.0 + _CLAMP_WINDOW)
+        _fail_first(
+            outside.any(axis=0).reshape(x.shape[1:]),
+            lambda k: f"radicand {float(grid[:, k][outside[:, k]][0])!r} outside the "
+            "clamp window around [0, 1]",
         )
     return np.sqrt(np.minimum(1.0, np.maximum(0.0, x)))
 
 
-def quanton_amplitudes(seeds: SeedPair) -> QuantonAmplitudes:
+def path_amplitudes(alpha1_abs_sq, alpha2_abs_sq) -> QuantonAmplitudes:
     """Path amplitudes c_j = sqrt(1 + |alpha_j|^2) / sqrt(2 + |alpha_1|^2 + |alpha_2|^2).
 
     Stimulated emission favours the more strongly seeded crystal, so the path
-    weights follow the seeded gains 1 + |alpha_j|^2.
+    weights follow the seeded gains 1 + |alpha_j|^2.  Takes the squared seed
+    magnitudes as floats or equal-length arrays.
     """
+    na = 1.0 + alpha1_abs_sq
+    nb = 1.0 + alpha2_abs_sq
+    total = na + nb
+    return QuantonAmplitudes(np.sqrt(na / total), np.sqrt(nb / total))
+
+
+def quanton_amplitudes(seeds: SeedPair) -> QuantonAmplitudes:
+    """``path_amplitudes`` at one seed pair, as floats."""
     a = abs(seeds.alpha1)
     b = abs(seeds.alpha2)
-    na = 1.0 + a * a
-    nb = 1.0 + b * b
-    total = na + nb
-    return QuantonAmplitudes(math.sqrt(na / total), math.sqrt(nb / total))
+    amps = path_amplitudes(a * a, b * b)
+    return QuantonAmplitudes(float(amps.c1), float(amps.c2))
 
 
 def detector_fidelity(seeds: SeedPair) -> complex:

@@ -115,7 +115,7 @@ def _cmd_measures(args) -> int:
     closed = complementarity_measures(seeds)
     oracle_block = None
     if args.oracle:
-        residuals, cutoffs = route_residuals([seeds], closed)
+        residuals, cutoffs = route_residuals([(seeds.alpha1, seeds.alpha2)], closed)
         oracle_block = {
             "cutoff": int(cutoffs[0]),
             "residuals": {name: float(residuals[name][0]) for name in MEASURE_FIELDS},

@@ -1,12 +1,18 @@
 """Truncated-Fock-space state vectors for the seeded two-crystal interferometer.
 
 The state zoo needed here is deliberately small: single-mode coherent seed
-states and their single-photon-added counterparts (the oracle keeps each
-two-mode detector state as its two factors; ``tensor_product`` builds the
-joint vector for tests that contract it in full).
-A state is a plain vector of complex amplitudes over photon-number basis
-states, truncated at a cutoff chosen so that the discarded photon-number tail
-carries negligible probability for the seed amplitudes in play.
+states and their single-photon-added counterparts.  A state is a vector of
+complex amplitudes over photon-number basis states, truncated at a cutoff
+chosen so that the discarded photon-number tail carries negligible
+probability for the seed amplitudes in play.
+
+The builders work on batches.  Each row of a flat photon-number array holds
+one state per segment, segment p spanning levels 0 .. cutoffs[p] at the
+columns a ``Segments`` layout gives, and a failed check names the segment at
+fault.  ``FockVector`` with ``coherent_state``, ``apply_creation``,
+``photon_added`` and ``spacs_state`` are the one-state forms of the same
+builders; ``tensor_product`` builds the joint two-mode vector for tests that
+contract it in full.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ from typing import Iterable, Optional
 import numpy as np
 from scipy.special import gammainc, gammaln
 
-from .analytic import _SEED_MAGNITUDE_MAX
+from .analytic import _SEED_MAGNITUDE_MAX, _fail_first
 
 
 def poisson_tail_mass(mean: float, n: int) -> float:
@@ -31,23 +37,52 @@ def poisson_tail_mass(mean: float, n: int) -> float:
     return float(gammainc(n, mean))
 
 
-def _smallest_cutoff(mean: float, tolerance: float, lo: int, hi: int) -> Optional[int]:
-    """Smallest N in [lo, hi] with ``poisson_tail_mass(mean, N) < tolerance``.
+# The Poisson(mean) tail falls below 1e-12 near the Cornish-Fisher level
+# mean + z sqrt(mean) + (z^2 + 2) / 6 with z = 7.034; between 0 and 1e6 the
+# smallest such level lies within 2 of it, so the eight levels from 4 below
+# to 3 above its floor hold it (or start at the cutoff floor).
+_TAIL_Z = 7.034
+_WINDOW = np.arange(8.0)
 
-    The tail falls monotonically in N, so bisection needs about
-    log2(hi - lo) evaluations.  None when even ``hi`` leaves too much tail.
+
+def _minimal_cutoffs(means, tolerance: float, floor: int, ceiling: int) -> np.ndarray:
+    """Per mean, the smallest N in [floor, ceiling] with Poisson tail P(X >= N) < tolerance.
+
+    One vectorised pass evaluates the tail on an eight-level window around
+    the Cornish-Fisher guess and takes the level where it crosses the
+    tolerance.  Means whose window misses the crossing are bisected over
+    the whole [floor, ceiling] range, so the result never depends on the
+    guess.  Raises ValueError naming the first mean that is negative or NaN,
+    or that even ``ceiling`` leaves too much tail.
     """
-    if poisson_tail_mass(mean, hi) >= tolerance:
-        return None
-    if poisson_tail_mass(mean, lo) < tolerance:
-        return lo
-    while hi - lo > 1:  # tail(lo) >= tolerance > tail(hi)
+    means = np.asarray(means, dtype=float)
+    start = np.floor(
+        means + _TAIL_Z * np.sqrt(means) + ((_TAIL_Z * _TAIL_Z + 2.0) / 6.0 - 4.0)
+    )
+    start = np.minimum(np.maximum(start, floor), ceiling + 1 - len(_WINDOW))
+    below = gammainc(start[:, None] + _WINDOW, means[:, None]) < tolerance
+    first = below.argmax(axis=1)
+    if np.count_nonzero(first) == len(first):
+        return (start + first).astype(np.int64)
+    # first == 0 is the answer only where the window starts at the floor
+    missed = (first == 0) & ((start > floor) | ~below[:, 0])
+    _fail_first(~(means >= 0.0), lambda k: f"mean photon number {means[k]} is not >= 0")
+    _fail_first(
+        missed & (gammainc(ceiling, means) >= tolerance),
+        lambda k: f"no cutoff <= ceiling {ceiling} bounds the photon-number "
+        f"tail below {tolerance:.3e} for |alpha|^2 = {means[k]:.6g}",
+    )
+    cutoffs = (start + first).astype(np.int64)
+    wide = means[missed]
+    lo = np.full(len(wide), floor - 1)  # tail(lo) >= tolerance > tail(hi)
+    hi = np.full(len(wide), ceiling)
+    while (hi - lo > 1).any():
         mid = (lo + hi) // 2
-        if poisson_tail_mass(mean, mid) < tolerance:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+        step = (gammainc(mid, wide) < tolerance) & (hi - lo > 1)
+        hi = np.where(step, mid, hi)
+        lo = np.where(step, lo, mid)
+    cutoffs[missed] = hi
+    return cutoffs
 
 
 @dataclass(frozen=True)
@@ -74,11 +109,195 @@ _MEAN_MAX = _SEED_MAGNITUDE_MAX**2
 DEFAULT_POLICY = CutoffPolicy(
     _TAIL_TOLERANCE,
     _CUTOFF_FLOOR,
-    _smallest_cutoff(_MEAN_MAX, _TAIL_TOLERANCE, _CUTOFF_FLOOR, int(2 * _MEAN_MAX)),
+    int(_minimal_cutoffs([_MEAN_MAX], _TAIL_TOLERANCE, _CUTOFF_FLOOR, int(2 * _MEAN_MAX))[0]),
 )
 
 # A vector is considered normalized when its Euclidean norm sits this close to 1.
 NORMALIZED_ATOL = 1e-12
+
+
+def cutoffs_for_means(means) -> np.ndarray:
+    """The cutoff rule of ``DEFAULT_POLICY`` for each mean photon number |alpha|^2.
+
+    Each cutoff is the smallest N in [floor, ceiling] whose Poisson(mean)
+    tail above N - 1 is below the tail tolerance; the extra level reserves
+    headroom for one creation-operator application.  Returns an int64 array
+    shaped like ``means``.
+    """
+    rule = DEFAULT_POLICY
+    return _minimal_cutoffs(means, rule.tail_tolerance, rule.floor, rule.ceiling)
+
+
+def choose_cutoff(alphas: Iterable[complex]) -> int:
+    """The one cutoff safe for every seed in ``alphas``: the rule at the largest |alpha|^2."""
+    alphas = [complex(a) for a in alphas]
+    if not alphas:
+        raise ValueError("at least one seed amplitude is required")
+    for a in alphas:
+        if not (math.isfinite(a.real) and math.isfinite(a.imag)):
+            raise ValueError("seed amplitudes must be finite")
+    lam = max(abs(a) ** 2 for a in alphas)
+    return int(cutoffs_for_means([lam])[0])
+
+
+@dataclass(frozen=True, eq=False)
+class Segments:
+    """Layout of a flat photon-number array: segment p holds levels 0 .. cutoffs[p].
+
+    ``starts`` is each segment's first column and ``lengths`` its cutoff + 1;
+    ``bounds`` lists the (start, stop) column pairs as Python ints, ``size``
+    is the total length and ``levels`` the photon number n at every column.
+    """
+
+    cutoffs: np.ndarray
+    starts: np.ndarray = field(init=False)
+    lengths: np.ndarray = field(init=False)
+    bounds: list = field(init=False)
+    size: int = field(init=False)
+    levels: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        cutoffs = np.asarray(self.cutoffs, dtype=np.int64)
+        if cutoffs.ndim != 1 or np.count_nonzero(cutoffs < 1):
+            raise ValueError(f"cutoffs must be a 1-d array of levels >= 1, got {cutoffs!r}")
+        lengths = cutoffs + 1
+        stops = lengths.cumsum()
+        starts = stops - lengths
+        size = int(stops[-1]) if len(stops) else 0
+        levels = np.arange(size, dtype=np.int64)
+        levels -= starts.repeat(lengths)
+        set_field = object.__setattr__
+        set_field(self, "cutoffs", cutoffs)
+        set_field(self, "starts", starts)
+        set_field(self, "lengths", lengths)
+        set_field(self, "bounds", list(zip(starts.tolist(), stops.tolist())))
+        set_field(self, "size", size)
+        set_field(self, "levels", levels)
+
+
+def _segment_norm(x: np.ndarray) -> float:
+    """``np.linalg.norm`` of a contiguous complex segment, bit for bit, without its overhead.
+
+    numpy's norm of a complex vector is sqrt(re.re + im.im), each a BLAS dot
+    product over the strided real or imaginary view; this makes the same two
+    calls.
+    """
+    re, im = x.real, x.imag
+    return math.sqrt(re.dot(re) + im.dot(im))
+
+
+def _normalize_segments(amps: np.ndarray, segments: Segments) -> None:
+    """Divide each segment of each row, in place, by its Euclidean norm."""
+    for row in amps:
+        for i, j in segments.bounds:
+            segment = row[i:j]
+            segment /= _segment_norm(segment)
+
+
+def coherent_amplitudes(
+    alphas, segments: Segments, out: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """Coherent states |alpha>, one row per row of ``alphas`` and one segment per column.
+
+    Segment p of every row holds levels 0 .. ``segments.cutoffs[p]``.
+    Amplitudes are proportional to alpha**n / sqrt(n!) and each truncated
+    segment is renormalized to unit norm, so it is exactly normalized even
+    when the cutoff is tight.  Magnitudes are accumulated in log space, which
+    stays finite for any representable alpha.  Returns ``out`` (allocated
+    when None), shaped (rows, ``segments.size``).
+    """
+    alphas = np.asarray(alphas, dtype=complex)
+    cutoffs, lengths = segments.cutoffs, segments.lengths
+    if alphas.ndim != 2 or alphas.shape[1] != len(cutoffs):
+        raise ValueError(
+            f"alphas must be (rows, segments) with one segment per column, got "
+            f"shape {alphas.shape} for {len(cutoffs)} segments"
+        )
+    ceiling = DEFAULT_POLICY.ceiling
+    finite = np.isfinite(alphas)
+    if np.count_nonzero(finite) != finite.size or np.count_nonzero(cutoffs > ceiling):
+        finite = finite.all(axis=0)
+        _fail_first(
+            ~finite | (cutoffs > ceiling),
+            lambda k: "alpha must be finite"
+            if not finite[k]
+            else f"cutoff {cutoffs[k]} exceeds policy ceiling {ceiling}",
+        )
+    if out is None:
+        out = np.empty((len(alphas), segments.size), dtype=complex)
+    n = segments.levels
+    seeds = alphas.tolist()
+    log_mag, phases = np.array(
+        [
+            [[math.log(abs(a)) if a else 0.0 for a in row] for row in seeds],
+            [[cmath.phase(a) for a in row] for row in seeds],
+        ]
+    ).repeat(lengths, axis=2)
+    # n * log|alpha| - log(n!) / 2, then shifted so each segment peaks at 0
+    log_mag *= n
+    half_log_factorial = n + 1.0
+    gammaln(half_log_factorial, out=half_log_factorial)
+    half_log_factorial *= 0.5
+    log_mag -= half_log_factorial
+    del half_log_factorial
+    log_mag -= np.maximum.reduceat(log_mag, segments.starts, axis=1).repeat(lengths, axis=1)
+    np.exp(log_mag, out=log_mag)
+    np.multiply(1j * n, phases, out=out)
+    del phases
+    np.exp(out, out=out)
+    np.multiply(log_mag, out, out=out)
+    del log_mag
+    for row, row_seeds in zip(out, seeds):
+        if 0 in row_seeds:
+            for (start, stop), a in zip(segments.bounds, row_seeds):
+                if not a:  # the vacuum |0>
+                    row[start:stop] = 0.0
+                    row[start] = 1.0
+    _normalize_segments(out, segments)
+    return out
+
+
+def creation_amplitudes(
+    amps: np.ndarray, segments: Segments, out: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """Apply the creation operator a†|n> = sqrt(n+1) |n+1> to every segment.
+
+    The result is unnormalized.  Population in a segment's top level would
+    be pushed out of the truncated space, so it must carry less probability
+    than the cutoff rule's tail tolerance or the cutoff is too small for this
+    operation.  Returns ``out`` (allocated when None).
+    """
+    tops = amps[:, segments.starts + segments.cutoffs]
+    top_mass = tops.real * tops.real + tops.imag * tops.imag
+    tolerance = DEFAULT_POLICY.tail_tolerance
+    if np.count_nonzero(top_mass <= tolerance) != top_mass.size:
+        _fail_first(
+            (top_mass > tolerance).any(axis=0),
+            lambda k: f"top-level probability {top_mass[:, k].max():.3e} exceeds tail "
+            f"tolerance {tolerance:.3e}; increase the cutoff before applying a "
+            "creation operator",
+        )
+    if out is None:
+        out = np.empty_like(amps)
+    np.multiply(amps[:, :-1], np.sqrt(segments.levels[1:]), out=out[:, 1:])
+    # a† leaves level 0 of every segment empty
+    out[:, 0] = 0.0
+    if len(segments.starts) > 1:
+        out[:, segments.starts[1:]] = 0.0
+    return out
+
+
+def photon_added_amplitudes(
+    amps: np.ndarray, segments: Segments, out: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """a† applied to every segment, each divided by its measured norm.
+
+    The measured norm of a†|alpha> equals sqrt(1 + |alpha|^2) up to
+    truncation error; dividing by it keeps each segment exactly unit length.
+    """
+    out = creation_amplitudes(amps, segments, out)
+    _normalize_segments(out, segments)
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,57 +339,17 @@ class FockVector:
 
 
 def coherent_state(alpha: complex, cutoff: int) -> FockVector:
-    """Coherent state |alpha> truncated at ``cutoff``.
-
-    Amplitudes are proportional to alpha**n / sqrt(n!) and the truncated
-    vector is renormalized to unit norm, so the result is exactly normalized
-    even when the cutoff is tight.  Magnitudes are accumulated in log space,
-    which stays finite for any representable ``alpha``.
-    """
-    alpha = complex(alpha)
-    if not (math.isfinite(alpha.real) and math.isfinite(alpha.imag)):
-        raise ValueError("alpha must be finite")
-    if cutoff < 1:
-        raise ValueError(f"cutoff must be >= 1, got {cutoff}")
-    if cutoff > DEFAULT_POLICY.ceiling:
-        raise ValueError(
-            f"cutoff {cutoff} exceeds policy ceiling {DEFAULT_POLICY.ceiling}"
-        )
-    d = cutoff + 1
-    mag = abs(alpha)
-    if mag == 0.0:
-        amps = np.zeros(d, dtype=complex)
-        amps[0] = 1.0
-        return FockVector(cutoff, amps)
-    n = np.arange(d)
-    log_mag = n * math.log(mag) - 0.5 * gammaln(n + 1.0)
-    log_mag -= log_mag.max()
-    amps = np.exp(log_mag) * np.exp(1j * n * cmath.phase(alpha))
-    amps /= np.linalg.norm(amps)
-    return FockVector(cutoff, amps)
+    """Coherent state |alpha> truncated at ``cutoff``: ``coherent_amplitudes`` for one state."""
+    return FockVector(cutoff, coherent_amplitudes([[alpha]], Segments([cutoff]))[0])
 
 
 def apply_creation(state: FockVector) -> FockVector:
-    """Apply the creation operator: a†|n> = sqrt(n+1) |n+1>.
+    """a†|state>, unnormalized: ``creation_amplitudes`` for one state.
 
-    The result is unnormalized; its exact Euclidean norm is recorded on the
-    returned vector.  Population in the top photon-number level would be
-    pushed out of the truncated space, so it must carry less probability
-    than the cutoff rule's tail tolerance or the cutoff is too small for this
-    operation.
+    Its exact Euclidean norm is recorded on the returned vector.
     """
-    amps = state.amplitudes
-    top_mass = abs(amps[-1]) ** 2
-    tolerance = DEFAULT_POLICY.tail_tolerance
-    if top_mass > tolerance:
-        raise ValueError(
-            f"top-level probability {top_mass:.3e} exceeds tail tolerance "
-            f"{tolerance:.3e}; increase the cutoff before applying a creation "
-            "operator"
-        )
-    out = np.zeros_like(amps)
-    out[1:] = amps[:-1] * np.sqrt(np.arange(1, state.cutoff + 1))
-    return FockVector(state.cutoff, out)
+    segments = Segments([state.cutoff])
+    return FockVector(state.cutoff, creation_amplitudes(state.amplitudes[None], segments)[0])
 
 
 def photon_added(state: FockVector) -> FockVector:
@@ -186,10 +365,8 @@ def spacs_state(alpha: complex, cutoff: int) -> FockVector:
     """Single-photon-added coherent state a†|alpha> / sqrt(1 + |alpha|^2).
 
     Built numerically as coherent state -> creation operator -> normalize,
-    so there is a single source of truth for the amplitudes.  The measured
-    norm of a†|alpha> equals sqrt(1 + |alpha|^2) up to truncation error;
-    dividing by the measured norm keeps the result exactly unit length.
-    For alpha = 0 this is exactly the one-photon state |1>.
+    so there is a single source of truth for the amplitudes.  For alpha = 0
+    this is exactly the one-photon state |1>.
     """
     return photon_added(coherent_state(alpha, cutoff))
 
@@ -212,28 +389,3 @@ def tensor_product(a: FockVector, b: FockVector) -> np.ndarray:
             f"cutoff mismatch: {a.cutoff} vs {b.cutoff} (equal cutoffs required)"
         )
     return np.kron(a.amplitudes, b.amplitudes)
-
-
-def choose_cutoff(alphas: Iterable[complex]) -> int:
-    """Smallest cutoff N in [floor, ceiling] safe for every seed in ``alphas``.
-
-    Safe means the Poisson(|alpha|^2) photon-number tail above N - 1 is below
-    the tail tolerance of ``DEFAULT_POLICY``; the extra level reserves
-    headroom for one creation-operator application.  Found by bisection;
-    deterministic in its inputs.
-    """
-    alphas = [complex(a) for a in alphas]
-    if not alphas:
-        raise ValueError("at least one seed amplitude is required")
-    for a in alphas:
-        if not (math.isfinite(a.real) and math.isfinite(a.imag)):
-            raise ValueError("seed amplitudes must be finite")
-    lam = max(abs(a) ** 2 for a in alphas)
-    rule = DEFAULT_POLICY
-    cutoff = _smallest_cutoff(lam, rule.tail_tolerance, rule.floor, rule.ceiling)
-    if cutoff is None:
-        raise ValueError(
-            f"no cutoff <= ceiling {rule.ceiling} bounds the photon-number "
-            f"tail below {rule.tail_tolerance:.3e} for |alpha|^2 = {lam:.6g}"
-        )
-    return cutoff

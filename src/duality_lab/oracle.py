@@ -16,17 +16,22 @@ check, not a tautology:
   * mu_s comes from the purity of the numerically reduced quanton matrix,
     never from the closed-form expression the analytic module uses.
 
-``route_residuals`` is the one comparison of the two routes that the CLI,
-the sweeps and ``verify_identities`` share; ``verify_identities`` wraps it in
-a randomized pass/fail report.
+The route works on a batch of seed pairs at once.  ``build_composite`` keeps
+the four single-mode factors of every pair in one flat photon-number array,
+pair p in its own segment of columns; ``reduce_quanton`` and
+``measures_from_state`` return one array record for the batch, and every
+check names the seed pair at fault.  Inner products and norms are taken
+pair by pair on contiguous segments.  ``route_residuals`` is the one
+comparison of the two routes that the CLI, the sweeps and
+``verify_identities`` share; ``verify_identities`` wraps it in a randomized
+pass/fail report.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -34,20 +39,20 @@ from .analytic import (
     _SEED_MAGNITUDE_MAX,
     MEASURE_FIELDS,
     ComplementarityMeasures,
+    PointError,
     QuantonAmplitudes,
     QuantonDensityMatrix,
-    SeedPair,
     _clamped_sqrt,
+    _fail_first,
     closed_form_measures,
-    quanton_amplitudes,
+    path_amplitudes,
     validate_measures,
 )
 from .fock import (
-    FockVector,
-    choose_cutoff,
-    coherent_state,
-    inner_product,
-    photon_added,
+    Segments,
+    coherent_amplitudes,
+    cutoffs_for_means,
+    photon_added_amplitudes,
 )
 
 _STATE_NORM_ATOL = 1e-10
@@ -62,106 +67,171 @@ ORACLE_SAMPLES_MAX = 200
 # route_residuals key of the reduced-purity residual |mu_s^2 - closed mu_s^2|.
 PURITY_RESIDUAL = "mu_s^2"
 
+# Rows of CompositeState.factors.  Detector 1 is ADDED_1 x COHERENT_2 (a photon
+# added to idler 1), detector 2 is COHERENT_1 x ADDED_2.
+COHERENT_1, COHERENT_2, ADDED_1, ADDED_2 = range(4)
+_FACTOR_NAMES = ("coherent idler 1", "coherent idler 2", "photon-added idler 1",
+                 "photon-added idler 2")
 
-@dataclass(frozen=True, eq=False)
-class DetectorState:
-    """A product state |idler1>|idler2> of the two idler modes, kept as its factors.
 
-    Overlaps of product states factorise, <a1 a2|b1 b2> = <a1|b1> <a2|b2>,
-    so nothing here needs the (cutoff + 1)**2-element joint vector;
-    ``fock.tensor_product(idler1, idler2)`` builds it where a test wants it.
-    """
+class _NamingSeedPairs:
+    """Context that re-raises a batch check's ``PointError`` naming the seed pair at fault."""
 
-    idler1: FockVector
-    idler2: FockVector
+    def __init__(self, seeds: np.ndarray):
+        self.seeds = seeds
 
-    def __post_init__(self):
-        for name in ("idler1", "idler2"):
-            factor = getattr(self, name)
-            if abs(factor.norm - 1.0) > _STATE_NORM_ATOL:
-                raise ValueError(f"{name} norm {factor.norm!r} is not unit")
-        if self.idler1.cutoff != self.idler2.cutoff:
+    def __enter__(self):
+        return self
+
+    def __exit__(self, kind, err, traceback):
+        if kind is not None and issubclass(kind, PointError):
+            a1, a2 = self.seeds[err.index]
             raise ValueError(
-                f"idler cutoffs differ: {self.idler1.cutoff} vs {self.idler2.cutoff}"
-            )
-
-    @property
-    def cutoff(self) -> int:
-        return self.idler1.cutoff
-
-    @property
-    def norm(self) -> float:
-        return self.idler1.norm * self.idler2.norm
-
-    def overlap(self, other: "DetectorState") -> complex:
-        """<self|other>, conjugate-linear in ``self``."""
-        return inner_product(self.idler1, other.idler1) * inner_product(
-            self.idler2, other.idler2
-        )
+                f"seed pair {err.index} (alpha1={a1:.6g}, alpha2={a2:.6g}): {err.detail}"
+            ) from None
+        return False
 
 
 @dataclass(frozen=True, eq=False)
 class CompositeState:
-    """Joint quanton-detector state in a truncated photon-number basis.
+    """Joint quanton-detector states of a batch of seed pairs.
 
-    The quanton factor is kept as an explicit two-level path label (the
-    signal photon occupies exactly one of two orthonormal modes), while each
-    detector is a product state of the two idler modes at a shared cutoff.
-    The global state is c1 |path 1>|d1> + c2 |path 2>|d2>.
+    Pair p's state is c1 |path 1>|d1> + c2 |path 2>|d2>.  The quanton factor
+    is an explicit two-level path label (the signal photon occupies exactly
+    one of two orthonormal modes) and each detector is a product state of
+    the two idler modes, kept as its factors: d1 = a†|alpha_1> |alpha_2> and
+    d2 = |alpha_1> a†|alpha_2>, photon-added factors normalized.
+
+    ``seeds`` is the (pairs, 2) complex seed array.  ``factors`` has one row
+    per factor (the ``COHERENT_1`` .. ``ADDED_2`` rows) and pair p's levels
+    0 .. cutoffs[p] in segment p of the ``segments`` layout.
+
+    Construction takes the inner products once, pair by pair on contiguous
+    segments: ``detector_gram[i, j, p]`` is <d_i+1|d_j+1>, the product of
+    two idler inner products, and ``path_weights`` holds c_j^2 <d_j|d_j>,
+    whose sum is the global norm^2.  Every factor and the global state must
+    have unit norm.
     """
 
+    seeds: np.ndarray
+    segments: Segments
+    factors: np.ndarray
     amplitudes: QuantonAmplitudes
-    detector1: DetectorState
-    detector2: DetectorState
-    cutoff: int
+    detector_gram: np.ndarray = field(init=False)
+    path_weights: tuple = field(init=False)
 
     def __post_init__(self):
-        for name, det in (("detector1", self.detector1), ("detector2", self.detector2)):
-            if det.cutoff != self.cutoff:
-                raise ValueError(f"{name} cutoff {det.cutoff} != {self.cutoff}")
-        c1, c2 = self.amplitudes.c1, self.amplitudes.c2
-        global_norm_sq = (
-            c1 * c1 * self.detector1.norm**2 + c2 * c2 * self.detector2.norm**2
-        )
-        if abs(global_norm_sq - 1.0) > _STATE_NORM_ATOL:
-            raise ValueError(f"global state norm^2 {global_norm_sq!r} is not unit")
+        count = len(self.seeds)
+        if (
+            self.seeds.shape != (count, 2)
+            or len(self.segments.cutoffs) != count
+            or self.factors.shape != (4, self.segments.size)
+            or np.shape(self.amplitudes.c1) != (count,)
+        ):
+            raise ValueError(
+                f"factor layout does not match the {count} seed pairs: factors "
+                f"{self.factors.shape} for {len(self.segments.cutoffs)} segments of "
+                f"{self.segments.size} levels"
+            )
+        overlaps = []
+        coherent1, coherent2, added1, added2 = self.factors
+        vdot, times = np.vdot, complex.__mul__
+        for i, j in self.segments.bounds:
+            c1, c2, a1, a2 = coherent1[i:j], coherent2[i:j], added1[i:j], added2[i:j]
+            n_c1, n_c2, n_a1, n_a2 = vdot(c1, c1), vdot(c2, c2), vdot(a1, a1), vdot(a2, a2)
+            # detector 1 = (a1, c2), detector 2 = (c1, a2); each Gram entry is a
+            # product of idler overlaps taken with Python's complex multiply,
+            # which rounds every product on its own
+            overlaps += (
+                n_c1, n_c2, n_a1, n_a2,
+                times(n_a1, n_c2),
+                times(vdot(a1, c1), vdot(c2, a2)),
+                times(vdot(c1, a1), vdot(a2, c2)),
+                times(n_c1, n_a2),
+            )
+        # one contiguous row per overlap: strided rows slow every check below
+        overlaps = np.array(overlaps, dtype=complex).reshape(count, 8).T.copy()
+        object.__setattr__(self, "detector_gram", overlaps[4:].reshape(2, 2, count))
+        norms_sq = overlaps[:4].real
+        w1, w2, _ = self.amplitudes.density
+        weights = (w1 * overlaps[4].real, w2 * overlaps[7].real)
+        object.__setattr__(self, "path_weights", weights)
+        global_norm_sq = weights[0] + weights[1]
+        errors = np.empty((5, count))
+        np.sqrt(norms_sq, out=errors[:4])
+        errors[4] = global_norm_sq
+        errors -= 1.0
+        np.abs(errors, out=errors)
+        # a NaN norm, from a non-finite factor, compares false and fails too
+        unit = errors <= _STATE_NORM_ATOL
+        if np.count_nonzero(unit) == unit.size:
+            return
+        unit_error, global_error = errors[:4], errors[4]
+        off_unit = ~unit[:4]
+
+        def detail(k):
+            if off_unit[:, k].any():
+                row = off_unit[:, k].argmax()
+                norm = math.sqrt(norms_sq[row, k])
+                return f"{_FACTOR_NAMES[row]} norm {norm!r} is not unit"
+            return f"global state norm^2 {float(global_norm_sq[k])!r} is not unit"
+
+        with _NamingSeedPairs(self.seeds):
+            _fail_first(off_unit.any(axis=0) | (global_error > _STATE_NORM_ATOL), detail)
+
+    @property
+    def cutoffs(self) -> np.ndarray:
+        return self.segments.cutoffs
 
 
-def build_composite(seeds: SeedPair) -> CompositeState:
-    """Construct the joint state for one seed pair.
+def build_composite(seeds) -> CompositeState:
+    """Construct the joint states of a batch of seed pairs.
 
-    Detector 1 pairs the photon-added state of idler 1 with the unchanged
-    coherent state of idler 2; detector 2 is the mirror image.  All four
-    single-mode factors are built at the cutoff ``choose_cutoff`` picks for
-    the larger seed, each coherent state once.
+    ``seeds`` is a (pairs, 2) array of complex seed amplitudes (alpha_1,
+    alpha_2), one row per pair.  Detector 1 pairs the photon-added state of
+    idler 1 with the unchanged coherent state of idler 2; detector 2 is the
+    mirror image.  Each pair's four factors are built at the cutoff
+    ``cutoffs_for_means`` picks for its larger seed, each coherent state once.
     """
-    cutoff = choose_cutoff((seeds.alpha1, seeds.alpha2))
-    coh1 = coherent_state(seeds.alpha1, cutoff)
-    coh2 = coherent_state(seeds.alpha2, cutoff)
-    d1 = DetectorState(photon_added(coh1), coh2)
-    d2 = DetectorState(coh1, photon_added(coh2))
-    return CompositeState(quanton_amplitudes(seeds), d1, d2, cutoff)
+    seeds = np.asarray(seeds, dtype=complex)
+    if seeds.ndim != 2 or seeds.shape[1] != 2 or not len(seeds):
+        raise ValueError(
+            f"seeds must be a (pairs, 2) array with at least one pair, got shape {seeds.shape}"
+        )
+    with _NamingSeedPairs(seeds):
+        # |alpha_1|^2 and |alpha_2|^2 as two contiguous rows; np.hypot, unlike
+        # np.abs, matches abs(complex) bit for bit
+        mags = np.hypot(seeds.real.T, seeds.imag.T, order="C")
+        mags_sq = mags * mags
+        # a NaN or infinite seed has no cutoff, and the rule names it
+        segments = Segments(cutoffs_for_means(np.maximum(mags_sq[0], mags_sq[1])))
+        factors = np.empty((4, segments.size), dtype=complex)
+        coherent_amplitudes(seeds.T, segments, out=factors[:2])
+        photon_added_amplitudes(factors[:2], segments, out=factors[2:])
+        factors.setflags(write=False)
+        amplitudes = path_amplitudes(mags_sq[0], mags_sq[1])
+    return CompositeState(seeds, segments, factors, amplitudes)
 
 
 def reduce_quanton(state: CompositeState) -> QuantonDensityMatrix:
-    """Trace the detector out of the pure composite state.
+    """Trace the detector out of each pair's pure composite state.
 
     For |psi> = sum_j c_j |j>|d_j> the partial trace over the detector is
-    rho[i][j] = c_i c_j <d_j|d_i>, which is evaluated here with explicit
-    Fock inner products of the detector factors (the full index contraction
-    over the joint idler vectors gives the same matrix; the test suite
-    checks that equivalence).  Hermiticity and positivity are enforced by
-    the returned type.
+    rho[i][j] = c_i c_j <d_j|d_i>, which is evaluated here from the path
+    weights and the detector Gram matrix, explicit Fock inner products of the
+    detector factors that the state took at construction (the full index
+    contraction over the joint idler vectors gives the same matrix; the test
+    suite checks that equivalence).  Returns one array record for the batch;
+    trace and positivity are checked per pair.
     """
-    c1, c2 = state.amplitudes.c1, state.amplitudes.c2
-    rho11 = c1 * c1 * state.detector1.overlap(state.detector1).real
-    rho22 = c2 * c2 * state.detector2.overlap(state.detector2).real
-    rho12 = c1 * c2 * state.detector2.overlap(state.detector1)
-    return QuantonDensityMatrix(rho11, rho22, rho12)
+    rho11, rho22 = state.path_weights
+    rho12 = state.amplitudes.density[2] * state.detector_gram[1, 0]
+    with _NamingSeedPairs(state.seeds):
+        return QuantonDensityMatrix(rho11, rho22, rho12)
 
 
 def measures_from_state(state: CompositeState) -> ComplementarityMeasures:
-    """Form all seven measures from the explicit state, definitions first.
+    """Form all seven measures from the explicit states, definitions first.
 
     D, P and E come from the sums over distinct path pairs of
     sqrt(rho_ii rho_jj), with and without the detector overlap weight;
@@ -170,26 +240,23 @@ def measures_from_state(state: CompositeState) -> ComplementarityMeasures:
     unit-trace form (rho11 - rho22)^2 + 4 |rho12|^2, which is the same
     number without the catastrophic cancellation near zero purity excess.
     None of the closed forms used by the analytic route appear here.  The
-    result is checked by ``validate_measures``.
+    batch is checked once by ``validate_measures``.
     """
-    c1, c2 = state.amplitudes.c1, state.amplitudes.c2
-    rho11 = c1 * c1
-    rho22 = c2 * c2
-    f_abs = abs(state.detector1.overlap(state.detector2))
-    paired_root = 2.0 * math.sqrt(rho11 * rho22)
+    rho11, rho22, rho12 = state.amplitudes.density
+    fidelity = state.detector_gram[0, 1]
+    f_abs = np.hypot(fidelity.real, fidelity.imag)
+    paired_root = 2.0 * np.sqrt(rho11 * rho22)
     paired_root_f = paired_root * f_abs
-    visibility = 2.0 * c1 * c2
+    pr2, prf2 = paired_root * paired_root, paired_root_f * paired_root_f
+    visibility = 2.0 * rho12
     reduced = reduce_quanton(state)
     balance = reduced.rho11 - reduced.rho22
-    coherence_off = abs(reduced.rho12)
-    d, p, e, mu_s = _clamped_sqrt(
-        [
-            1.0 - paired_root_f * paired_root_f,
-            1.0 - paired_root * paired_root,
-            paired_root * paired_root - paired_root_f * paired_root_f,
-            balance * balance + 4.0 * coherence_off * coherence_off,
-        ]
-    ).tolist()
+    coherence_off = reduced.coherence
+    with _NamingSeedPairs(state.seeds):
+        d, p, e, mu_s = _clamped_sqrt(
+            [1.0 - prf2, 1.0 - pr2, pr2 - prf2,
+             balance * balance + 4.0 * coherence_off * coherence_off]
+        )
     return validate_measures(
         ComplementarityMeasures(
             D=d, P=p, E=e, V=visibility, C=visibility * f_abs, F_abs=f_abs, mu_s=mu_s
@@ -198,31 +265,31 @@ def measures_from_state(state: CompositeState) -> ComplementarityMeasures:
 
 
 def route_residuals(
-    pairs: Sequence[SeedPair], closed: ComplementarityMeasures
+    seeds, closed: ComplementarityMeasures
 ) -> tuple[dict[str, np.ndarray], np.ndarray]:
     """Compare the Fock route with the caller's closed-form record, pair by pair.
 
-    ``closed`` holds the closed-form measures at ``pairs``: one value per
-    pair, or floats for a single pair.  It is taken as given, not evaluated
-    again.  Returns ``(residuals, cutoffs)``: ``residuals`` maps each name in
+    ``seeds`` is a (pairs, 2) array of complex seed amplitudes and ``closed``
+    holds the closed-form measures at those pairs: one value per pair, or
+    floats for a single pair.  It is taken as given, not evaluated again.
+    Returns ``(residuals, cutoffs)``: ``residuals`` maps each name in
     ``MEASURE_FIELDS`` to |Fock - closed| per pair, then ``PURITY_RESIDUAL``
     to |mu_s^2 - closed mu_s^2| with mu_s from the reduced purity;
     ``cutoffs`` holds the cutoff each pair's state was built at.
     """
-    fock, cutoffs = [], []
-    for seeds in pairs:
-        state = build_composite(seeds)
-        fock.append(measures_from_state(state))
-        cutoffs.append(state.cutoff)
-    residuals = {
-        name: np.abs([getattr(m, name) for m in fock] - np.asarray(getattr(closed, name)))
-        for name in MEASURE_FIELDS
-    }
-    closed_mu = np.broadcast_to(closed.mu_s, len(fock)).tolist()
-    residuals[PURITY_RESIDUAL] = np.array(
-        [abs(m.mu_s**2 - mu**2) for m, mu in zip(fock, closed_mu)]
+    state = build_composite(seeds)
+    measures = measures_from_state(state)
+    fock = np.array([getattr(measures, name) for name in MEASURE_FIELDS])
+    expected = np.empty_like(fock)
+    expected[...] = np.reshape(
+        [getattr(closed, name) for name in MEASURE_FIELDS], (len(MEASURE_FIELDS), -1)
     )
-    return residuals, np.array(cutoffs)
+    residuals = dict(zip(MEASURE_FIELDS, np.abs(fock - expected)))
+    # Python's float ** (libm pow) can differ from x * x in the last place
+    residuals[PURITY_RESIDUAL] = np.array(
+        [abs(m**2 - mu**2) for m, mu in zip(fock[-1].tolist(), expected[-1].tolist())]
+    )
+    return residuals, state.cutoffs
 
 
 @dataclass(frozen=True)
@@ -358,10 +425,7 @@ def verify_identities(
         for name, residuals in closed_route(closed_seeds).identity_residuals().items()
     ]
 
-    residuals, _ = route_residuals(
-        [SeedPair(z1, z2) for z1, z2 in oracle_seeds.tolist()],
-        closed_route(oracle_seeds),
-    )
+    residuals, _ = route_residuals(oracle_seeds, closed_route(oracle_seeds))
     for name, residual in residuals.items():
         label = (
             f"{name}: reduced purity vs closed form"

@@ -40,6 +40,10 @@ from .sweep import ORACLE_RESIDUAL_FIELD, ROW_FIELDS, SweepTable
 
 SCAN_HEADER = "delta_theta,counts"
 
+# Line breaks of str.splitlines other than "\n" and a CRLF pair's "\r"; the
+# non-ASCII ones are already rejected as non-ASCII bytes.
+_STRAY_LINE_BREAKS = "\x0b\x0c\x1c\x1d\x1e\r"
+
 _SCAN_META_KEYS = (
     "alpha1",
     "alpha2",
@@ -122,14 +126,28 @@ def ingest_scan_csv(path) -> FringeScan:
     metadata block is complete it is echoed back as the scan's config.
     """
     path = Path(path)
-    # undecodable bytes become lone surrogates, so the loop can name their line
-    text = path.read_text(encoding="ascii", errors="surrogateescape")
+    # undecodable bytes become lone surrogates, so the loop can name their
+    # line; bytes are decoded as they are, with no newline translation
+    text = path.read_bytes().decode("ascii", errors="surrogateescape")
+    # lines end at "\n" only, after one "\r" of a CRLF pair
+    if "\r" in text:
+        text = text.replace("\r\n", "\n")
+        if text.endswith("\r"):
+            text = text[:-1]
+    lines = text.split("\n")
+    if not lines[-1]:
+        lines.pop()
+    # any other line-break character is a format error on its own line; the
+    # lines before it are read first, so an earlier fault is named first
+    stray = min((i for i in map(text.find, _STRAY_LINE_BREAKS) if i >= 0), default=-1)
+    if stray >= 0:
+        del lines[text.count("\n", 0, stray) :]
     metadata: dict = {}
     header_seen = False
     thetas: list[float] = []
     counts: list[float] = []
     last_line = 0
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(lines, start=1):
         last_line = lineno
         if not raw.isascii():
             byte = next(ord(c) - 0xDC00 for c in raw if not c.isascii())
@@ -174,6 +192,10 @@ def ingest_scan_csv(path) -> FringeScan:
             raise ScanFormatError(f"negative counts {count!r}", lineno)
         thetas.append(theta)
         counts.append(count)
+    if stray >= 0:
+        raise ScanFormatError(
+            f"stray line-break character 0x{ord(text[stray]):02x}", len(lines) + 1
+        )
     if not header_seen:
         raise ScanFormatError("missing header", last_line + 1)
     if not thetas:

@@ -259,13 +259,13 @@ def _oracle_residuals(
     if not eligible.size:
         return None
     if grid.mode == "explicit":
-        pairs = [grid.seeds[k] for k in eligible]
+        seeds = np.array([(s.alpha1, s.alpha2) for s in grid.seeds])[eligible]
     else:
-        pairs = [SeedPair(complex(a1[k]), complex(a2[k])) for k in eligible]
+        seeds = np.stack((a1, a2), axis=1)[eligible].astype(complex)
     closed = ComplementarityMeasures(
         **{name: getattr(measures, name)[eligible] for name in MEASURE_FIELDS}
     )
-    residuals, _ = route_residuals(pairs, closed)
+    residuals, _ = route_residuals(seeds, closed)
     worst = np.full(len(a1), math.nan)
     worst[eligible] = np.max([residuals[name] for name in MEASURE_FIELDS], axis=0)
     return worst

@@ -7,6 +7,7 @@ import pytest
 from duality_lab.analytic import (
     MEASURE_FIELDS,
     ComplementarityMeasures,
+    QuantonAmplitudes,
     QuantonDensityMatrix,
     SeedPair,
     closed_form_measures,
@@ -111,10 +112,22 @@ class TestQuantonDensityClosed:
         assert cmath.phase(rho.rho12) == pytest.approx(expected, abs=1e-15)
 
     def test_type_validation(self):
-        with pytest.raises(ValueError, match="trace"):
-            QuantonDensityMatrix(0.6, 0.6, 0.1)
-        with pytest.raises(ValueError, match="positivity"):
-            QuantonDensityMatrix(0.5, 0.5, 0.9)
+        # one bad point among good ones; the message names it
+        good = (0.5, 0.5, 0.25), (0.7, 0.3, 0.1j)
+        for bad, match in [((0.6, 0.6, 0.1), "point 1: trace"),
+                           ((0.5, 0.5, 0.9), "point 1: .*positivity"),
+                           ((-0.1, 1.1, 0.0), "point 1: diagonal probabilities")]:
+            rho11, rho22, rho12 = (np.array(column) for column in zip(good[0], bad, good[1]))
+            with pytest.raises(ValueError, match=match):
+                QuantonDensityMatrix(rho11, rho22, rho12)
+        rho = QuantonDensityMatrix(*(np.array(column) for column in zip(*good)))
+        assert np.array_equal(rho.coherence, [0.25, 0.1])
+
+    def test_path_amplitudes_are_checked(self):
+        with pytest.raises(ValueError, match="point 1: c1\\^2 \\+ c2\\^2 deviates"):
+            QuantonAmplitudes(np.array([0.6, 0.8, 1.0]), np.array([0.8, 0.8, 0.0]))
+        with pytest.raises(ValueError, match="point 2: path amplitudes must be non-negative"):
+            QuantonAmplitudes(np.array([0.6, 1.0, -1.0]), np.array([0.8, 0.0, 0.0]))
 
 
 class TestComplementarityMeasures:

@@ -59,7 +59,9 @@ class TestMeasuresCommand:
         printed = json.loads(capsys.readouterr().out)["oracle"]
         table = sweep.run_sweep(sweep.explicit_grid([seeds], oracle_check=True))
         assert table.columns["oracle_residual"][0] == max(printed["residuals"].values())
-        residuals, cutoffs = oracle.route_residuals([seeds], complementarity_measures(seeds))
+        residuals, cutoffs = oracle.route_residuals(
+            [(seeds.alpha1, seeds.alpha2)], complementarity_measures(seeds)
+        )
         by_route = {name: residuals[name][0] for name in printed["residuals"]}
         assert by_route == printed["residuals"]
         assert cutoffs.tolist() == [printed["cutoff"]]
@@ -261,6 +263,13 @@ class TestFringeAndFitCommands:
         bad.write_bytes(b"# alpha1=(2+0j)\n# note=caf\xe9\ndelta_theta,counts\n0.0,1.0\n")
         assert main(["fit", "--input", str(bad)]) == 2
         assert "line 2: non-ASCII byte 0xe9" in capsys.readouterr().err
+
+
+    def test_fit_vertical_tab_names_its_line(self, tmp_path, capsys):
+        bad = tmp_path / "vt.csv"
+        bad.write_bytes(b"delta_theta,counts\n0.0,1.0\x0b0.5,x\n")
+        assert main(["fit", "--input", str(bad)]) == 2
+        assert "line 2: stray line-break character 0x0b" in capsys.readouterr().err
 
 
 class TestParserReuse:

@@ -8,8 +8,11 @@ from duality_lab.fock import (
     DEFAULT_POLICY,
     FockVector,
     apply_creation,
+    Segments,
     choose_cutoff,
+    coherent_amplitudes,
     coherent_state,
+    creation_amplitudes,
     inner_product,
     photon_added,
     poisson_tail_mass,
@@ -125,11 +128,16 @@ class TestApplyCreation:
         assert not out.normalized
 
     def test_top_level_population_rejected(self):
-        amps = np.zeros(9, dtype=complex)
-        amps[8] = 1.0  # |n = cutoff>
-        top = FockVector(8, amps)
-        with pytest.raises(ValueError, match="tail tolerance"):
-            apply_creation(top)
+        # three states in one flat array; the middle one sits in |n = cutoff>
+        segments = Segments([16, 16, 24])
+        amps = coherent_amplitudes([[0.5, 1.0, 1.5]], segments)
+        creation_amplitudes(amps, segments)  # each fits its cutoff
+        start, stop = segments.bounds[1]
+        amps[0, start:stop] = 0.0
+        amps[0, stop - 1] = 1.0
+        message = r"point 1: top-level probability 1.000e\+00 exceeds tail tolerance"
+        with pytest.raises(ValueError, match=message):
+            creation_amplitudes(amps, segments)
 
 
 class TestSpacs:

@@ -272,6 +272,36 @@ class TestScanCsv:
         with pytest.raises(ScanFormatError, match="line 3: non-numeric"):
             ingest_scan_csv(path)
 
+    def test_crlf_scan_round_trips(self, poisson_scan, tmp_path):
+        path = tmp_path / "scan.csv"
+        path.write_bytes(scan_to_csv_text(poisson_scan).replace("\n", "\r\n").encode("ascii"))
+        back = ingest_scan_csv(path)
+        assert np.array_equal(back.delta_theta, poisson_scan.delta_theta)
+        assert np.array_equal(back.counts, poisson_scan.counts)
+        assert back.config == poisson_scan.config
+
+    @pytest.mark.parametrize("text, line, byte", [
+        (b"delta_theta,counts\n0.0,1.0\x0b0.5,x\n", 2, 0x0B),
+        (b"delta_theta,counts\n0.0,1.0\r0.5,2.0\n", 2, 0x0D),
+        (b"delta_theta,counts\r\n0.0,1.0\r\n0.5,2.0\x0c\r\n", 3, 0x0C),
+        (b"# note=a\x1cb\ndelta_theta,counts\n0.0,1.0\n", 1, 0x1C),
+        (b"delta_theta,counts\n0.0,1.0\n\x1d\n0.5,2.0\n", 3, 0x1D),
+        (b"delta_theta,counts\n0.0,1.0\n0.5,2.0\x1e", 3, 0x1E),
+    ])
+    def test_stray_line_break_names_its_line(self, tmp_path, text, line, byte):
+        # only "\n" ends a line, after one "\r" of a CRLF pair
+        path = tmp_path / "bad.csv"
+        path.write_bytes(text)
+        message = f"line {line}: stray line-break character 0x{byte:02x}"
+        with pytest.raises(ScanFormatError, match=message):
+            ingest_scan_csv(path)
+
+    def test_fault_before_a_stray_line_break_is_named_first(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"delta_theta,counts\n0.5,oops\n0.7,1.0\x0b\n")
+        with pytest.raises(ScanFormatError, match="line 2: non-numeric"):
+            ingest_scan_csv(path)
+
     def test_non_monotone_with_line_number(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("delta_theta,counts\n1.0,3.0\n0.5,4.0\n")
