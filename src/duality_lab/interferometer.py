@@ -39,6 +39,14 @@ PEAK_RATE_BUDGET = 5.0e6
 
 TWO_PI = 2.0 * math.pi
 
+# The largest Poisson mean numpy's generator draws from, as numpy computes it;
+# above it ``Generator.poisson`` raises "lam value too large".
+POISSON_MEAN_MAX = float(np.iinfo("l").max - np.sqrt(np.iinfo("l").max) * 10)
+
+# The fit divides by amplitude**4, which overflows past about 1.2e77: counts,
+# offsets and amplitudes above this bound are refused.
+FIT_VALUE_MAX = 1e75
+
 
 def count_rate(seeds: SeedPair, delta_theta, pump_rate_scale: float):
     """Signal count rate at aggregate phase ``delta_theta`` (scalar or array).
@@ -84,17 +92,30 @@ class FringeConfig:
     noise: str = "none"
 
     def __post_init__(self):
-        if not self.pump_rate_scale > 0.0:
-            raise ValueError("pump_rate_scale must be > 0")
+        if not 0.0 < self.pump_rate_scale < math.inf:
+            raise ValueError(
+                f"pump_rate_scale (--scale) must be finite and > 0, got {self.pump_rate_scale!r}"
+            )
         if self.phase_points < 4:
             raise ValueError(f"phase_points must be >= 4, got {self.phase_points}")
-        if not self.integration_time > 0.0:
-            raise ValueError("integration_time must be > 0")
+        if not 0.0 < self.integration_time < math.inf:
+            raise ValueError(
+                f"integration_time (--tint) must be finite and > 0, got {self.integration_time!r}"
+            )
         if self.noise not in NOISE_MODES:
             raise ValueError(f"noise must be one of {NOISE_MODES}, got {self.noise!r}")
+        a = abs(self.seeds.alpha1)
+        b = abs(self.seeds.alpha2)
+        # count_rate at sin(dtheta) = -1, in its own order of operations, so
+        # no point of any phase grid expects more
+        peak = self.pump_rate_scale * (2.0 + a * a + b * b + 2.0 * a * b) * self.integration_time
+        if not peak <= POISSON_MEAN_MAX:
+            raise ValueError(
+                f"expected counts at the fringe peak, pump_rate_scale (--scale) x "
+                f"integration_time (--tint) x (2 + (|alpha1| + |alpha2|)^2) = {peak:.4g}, "
+                f"exceed {POISSON_MEAN_MAX:.4g}, the largest Poisson mean numpy draws from"
+            )
         if self.noise == "poisson":
-            a = abs(self.seeds.alpha1)
-            b = abs(self.seeds.alpha2)
             floor = self.pump_rate_scale * (2.0 + (a - b) ** 2) * self.integration_time
             if floor < 1.0:
                 logger.warning(
@@ -245,6 +266,12 @@ def fit_fringe(scan: FringeScan) -> FringeFit:
     if offset <= 0.0:
         raise ValueError("fit collapsed to a non-positive offset (all-zero scan?)")
     amplitude = math.hypot(p, q)
+    largest = max(float(y.max()), offset, amplitude)
+    if not largest <= FIT_VALUE_MAX:
+        raise ValueError(
+            f"counts too large to fit: {largest:.4g} exceeds {FIT_VALUE_MAX:.4g}, "
+            "past which the error propagation overflows"
+        )
     residuals = y - design @ beta
     residual_rms = float(math.sqrt(np.mean(residuals**2)))
 

@@ -22,6 +22,12 @@ The fringe-scan CSV format is the toolkit's one wire format::
 Ingestion is strict: a non-ASCII byte, malformed header, non-numeric cell,
 non-monotone phase column or empty body is rejected with the offending line
 number.
+
+Both scan ends work on chunks.  The writer formats whole columns a block of
+rows at a time, and the reader parses a chunk of lines at a time: it
+classifies the lines, parses every cell with ``float`` into one array and
+runs each check over the chunk.  The bytes, values, messages and line numbers
+are those of handling one row at a time.
 """
 
 from __future__ import annotations
@@ -29,20 +35,24 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import operator
 from pathlib import Path
 from typing import Iterable, Optional
 
 import numpy as np
 
 from .analytic import SeedPair
-from .interferometer import FringeConfig, FringeScan
+from .interferometer import TWO_PI, FringeConfig, FringeScan
 from .sweep import ORACLE_RESIDUAL_FIELD, ROW_FIELDS, SweepTable
 
 SCAN_HEADER = "delta_theta,counts"
 
+# Rows per block of the scan writer and lines per chunk of the scan reader.
+_SCAN_CHUNK = 4096
+
 # Line breaks of str.splitlines other than "\n" and a CRLF pair's "\r"; the
 # non-ASCII ones are already rejected as non-ASCII bytes.
-_STRAY_LINE_BREAKS = "\x0b\x0c\x1c\x1d\x1e\r"
+_STRAY_LINE_BREAKS = (b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e", b"\r")
 
 _SCAN_META_KEYS = (
     "alpha1",
@@ -80,6 +90,11 @@ class ScanFormatError(ValueError):
 
 
 def scan_to_csv_text(scan: FringeScan) -> str:
+    """The scan as CSV text: optional metadata comments, the header, then rows.
+
+    Each block of ``_SCAN_CHUNK`` rows is formatted with one ``repr`` of each
+    column's values, which gives every cell the text ``repr(float(value))``.
+    """
     lines = []
     config = scan.config
     if config is not None:
@@ -92,8 +107,11 @@ def scan_to_csv_text(scan: FringeScan) -> str:
         lines.append(f"# noise={config.noise}")
     lines.append(f"# provenance={scan.provenance}")
     lines.append(SCAN_HEADER)
-    for theta, counts in zip(scan.delta_theta, scan.counts):
-        lines.append(f"{float(theta)!r},{float(counts)!r}")
+    for start in range(0, len(scan), _SCAN_CHUNK):
+        block = slice(start, start + _SCAN_CHUNK)
+        thetas = repr(scan.delta_theta[block].tolist())[1:-1].split(", ")
+        counts = repr(scan.counts[block].tolist())[1:-1].split(", ")
+        lines.append("\n".join(map(",".join, zip(thetas, counts))))
     return "\n".join(lines) + "\n"
 
 
@@ -119,88 +137,141 @@ def _config_from_metadata(metadata: dict) -> Optional[FringeConfig]:
         return None
 
 
-def ingest_scan_csv(path) -> FringeScan:
-    """Parse a fringe-scan CSV file; metadata comments are optional.
+def _row_fault(theta: float, count: float, previous: float) -> str:
+    """The message of a data row that fails a value check, for its first failure."""
+    if not (math.isfinite(theta) and math.isfinite(count)):
+        return "non-finite value"
+    if not 0.0 <= theta < TWO_PI:
+        return f"delta_theta {theta!r} outside [0, 2*pi)"
+    if theta <= previous:
+        return f"delta_theta {theta!r} not strictly increasing"
+    return f"negative counts {count!r}"
 
-    The returned scan always carries provenance ``"ingested"``; when the
-    metadata block is complete it is echoed back as the scan's config.
-    """
-    path = Path(path)
-    # undecodable bytes become lone surrogates, so the loop can name their
-    # line; bytes are decoded as they are, with no newline translation
-    text = path.read_bytes().decode("ascii", errors="surrogateescape")
-    # lines end at "\n" only, after one "\r" of a CRLF pair
-    if "\r" in text:
-        text = text.replace("\r\n", "\n")
-        if text.endswith("\r"):
-            text = text[:-1]
-    lines = text.split("\n")
-    if not lines[-1]:
-        lines.pop()
-    # any other line-break character is a format error on its own line; the
-    # lines before it are read first, so an earlier fault is named first
-    stray = min((i for i in map(text.find, _STRAY_LINE_BREAKS) if i >= 0), default=-1)
-    if stray >= 0:
-        del lines[text.count("\n", 0, stray) :]
-    metadata: dict = {}
-    header_seen = False
-    thetas: list[float] = []
-    counts: list[float] = []
-    last_line = 0
-    for lineno, raw in enumerate(lines, start=1):
-        last_line = lineno
-        if not raw.isascii():
-            byte = next(ord(c) - 0xDC00 for c in raw if not c.isascii())
-            raise ScanFormatError(f"non-ASCII byte 0x{byte:02x}", lineno)
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
+
+class _ScanReader:
+    """A scan read chunk by chunk, and what it carries from one chunk to the next."""
+
+    def __init__(self):
+        self.lines_read = 0
+        self.header_seen = False
+        self.metadata: dict = {}
+        self.last_theta = np.array([-math.inf])  # no row yet: any phase increases
+        self.rows: list[np.ndarray] = []
+
+    def read_chunk(self, chunk: bytes) -> None:
+        """Check and keep one chunk of whole lines; raise at its earliest fault.
+
+        Each check runs over the whole chunk, on the lines that passed every
+        earlier check: a fault found on line ``limit`` cuts the lines that
+        later checks see to those before it.  So the line named is the
+        earliest faulting one, and its message is that of the first check it
+        fails, in the order of the checks below.
+        """
+        # A line ends at "\n" only, after one "\r" of a CRLF pair.  The file's
+        # unterminated last line, the only one that can end a chunk without
+        # "\n", also loses one trailing "\r".
+        if b"\r" in chunk:
+            chunk = chunk.replace(b"\r\n", b"\n")
+            if chunk.endswith(b"\r"):
+                chunk = chunk[:-1]
+        message = None
+        stray = min((i for i in map(chunk.find, _STRAY_LINE_BREAKS) if i >= 0), default=-1)
+        if stray >= 0:
+            message = f"stray line-break character 0x{chunk[stray]:02x}"
+            chunk = chunk[: chunk.rfind(b"\n", 0, stray) + 1]
+        if not chunk.isascii():
+            at = int(np.argmax(np.frombuffer(chunk, np.uint8) >= 0x80))
+            message = f"non-ASCII byte 0x{chunk[at]:02x}"
+            chunk = chunk[: chunk.rfind(b"\n", 0, at) + 1]
+        lines = chunk.decode("ascii").split("\n")
+        if not lines[-1]:
+            lines.pop()
+        limit = len(lines)  # the faulting line, or past the last one
+        stripped = list(map(str.strip, lines))
+
+        # Classify the lines by the first byte of each stripped one ("\n" when
+        # blank), and count the commas between their line breaks.
+        joined = np.frombuffer(("\n" + "\n".join(stripped) + "\n").encode("ascii"), np.uint8)
+        breaks = (joined == 0x0A).nonzero()[0]
+        head = joined[breaks[:limit] + 1]
+        comment = head == 0x23
+        data = (head != 0x0A) & ~comment
+        commas = np.searchsorted((joined == 0x2C).nonzero()[0], breaks)
+        widths = (commas[1:] - commas[:-1] + 1)[:limit]
+
+        if not self.header_seen and data.any():
+            k = int(data.argmax())
+            if stripped[k] != SCAN_HEADER:
+                limit = k
+                message = f"malformed header: expected {SCAN_HEADER!r}, got {stripped[k]!r}"
+            self.header_seen = True
+            data[: k + 1] = False
+        data[limit:] = False
+        bad = (data & (widths != 2)).nonzero()[0]
+        if bad.size:
+            limit = int(bad[0])
+            message = f"expected 2 comma-separated cells, got {widths[limit]}"
+            data[limit:] = False
+        at = data.nonzero()[0]
+
+        cells = ",".join(itertools.compress(stripped, data.tolist())).split(",") if at.size else []
+        source = iter(cells)
+        try:
+            values = np.fromiter(map(float, source), np.float64, len(cells))
+        except ValueError:
+            # the cell that raised is the last one map took from ``source``
+            k = (len(cells) - operator.length_hint(source) - 1) // 2
+            limit, message = int(at[k]), f"non-numeric cell in {stripped[at[k]]!r}"
+            values = np.fromiter(map(float, cells[: 2 * k]), np.float64, 2 * k)
+        rows = values.reshape(-1, 2)
+        theta, counts = rows[:, 0], rows[:, 1]
+        previous = np.concatenate((self.last_theta, theta[:-1]))
+        # NaN fails every comparison, and an infinite phase the range
+        valid = (
+            (theta >= 0.0) & (theta < TWO_PI) & (theta > previous)
+            & (counts >= 0.0) & (counts < math.inf)
+        )
+        if not valid.all():
+            k = int(valid.argmin())
+            limit = int(at[k])
+            message = _row_fault(float(theta[k]), float(counts[k]), float(previous[k]))
+        if message is not None:
+            raise ScanFormatError(message, self.lines_read + limit + 1)
+
+        if len(rows):
+            self.rows.append(rows)
+            self.last_theta = theta[-1:]
+        for line in itertools.compress(stripped, comment.tolist()):
             body = line[1:].strip()
             if "=" in body:
                 key, _, value = body.partition("=")
-                metadata[key.strip()] = value.strip()
-            continue
-        if not header_seen:
-            if line != SCAN_HEADER:
-                raise ScanFormatError(
-                    f"malformed header: expected {SCAN_HEADER!r}, got {line!r}", lineno
-                )
-            header_seen = True
-            continue
-        cells = line.split(",")
-        if len(cells) != 2:
-            raise ScanFormatError(
-                f"expected 2 comma-separated cells, got {len(cells)}", lineno
-            )
-        try:
-            theta = float(cells[0])
-            count = float(cells[1])
-        except ValueError:
-            raise ScanFormatError(f"non-numeric cell in {line!r}", lineno) from None
-        if not (math.isfinite(theta) and math.isfinite(count)):
-            raise ScanFormatError("non-finite value", lineno)
-        if not 0.0 <= theta < 2.0 * math.pi:
-            raise ScanFormatError(
-                f"delta_theta {theta!r} outside [0, 2*pi)", lineno
-            )
-        if thetas and theta <= thetas[-1]:
-            raise ScanFormatError(
-                f"delta_theta {theta!r} not strictly increasing", lineno
-            )
-        if count < 0.0:
-            raise ScanFormatError(f"negative counts {count!r}", lineno)
-        thetas.append(theta)
-        counts.append(count)
-    if stray >= 0:
-        raise ScanFormatError(
-            f"stray line-break character 0x{ord(text[stray]):02x}", len(lines) + 1
-        )
-    if not header_seen:
-        raise ScanFormatError("missing header", last_line + 1)
-    if not thetas:
-        raise ScanFormatError("empty body", last_line + 1)
-    return FringeScan(thetas, counts, "ingested", _config_from_metadata(metadata))
+                self.metadata[key.strip()] = value.strip()
+        self.lines_read += len(lines)
+
+    def finish(self) -> FringeScan:
+        if not self.header_seen:
+            raise ScanFormatError("missing header", self.lines_read + 1)
+        if not self.rows:
+            raise ScanFormatError("empty body", self.lines_read + 1)
+        rows = np.concatenate(self.rows)
+        config = _config_from_metadata(self.metadata)
+        return FringeScan(rows[:, 0], rows[:, 1], "ingested", config)
+
+
+def ingest_scan_csv(path) -> FringeScan:
+    """Parse a fringe-scan CSV file; metadata comments are optional.
+
+    The file is read ``_SCAN_CHUNK`` lines at a time, and a line ends at
+    ``"\\n"`` only.  The earliest faulting line raises ``ScanFormatError``
+    with its 1-based number.  The returned scan always carries provenance
+    ``"ingested"``; when the metadata block is complete it is echoed back as
+    the scan's config.
+    """
+    reader = _ScanReader()
+    with open(path, "rb") as file:
+        while lines := list(itertools.islice(file, _SCAN_CHUNK)):
+            reader.read_chunk(b"".join(lines))
+    return reader.finish()
 
 
 # ---------------------------------------------------------------------------

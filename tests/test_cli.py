@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from duality_lab import oracle, sweep
+from duality_lab import cli, oracle, sweep
 from duality_lab.analytic import SeedPair, complementarity_measures
 from duality_lab.cli import build_parser, main
 from duality_lab.fock import DEFAULT_POLICY, poisson_tail_mass
@@ -246,6 +246,39 @@ class TestFringeAndFitCommands:
         assert payload["points"] == 80
         assert payload["coherence_estimate"] == pytest.approx(0.5, abs=0.02)
         assert payload["coherence_stderr"] > 0
+
+    def test_fit_on_counts_past_the_fit_bound_exits_one(self, tmp_path, capsys):
+        # what fringe wrote for --alpha1 1 --alpha2 1 --scale 1e200 --noise none
+        # before that scale was refused: expected counts up to 6e198
+        scan = tmp_path / "huge.csv"
+        rows = [f"{2 * math.pi * k / 16!r},{1e198 * (4 - 2 * math.sin(2 * math.pi * k / 16))!r}"
+                for k in range(16)]
+        scan.write_text("delta_theta,counts\n" + "\n".join(rows) + "\n")
+        assert main(["fit", "--input", str(scan)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: counts too large to fit: 6e+198 exceeds 1e+75")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("args, flag", [
+        (["--scale", "inf"], "--scale"),
+        (["--scale", "nan"], "--scale"),
+        (["--scale", "0"], "--scale"),
+        (["--tint", "inf"], "--tint"),
+        (["--tint", "-0.01"], "--tint"),
+        (["--scale", "1e300"], "--scale"),
+        (["--scale", "1e308", "--noise", "none"], "--scale"),
+        (["--scale", "1e200", "--noise", "none"], "--scale"),
+        (["--scale", "1e10", "--tint", "1e9"], "--tint"),
+    ])
+    def test_bad_scale_or_tint_is_named_up_front(self, tmp_path, monkeypatch, capsys, args, flag):
+        monkeypatch.setattr(cli, "simulate_fringe", _fail_if_called)
+        out = tmp_path / "scan.csv"
+        argv = ["fringe", "--alpha1", "1", "--alpha2", "1", *args, "--out", str(out)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and flag in err
+        assert err.count("\n") == 1  # no warning or traceback
+        assert not out.exists()
 
     def test_fit_missing_file_exits_two(self, tmp_path, capsys):
         rc = main(["fit", "--input", str(tmp_path / "absent.csv")])

@@ -1,4 +1,4 @@
-"""Byte-level pins on the sweep, verify and measures outputs.
+"""Byte-level pins on the sweep, verify, measures, fringe and fit outputs.
 
 Each digest is the SHA-256 of a file the CLI writes (or of its stdout),
 recorded from the scalar per-point implementation that preceded the
@@ -88,3 +88,42 @@ def test_explicit_grid_digests():
     assert sha256(rows_to_json_text(table).encode()) == (
         "6e5461c9f56baec30eb7d52e5ee8aad94ced4cd0d4759818bcd18fb19dce2059"
     )
+
+
+# The fringe-scan path: the CSV that ``fringe`` writes, its stdout, and the
+# stdout of ``fit --json`` and plain ``fit`` on that file.  Recorded from the
+# per-line writer and reader that preceded the chunked column-wise ones.
+SCANS = [
+    pytest.param(["--alpha1", "2", "--alpha2", "1", "--points", "100", "--seed", "5"],
+                 ("dbeca4c06c732f15cb60aee45f7b914c71638b2ed60faf728ba9777e74b5f009",
+                  "fbd7d7826bbc188678658fb8a02969e3d8f6ac384b191ae4f59314bc028792cb",
+                  "33adbe46e60498cf06d03f5ac83487d8b9b5e3f62d4a9216b27e81ed14ab902a",
+                  "864467dd3ceab9cedd66b1a652759ed68efc8bd85c3eb385286e10946b927b69"),
+                 id="poisson-100"),
+    pytest.param(["--alpha1=1.5,-0.5", "--alpha2", "0.7", "--points", "100",
+                  "--scale", "1e6", "--tint", "0.01", "--noise", "none"],
+                 ("b1998b5600f38c6fd6bc088f73dfb93d40127df2caba6bae786bdbaaf4949a92",
+                  "68a943c68a6fc3db287ce5f683b706e2f27cbaeecfc1a497bbfde01baa5540d6",
+                  "e40b1683f9aa5ecf7c8cf3d6f12d8ae094a83c1c2b7de22d2af7a679087a5e04",
+                  "11dabe4eedc1258f38f3a764cabac0c7f23343c8608d9fd2ded53d1a8c9fa3f6"),
+                 id="none-100"),
+    pytest.param(["--alpha1=3,1", "--alpha2=0.2,-0.1", "--points", "100000", "--seed", "9"],
+                 ("8ca6fa170b185268f831fb8906ccd7dc7d7043367005aa04c018ed16d713ce96",
+                  "140bbed9ad8f7d596a4072791b88156be1e5167b007ae992265d121ae9402590",
+                  "d96dc0e53ec047574b68d21d285a750ce25af275b115dc5cc3da2108c50f694a",
+                  "b445180c03644df23b07316639915e6edd6ffe5fc196d1bd84c49cf205894703"),
+                 id="poisson-1e5"),
+]
+
+
+@pytest.mark.parametrize(("args", "digests"), SCANS)
+def test_scan_digests(tmp_path, monkeypatch, capsys, args, digests):
+    monkeypatch.chdir(tmp_path)  # fringe prints the path it wrote
+    csv, fringe_out, fit_json, fit_text = digests
+    assert main(["fringe", *args, "--out", "scan.csv"]) == 0
+    assert sha256(capsys.readouterr().out.encode()) == fringe_out
+    assert sha256((tmp_path / "scan.csv").read_bytes()) == csv
+    assert main(["fit", "--input", "scan.csv", "--json"]) == 0
+    assert sha256(capsys.readouterr().out.encode()) == fit_json
+    assert main(["fit", "--input", "scan.csv"]) == 0
+    assert sha256(capsys.readouterr().out.encode()) == fit_text

@@ -6,6 +6,8 @@ import pytest
 
 from duality_lab.analytic import SeedPair, complementarity_measures
 from duality_lab.interferometer import (
+    FIT_VALUE_MAX,
+    POISSON_MEAN_MAX,
     FringeConfig,
     FringeScan,
     count_rate,
@@ -69,6 +71,17 @@ class TestFringeConfig:
             FringeConfig(seeds, pump_rate_scale=1.0, phase_points=8, noise="gauss")
         with pytest.raises(ValueError):
             FringeConfig(seeds, pump_rate_scale=1.0, phase_points=8, integration_time=0.0)
+
+    def test_peak_counts_bound_is_numpy_poisson_limit(self):
+        # seeds (0, 0): the expected counts are scale * 2 * tint at every phase
+        config = FringeConfig(SeedPair(0, 0), POISSON_MEAN_MAX / 2, 4, 1.0, 0, "poisson")
+        assert np.all(simulate_fringe(config).counts > 0.0)
+        over = np.nextafter(POISSON_MEAN_MAX / 2, math.inf)
+        for noise in ("poisson", "none"):
+            with pytest.raises(ValueError, match=r"fringe peak.*--scale.*--tint"):
+                FringeConfig(SeedPair(0, 0), over, 4, 1.0, 0, noise)
+        with pytest.raises(ValueError, match="lam value too large"):
+            np.random.default_rng(0).poisson(2 * over)
 
     def test_warns_on_starved_counts(self, caplog):
         with caplog.at_level(logging.WARNING, logger="duality_lab"):
@@ -186,6 +199,15 @@ class TestFitFringe:
         fit = fit_fringe(noiseless_scan(0, 0, points=16))
         assert fit.amplitude == pytest.approx(0.0, abs=1e-12)
         assert fit.coherence_estimate == pytest.approx(0.0, abs=1e-12)
+
+    def test_counts_past_the_fit_bound_rejected(self):
+        theta = 2 * math.pi * np.arange(16) / 16
+        shape = 3.0 - np.sin(theta)
+        fit = fit_fringe(FringeScan(theta, FIT_VALUE_MAX / 4 * shape, "ingested"))
+        assert fit.coherence_estimate == pytest.approx(1 / 3, abs=1e-9)
+        assert math.isfinite(fit.phase0_stderr)
+        with pytest.raises(ValueError, match="counts too large to fit: 4e\\+198"):
+            fit_fringe(FringeScan(theta, 1e198 * shape, "ingested"))
 
     def test_too_few_points(self):
         with pytest.raises(ValueError, match=">= 8"):

@@ -7,12 +7,14 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from duality_lab import output
 from duality_lab.analytic import SeedPair
 from duality_lab.interferometer import TWO_PI, FringeConfig, FringeScan, simulate_fringe
 from duality_lab.output import (
     _SCAN_META_KEYS,
     SCAN_HEADER,
     ScanFormatError,
+    _config_from_metadata,
     _heat_colors,
     emit_outputs,
     ingest_scan_csv,
@@ -68,6 +70,110 @@ def reference_heat_color(value):
             )
             return f"#{rgb[0]:02x}{rgb[1]:02x}{rgb[2]:02x}"
     return "#fde725"
+
+
+# Per-line references for the chunked scan writer and reader: the code they
+# replaced, kept to check them byte for byte and message for message.
+
+
+def reference_scan_csv_text(scan):
+    lines = []
+    config = scan.config
+    if config is not None:
+        lines.append(f"# alpha1={config.seeds.alpha1!r}")
+        lines.append(f"# alpha2={config.seeds.alpha2!r}")
+        lines.append(f"# pump_rate_scale={config.pump_rate_scale!r}")
+        lines.append(f"# integration_time={config.integration_time!r}")
+        lines.append(f"# phase_points={config.phase_points!r}")
+        lines.append(f"# rng_seed={config.rng_seed!r}")
+        lines.append(f"# noise={config.noise}")
+    lines.append(f"# provenance={scan.provenance}")
+    lines.append(SCAN_HEADER)
+    for theta, counts in zip(scan.delta_theta, scan.counts):
+        lines.append(f"{float(theta)!r},{float(counts)!r}")
+    return "\n".join(lines) + "\n"
+
+
+def reference_ingest_scan_csv(path):
+    text = path.read_bytes().decode("ascii", errors="surrogateescape")
+    if "\r" in text:
+        text = text.replace("\r\n", "\n")
+        if text.endswith("\r"):
+            text = text[:-1]
+    lines = text.split("\n")
+    if not lines[-1]:
+        lines.pop()
+    stray = min((i for i in map(text.find, "\x0b\x0c\x1c\x1d\x1e\r") if i >= 0), default=-1)
+    if stray >= 0:
+        del lines[text.count("\n", 0, stray) :]
+    metadata = {}
+    header_seen = False
+    thetas, counts = [], []
+    last_line = 0
+    for lineno, raw in enumerate(lines, start=1):
+        last_line = lineno
+        if not raw.isascii():
+            byte = next(ord(c) - 0xDC00 for c in raw if not c.isascii())
+            raise ScanFormatError(f"non-ASCII byte 0x{byte:02x}", lineno)
+        line = raw.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            body = line[1:].strip()
+            if "=" in body:
+                key, _, value = body.partition("=")
+                metadata[key.strip()] = value.strip()
+            continue
+        if not header_seen:
+            if line != SCAN_HEADER:
+                raise ScanFormatError(
+                    f"malformed header: expected {SCAN_HEADER!r}, got {line!r}", lineno
+                )
+            header_seen = True
+            continue
+        cells = line.split(",")
+        if len(cells) != 2:
+            raise ScanFormatError(f"expected 2 comma-separated cells, got {len(cells)}", lineno)
+        try:
+            theta = float(cells[0])
+            count = float(cells[1])
+        except ValueError:
+            raise ScanFormatError(f"non-numeric cell in {line!r}", lineno) from None
+        if not (math.isfinite(theta) and math.isfinite(count)):
+            raise ScanFormatError("non-finite value", lineno)
+        if not 0.0 <= theta < 2.0 * math.pi:
+            raise ScanFormatError(f"delta_theta {theta!r} outside [0, 2*pi)", lineno)
+        if thetas and theta <= thetas[-1]:
+            raise ScanFormatError(f"delta_theta {theta!r} not strictly increasing", lineno)
+        if count < 0.0:
+            raise ScanFormatError(f"negative counts {count!r}", lineno)
+        thetas.append(theta)
+        counts.append(count)
+    if stray >= 0:
+        raise ScanFormatError(
+            f"stray line-break character 0x{ord(text[stray]):02x}", len(lines) + 1
+        )
+    if not header_seen:
+        raise ScanFormatError("missing header", last_line + 1)
+    if not thetas:
+        raise ScanFormatError("empty body", last_line + 1)
+    return FringeScan(thetas, counts, "ingested", _config_from_metadata(metadata))
+
+
+def read_outcome(reader, path):
+    """What ``reader`` makes of ``path``: the scan's bits and config, or its error."""
+    try:
+        scan = reader(path)
+    except ScanFormatError as exc:
+        return ("error", str(exc), exc.line)
+    return ("scan", scan.delta_theta.tobytes(), scan.counts.tobytes(), scan.config)
+
+
+def assert_readers_agree(path):
+    """Both readers give the same outcome on ``path``; returns it."""
+    outcome = read_outcome(ingest_scan_csv, path)
+    assert outcome == read_outcome(reference_ingest_scan_csv, path)
+    return outcome
 
 
 # Values no golden output holds: non-finite, signed zeros, the smallest
@@ -196,7 +302,9 @@ class TestColumnEmittersMatchScalarReference:
 
 def _scan_like_bytes():
     """Files near the scan format: metadata, header, ordered rows and stray lines,
-    so the fuzzer reaches the body and metadata parsers as well as the header."""
+    so the fuzzer reaches the body and metadata parsers as well as the header.
+    Rows may be padded with whitespace and have blank and comment lines among
+    them."""
     number = st.one_of(
         st.floats().map(repr),
         st.integers(-(10**20), 10**20).map(str),
@@ -211,9 +319,25 @@ def _scan_like_bytes():
     metadata = st.lists(value, min_size=7, max_size=7).map(
         lambda values: [f"# {k}={v}" for k, v in zip(_SCAN_META_KEYS, values)]
     )
-    rows = st.dictionaries(st.floats(0.0, 6.3), st.floats(0.0, 1e12), max_size=6).map(
-        lambda points: [f"{t!r},{c!r}" for t, c in sorted(points.items())]
+    rows = st.dictionaries(
+        st.floats(0.0, 6.3), st.one_of(st.floats(0.0, 1e12), st.just(-0.0)), max_size=6
+    ).map(lambda points: [f"{t!r},{c!r}" for t, c in sorted(points.items())])
+    pad = st.sampled_from(["", " ", "\t", "\x1f"])
+    among = st.lists(
+        st.tuples(
+            st.integers(0, 6),
+            st.sampled_from(["", "  ", "#", "# note", "\t# noise = none ", "#x=1,2"]),
+        ),
+        max_size=3,
     )
+
+    def mix(rows, left, right, among):
+        rows = [left + row + right for row in rows]
+        for at, line in among:
+            rows.insert(at, line)
+        return rows
+
+    rows = st.builds(mix, rows, pad, pad, among)
     stray = st.lists(
         st.one_of(st.builds("{},{}".format, number, number), st.text(max_size=12)),
         max_size=4,
@@ -224,6 +348,17 @@ def _scan_like_bytes():
         lambda *parts: parts[-1].join(sum(parts[:-1], [])).encode("utf-8", "surrogatepass"),
         head, body, rows, stray, st.sampled_from(["\n", "\r\n", "\r", "\x0b", "\x1c"]),
     )
+
+
+def long_scan_lines(rows):
+    """The header and ``rows`` valid data rows: row k is on line k + 2."""
+    theta = (TWO_PI * np.arange(rows) / rows).tolist()
+    return [SCAN_HEADER] + [f"{t!r},{float(k % 7)!r}" for k, t in enumerate(theta)]
+
+
+def write_lines(path, lines, newline="\n"):
+    path.write_bytes((newline.join(lines) + newline).encode("ascii", "surrogateescape"))
+    return path
 
 
 class TestScanCsv:
@@ -332,26 +467,132 @@ class TestScanCsv:
         database=None,
         suppress_health_check=[HealthCheck.function_scoped_fixture],
     )
-    @given(data=st.one_of(st.binary(), _scan_like_bytes()))
+    @given(data=st.one_of(st.binary(), _scan_like_bytes()), chunk=st.sampled_from([1, 2, 3, 4096]))
     @example(data=(
         b"# alpha1=(1.7e308+1.7e308j)\n# alpha2=1\n# pump_rate_scale=1\n"
         b"# integration_time=1\n# phase_points=4\n# rng_seed=0\n# noise=none\n"
         b"delta_theta,counts\n0.0,1.0\n"
-    ))
-    def test_fuzzed_bytes_give_a_valid_scan_or_a_format_error(self, tmp_path, data):
+    ), chunk=4096)
+    def test_fuzzed_bytes_give_a_valid_scan_or_a_format_error(
+        self, tmp_path, monkeypatch, data, chunk
+    ):
+        # small chunks put chunk boundaries between every few lines
+        monkeypatch.setattr(output, "_SCAN_CHUNK", chunk)
         path = tmp_path / "fuzz.csv"
         path.write_bytes(data)
-        try:
-            scan = ingest_scan_csv(path)
-        except ScanFormatError as exc:
-            assert exc.line >= 1
+        outcome = assert_readers_agree(path)
+        if outcome[0] == "error":
+            assert outcome[2] >= 1
             return
+        scan = ingest_scan_csv(path)
         theta, counts = scan.delta_theta, scan.counts
         assert scan.provenance == "ingested" and len(scan) >= 1
         assert np.all(np.isfinite(theta)) and np.all(np.isfinite(counts))
         assert theta[0] >= 0.0 and theta[-1] < TWO_PI
         assert np.all(np.diff(theta) > 0.0) and np.all(counts >= 0.0)
         assert scan.config is None or isinstance(scan.config, FringeConfig)
+
+
+CHUNK = output._SCAN_CHUNK
+
+
+class TestChunkedScanReader:
+    """Pinned cases at chunk boundaries; each also matches the per-line reference."""
+
+    @pytest.mark.parametrize("line", [CHUNK, CHUNK + 1])
+    @pytest.mark.parametrize("fault, message", [
+        ("0.5,x", "non-numeric cell in '0.5,x'"),
+        ("0.5", "expected 2 comma-separated cells, got 1"),
+        ("0.5,1,2", "expected 2 comma-separated cells, got 3"),
+        ("inf,1.0", "non-finite value"),
+        ("6.5,1.0", "delta_theta 6.5 outside [0, 2*pi)"),
+        ("0.0,1.0", "delta_theta 0.0 not strictly increasing"),
+        ("{theta},-2.0", "negative counts -2.0"),
+        ("{theta},1.0\udce9", "non-ASCII byte 0xe9"),
+    ], ids=["non-numeric", "one-cell", "three-cells", "non-finite", "range",
+            "increasing", "negative", "non-ascii"])
+    def test_fault_on_the_last_and_first_line_of_a_chunk(self, tmp_path, line, fault, message):
+        lines = long_scan_lines(2 * CHUNK)
+        theta = lines[line - 1].split(",")[0]
+        lines[line - 1] = fault.format(theta=theta)
+        path = write_lines(tmp_path / "scan.csv", lines)
+        assert assert_readers_agree(path) == ("error", f"line {line}: {message}", line)
+
+    @pytest.mark.parametrize("line", [1, CHUNK, CHUNK + 1])
+    def test_header_on_a_chunk_boundary(self, tmp_path, line):
+        head = ["# note"] * (line - 1)
+        path = write_lines(tmp_path / "scan.csv", head + long_scan_lines(CHUNK))
+        assert assert_readers_agree(path)[0] == "scan"
+        bad = write_lines(tmp_path / "bad.csv", head + ["theta,counts"])
+        expected = f"line {line}: malformed header: expected 'delta_theta,counts', got 'theta,counts'"
+        assert assert_readers_agree(bad) == ("error", expected, line)
+
+    def test_blank_and_comment_lines_inside_the_body(self, tmp_path):
+        lines = long_scan_lines(3 * CHUNK)
+        plain = read_outcome(ingest_scan_csv, write_lines(tmp_path / "plain.csv", lines))
+        for at in (3 * CHUNK, 2 * CHUNK + 1, CHUNK + 1, CHUNK, CHUNK - 1, 5, 2):
+            lines.insert(at, ("", "   ", "# noise=none", "#", "\t#k=v\x1f")[at % 5])
+        mixed = write_lines(tmp_path / "mixed.csv", lines)
+        assert assert_readers_agree(mixed)[:3] == plain[:3]
+
+    def test_crlf_scan_longer_than_a_chunk(self, tmp_path):
+        config = FringeConfig(SeedPair(2, 1), 1e6, 2 * CHUNK + 5, 0.01, 3, "poisson")
+        scan = simulate_fringe(config)
+        path = tmp_path / "scan.csv"
+        path.write_bytes(scan_to_csv_text(scan).replace("\n", "\r\n").encode("ascii"))
+        assert assert_readers_agree(path) == (
+            "scan", scan.delta_theta.tobytes(), scan.counts.tobytes(), config
+        )
+        # a final "\r" with no "\n" after it is dropped as well
+        path.write_bytes(path.read_bytes()[:-1])
+        assert assert_readers_agree(path)[0] == "scan"
+
+    def test_stray_vertical_tab_in_a_later_chunk(self, tmp_path):
+        lines = long_scan_lines(3 * CHUNK)
+        line = 2 * CHUNK + 3
+        lines[line - 1] += "\x0b"
+        path = write_lines(tmp_path / "scan.csv", lines, "\r\n")
+        expected = f"line {line}: stray line-break character 0x0b"
+        assert assert_readers_agree(path) == ("error", expected, line)
+        # an earlier fault, in an earlier chunk, is named first
+        lines[CHUNK - 1] = "oops"
+        path = write_lines(tmp_path / "scan.csv", lines, "\r\n")
+        assert assert_readers_agree(path)[2] == CHUNK
+
+    def test_phase_stops_increasing_at_a_chunk_boundary(self, tmp_path):
+        lines = long_scan_lines(2 * CHUNK)
+        # line CHUNK ends chunk 1; line CHUNK + 1 repeats its phase
+        theta = lines[CHUNK - 1].split(",")[0]
+        lines[CHUNK] = f"{theta},3.0"
+        path = write_lines(tmp_path / "scan.csv", lines)
+        expected = f"line {CHUNK + 1}: delta_theta {theta} not strictly increasing"
+        assert assert_readers_agree(path) == ("error", expected, CHUNK + 1)
+
+    def test_count_fault_in_chunk_one_before_non_ascii_in_chunk_two(self, tmp_path):
+        lines = long_scan_lines(2 * CHUNK)
+        theta = lines[CHUNK - 4].split(",")[0]
+        lines[CHUNK - 4] = f"{theta},-1.0"
+        lines[CHUNK + 1] = "caf\udce9"
+        path = write_lines(tmp_path / "scan.csv", lines)
+        expected = f"line {CHUNK - 3}: negative counts -1.0"
+        assert assert_readers_agree(path) == ("error", expected, CHUNK - 3)
+
+
+class TestChunkedScanWriter:
+    @pytest.mark.parametrize("points", [1, CHUNK - 1, CHUNK, CHUNK + 1, 100_000])
+    def test_bytes_match_the_per_line_reference(self, points):
+        rng = np.random.default_rng(points)
+        theta = TWO_PI * np.arange(points) / points
+        # signed zeros, integers and non-integers, tiny and huge counts
+        counts = rng.choice([-0.0, 0.0, 1.0, 40183.0, 0.1 + 0.2, 5e-324, 1e300], points)
+        scan = FringeScan(theta, counts, "simulated")
+        assert scan_to_csv_text(scan) == reference_scan_csv_text(scan)
+
+    @pytest.mark.parametrize("noise", ["none", "poisson"])
+    def test_simulated_scans_match_the_per_line_reference(self, noise):
+        config = FringeConfig(SeedPair(1.5 - 0.5j, 0.7), 1e6, CHUNK + 1, 0.01, 4, noise)
+        scan = simulate_fringe(config)
+        assert scan_to_csv_text(scan) == reference_scan_csv_text(scan)
 
 
 class TestSvg:
