@@ -20,7 +20,6 @@ from .interferometer import (
     simulate_fringe,
 )
 from .oracle import (
-    Tolerances,
     build_composite,
     measures_from_state,
     route_residuals,
@@ -55,7 +54,6 @@ __all__ = [
     "fit_fringe",
     "pump_scale_for_peak",
     "simulate_fringe",
-    "Tolerances",
     "build_composite",
     "measures_from_state",
     "route_residuals",

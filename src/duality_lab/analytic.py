@@ -294,14 +294,6 @@ def path_amplitudes(alpha1_abs_sq, alpha2_abs_sq) -> QuantonAmplitudes:
     return QuantonAmplitudes(np.sqrt(na / total), np.sqrt(nb / total))
 
 
-def quanton_amplitudes(seeds: SeedPair) -> QuantonAmplitudes:
-    """``path_amplitudes`` at one seed pair, as floats."""
-    a = abs(seeds.alpha1)
-    b = abs(seeds.alpha2)
-    amps = path_amplitudes(a * a, b * b)
-    return QuantonAmplitudes(float(amps.c1), float(amps.c2))
-
-
 def detector_fidelity(seeds: SeedPair) -> complex:
     """Complex overlap of the two which-path detector states.
 
@@ -316,28 +308,6 @@ def detector_fidelity(seeds: SeedPair) -> complex:
     na = 1.0 + a * a
     nb = 1.0 + b * b
     return seeds.alpha1 * seeds.alpha2.conjugate() / math.sqrt(na * nb)
-
-
-def quanton_density_closed(seeds: SeedPair) -> QuantonDensityMatrix:
-    """Density matrix of the pure quanton path superposition.
-
-    rho_jj = (1 + |alpha_j|^2) / (2 + |alpha_1|^2 + |alpha_2|^2) and
-    |rho12| = sqrt(rho11 rho22).  The phase of rho12 is fixed, by convention,
-    to the phase of conj(alpha_1) * alpha_2 (the phase of the detector-state
-    overlap <d2|d1>), and to zero when either seed vanishes.  No measured
-    quantity depends on this choice.
-    """
-    a = abs(seeds.alpha1)
-    b = abs(seeds.alpha2)
-    na = 1.0 + a * a
-    nb = 1.0 + b * b
-    total = na + nb
-    rho11 = na / total
-    rho22 = nb / total
-    magnitude = math.sqrt(na * nb) / total
-    z = seeds.alpha1.conjugate() * seeds.alpha2
-    phase = z / abs(z) if z != 0 else 1.0
-    return QuantonDensityMatrix(rho11, rho22, magnitude * phase)
 
 
 def closed_form_measures(alpha1_abs, alpha2_abs) -> ComplementarityMeasures:

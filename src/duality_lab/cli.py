@@ -27,7 +27,7 @@ from .interferometer import (
     pump_scale_for_peak,
     simulate_fringe,
 )
-from .oracle import Tolerances, route_residuals, verify_identities
+from .oracle import route_residuals, verify_identities
 from .output import ScanFormatError, emit_outputs, ingest_scan_csv, write_scan_csv
 from .sweep import fig2a_grid, fig2b_grid, run_sweep, surface_grid
 
@@ -74,8 +74,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=1000, metavar="N")
     p.add_argument("--seed", type=int, default=0, metavar="S")
     p.add_argument("--alpha-max", type=float, default=10.0, metavar="X")
-    p.add_argument("--tol-closed", type=float, default=1e-12)
-    p.add_argument("--tol-oracle", type=float, default=1e-8)
     p.add_argument("--json", action="store_true", help="machine-readable output")
 
     p = sub.add_parser("sweep", help="figure grids to csv/json/svg")
@@ -145,7 +143,6 @@ def _cmd_verify(args) -> int:
     report = verify_identities(
         sample_count=args.samples,
         rng_seed=args.seed,
-        tolerances=Tolerances(closed_form=args.tol_closed, oracle=args.tol_oracle),
         alpha_max=args.alpha_max,
     )
     print(report.to_json() if args.json else report.to_text())

@@ -9,10 +9,12 @@ probability for the seed amplitudes in play.
 The builders work on batches.  Each row of a flat photon-number array holds
 one state per segment, segment p spanning levels 0 .. cutoffs[p] at the
 columns a ``Segments`` layout gives, and a failed check names the segment at
-fault.  ``FockVector`` with ``coherent_state``, ``apply_creation``,
-``photon_added`` and ``spacs_state`` are the one-state forms of the same
-builders; ``tensor_product`` builds the joint two-mode vector for tests that
-contract it in full.
+fault.  ``coherent_state`` builds coherent states, ``apply_creation`` applies
+the creation operator and ``spacs_state`` turns coherent states into their
+normalized photon-added counterparts.  ``inner_product`` and
+``tensor_product`` act on one state's 1-d amplitude array; the latter builds
+the joint two-mode vector for tests that contract it in full.  A single state
+is a one-segment batch: ``coherent_state([[alpha]], Segments([cutoff]))[0]``.
 """
 
 from __future__ import annotations
@@ -26,15 +28,6 @@ import numpy as np
 from scipy.special import gammainc, gammaln
 
 from .analytic import _SEED_MAGNITUDE_MAX, _fail_first
-
-
-def poisson_tail_mass(mean: float, n: int) -> float:
-    """P(X >= n) for X ~ Poisson(mean); the photon-number tail of |alpha|^2 = mean."""
-    if n <= 0:
-        return 1.0
-    if mean == 0.0:
-        return 0.0
-    return float(gammainc(n, mean))
 
 
 # The Poisson(mean) tail falls below 1e-12 near the Cornish-Fisher level
@@ -111,10 +104,6 @@ DEFAULT_POLICY = CutoffPolicy(
     _CUTOFF_FLOOR,
     int(_minimal_cutoffs([_MEAN_MAX], _TAIL_TOLERANCE, _CUTOFF_FLOOR, int(2 * _MEAN_MAX))[0]),
 )
-
-# A vector is considered normalized when its Euclidean norm sits this close to 1.
-NORMALIZED_ATOL = 1e-12
-
 
 def cutoffs_for_means(means) -> np.ndarray:
     """The cutoff rule of ``DEFAULT_POLICY`` for each mean photon number |alpha|^2.
@@ -194,7 +183,7 @@ def _normalize_segments(amps: np.ndarray, segments: Segments) -> None:
             segment /= _segment_norm(segment)
 
 
-def coherent_amplitudes(
+def coherent_state(
     alphas, segments: Segments, out: Optional[np.ndarray] = None
 ) -> np.ndarray:
     """Coherent states |alpha>, one row per row of ``alphas`` and one segment per column.
@@ -257,7 +246,7 @@ def coherent_amplitudes(
     return out
 
 
-def creation_amplitudes(
+def apply_creation(
     amps: np.ndarray, segments: Segments, out: Optional[np.ndarray] = None
 ) -> np.ndarray:
     """Apply the creation operator a†|n> = sqrt(n+1) |n+1> to every segment.
@@ -287,105 +276,43 @@ def creation_amplitudes(
     return out
 
 
-def photon_added_amplitudes(
-    amps: np.ndarray, segments: Segments, out: Optional[np.ndarray] = None
+def spacs_state(
+    coherent: np.ndarray, segments: Segments, out: Optional[np.ndarray] = None
 ) -> np.ndarray:
-    """a† applied to every segment, each divided by its measured norm.
+    """Single-photon-added coherent states a†|alpha> / sqrt(1 + |alpha|^2).
 
-    The measured norm of a†|alpha> equals sqrt(1 + |alpha|^2) up to
-    truncation error; dividing by it keeps each segment exactly unit length.
+    Takes the coherent states ``coherent_state`` built and applies a† to
+    every segment, then divides each by its measured norm.  That norm equals
+    sqrt(1 + |alpha|^2) up to truncation error; dividing by it keeps each
+    segment exactly unit length.  For alpha = 0 a segment is exactly the
+    one-photon state |1>.  ``apply_creation`` guards the top level.
     """
-    out = creation_amplitudes(amps, segments, out)
+    out = apply_creation(coherent, segments, out)
     _normalize_segments(out, segments)
     return out
 
 
-@dataclass(frozen=True, eq=False)
-class FockVector:
-    """Complex amplitudes over the truncated photon-number states |0> .. |cutoff>.
-
-    Instances are immutable: the amplitude array is copied and marked
-    read-only at construction, and ``norm`` / ``normalized`` are derived
-    from the data rather than trusted from the caller.
-    """
-
-    cutoff: int
-    amplitudes: np.ndarray
-    norm: float = field(init=False)
-    normalized: bool = field(init=False)
-
-    def __post_init__(self):
-        if self.cutoff < 1:
-            raise ValueError(f"cutoff must be >= 1, got {self.cutoff}")
-        amps = np.array(self.amplitudes, dtype=complex)
-        if amps.shape != (self.cutoff + 1,):
-            raise ValueError(
-                f"amplitude vector must have length cutoff+1 = {self.cutoff + 1}, "
-                f"got shape {amps.shape}"
-            )
-        if not np.all(np.isfinite(amps)):
-            raise ValueError("amplitudes must be finite")
-        amps.setflags(write=False)
-        object.__setattr__(self, "amplitudes", amps)
-        norm = float(np.linalg.norm(amps))
-        object.__setattr__(self, "norm", norm)
-        object.__setattr__(self, "normalized", abs(norm - 1.0) <= NORMALIZED_ATOL)
-
-    def __repr__(self) -> str:  # the raw amplitude dump is never useful
-        return (
-            f"FockVector(cutoff={self.cutoff}, norm={self.norm:.12g}, "
-            f"normalized={self.normalized})"
+def _check_same_length(a: np.ndarray, b: np.ndarray) -> None:
+    if a.ndim != 1 or a.shape != b.shape:
+        raise ValueError(
+            f"dimension mismatch: amplitude arrays of shape {a.shape} and {b.shape} "
+            "(equal cutoffs required)"
         )
 
 
-def coherent_state(alpha: complex, cutoff: int) -> FockVector:
-    """Coherent state |alpha> truncated at ``cutoff``: ``coherent_amplitudes`` for one state."""
-    return FockVector(cutoff, coherent_amplitudes([[alpha]], Segments([cutoff]))[0])
+def inner_product(a, b) -> complex:
+    """Hermitian inner product <a|b> of two 1-d amplitude arrays, conjugate-linear in ``a``."""
+    a, b = np.asarray(a), np.asarray(b)
+    _check_same_length(a, b)
+    return complex(np.vdot(a, b))
 
 
-def apply_creation(state: FockVector) -> FockVector:
-    """a†|state>, unnormalized: ``creation_amplitudes`` for one state.
-
-    Its exact Euclidean norm is recorded on the returned vector.
-    """
-    segments = Segments([state.cutoff])
-    return FockVector(state.cutoff, creation_amplitudes(state.amplitudes[None], segments)[0])
-
-
-def photon_added(state: FockVector) -> FockVector:
-    """a†|state> divided by its measured norm: one photon added, unit length.
-
-    ``apply_creation`` guards the top level.
-    """
-    raised = apply_creation(state)
-    return FockVector(state.cutoff, raised.amplitudes / raised.norm)
-
-
-def spacs_state(alpha: complex, cutoff: int) -> FockVector:
-    """Single-photon-added coherent state a†|alpha> / sqrt(1 + |alpha|^2).
-
-    Built numerically as coherent state -> creation operator -> normalize,
-    so there is a single source of truth for the amplitudes.  For alpha = 0
-    this is exactly the one-photon state |1>.
-    """
-    return photon_added(coherent_state(alpha, cutoff))
-
-
-def inner_product(a: FockVector, b: FockVector) -> complex:
-    """Hermitian inner product <a|b>, conjugate-linear in the first argument."""
-    if a.cutoff != b.cutoff:
-        raise ValueError(f"dimension mismatch: cutoff {a.cutoff} vs cutoff {b.cutoff}")
-    return complex(np.vdot(a.amplitudes, b.amplitudes))
-
-
-def tensor_product(a: FockVector, b: FockVector) -> np.ndarray:
-    """Joint two-mode amplitudes with ``a`` as the more significant factor.
+def tensor_product(a, b) -> np.ndarray:
+    """Joint two-mode amplitudes of two 1-d arrays, ``a`` the more significant factor.
 
     The occupation (n_a, n_b) sits at index n_a * (cutoff + 1) + n_b, the
     order ``numpy.kron`` composes in.
     """
-    if a.cutoff != b.cutoff:
-        raise ValueError(
-            f"cutoff mismatch: {a.cutoff} vs {b.cutoff} (equal cutoffs required)"
-        )
-    return np.kron(a.amplitudes, b.amplitudes)
+    a, b = np.asarray(a), np.asarray(b)
+    _check_same_length(a, b)
+    return np.kron(a, b)

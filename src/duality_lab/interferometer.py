@@ -272,6 +272,11 @@ def fit_fringe(scan: FringeScan) -> FringeFit:
             f"counts too large to fit: {largest:.4g} exceeds {FIT_VALUE_MAX:.4g}, "
             "past which the error propagation overflows"
         )
+    if offset**2 == 0.0 or (amplitude > 0.0 and amplitude**4 == 0.0):
+        raise ValueError(
+            f"counts too small to fit: offset {offset:.4g}, amplitude {amplitude:.4g}, "
+            "below which the error propagation underflows"
+        )
     residuals = y - design @ beta
     residual_rms = float(math.sqrt(np.mean(residuals**2)))
 

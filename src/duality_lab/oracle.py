@@ -18,13 +18,14 @@ check, not a tautology:
 
 The route works on a batch of seed pairs at once.  ``build_composite`` keeps
 the four single-mode factors of every pair in one flat photon-number array,
-pair p in its own segment of columns; ``reduce_quanton`` and
-``measures_from_state`` return one array record for the batch, and every
-check names the seed pair at fault.  Inner products and norms are taken
-pair by pair on contiguous segments.  ``route_residuals`` is the one
-comparison of the two routes that the CLI, the sweeps and
-``verify_identities`` share; ``verify_identities`` wraps it in a randomized
-pass/fail report.
+pair p in its own segment of columns: ``fock.coherent_state`` builds the two
+coherent seeds and ``fock.spacs_state`` their photon-added counterparts.
+``reduce_quanton`` and ``measures_from_state`` return one array record for
+the batch, and every check names the seed pair at fault.  Inner products
+and norms are taken pair by pair on contiguous segments.
+``route_residuals`` is the one comparison of the two routes that the CLI,
+the sweeps and ``verify_identities`` share; ``verify_identities`` wraps it
+in a randomized pass/fail report.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ import numpy as np
 
 from .analytic import (
     _SEED_MAGNITUDE_MAX,
+    IDENTITY_ATOL,
     MEASURE_FIELDS,
     ComplementarityMeasures,
     PointError,
@@ -48,18 +50,16 @@ from .analytic import (
     path_amplitudes,
     validate_measures,
 )
-from .fock import (
-    Segments,
-    coherent_amplitudes,
-    cutoffs_for_means,
-    photon_added_amplitudes,
-)
+from .fock import Segments, coherent_state, cutoffs_for_means, spacs_state
 
 _STATE_NORM_ATOL = 1e-10
 
 # Beyond this seed magnitude the required cutoffs grow quadratically while the
 # closed forms stay exact, so the sweep and verify oracle draws stop here.
 ORACLE_ALPHA_MAX = 4.0
+
+# verify_identities accepts a route residual up to this bound.
+ORACLE_ATOL = 1e-8
 
 # verify_identities compares the routes on min(sample_count, this) pairs.
 ORACLE_SAMPLES_MAX = 200
@@ -206,8 +206,8 @@ def build_composite(seeds) -> CompositeState:
         # a NaN or infinite seed has no cutoff, and the rule names it
         segments = Segments(cutoffs_for_means(np.maximum(mags_sq[0], mags_sq[1])))
         factors = np.empty((4, segments.size), dtype=complex)
-        coherent_amplitudes(seeds.T, segments, out=factors[:2])
-        photon_added_amplitudes(factors[:2], segments, out=factors[2:])
+        coherent_state(seeds.T, segments, out=factors[:2])
+        spacs_state(factors[:2], segments, out=factors[2:])
         factors.setflags(write=False)
         amplitudes = path_amplitudes(mags_sq[0], mags_sq[1])
     return CompositeState(seeds, segments, factors, amplitudes)
@@ -293,14 +293,6 @@ def route_residuals(
 
 
 @dataclass(frozen=True)
-class Tolerances:
-    """Acceptance thresholds for the verification report."""
-
-    closed_form: float = 1e-12
-    oracle: float = 1e-8
-
-
-@dataclass(frozen=True)
 class IdentityCheck:
     name: str
     samples: int
@@ -383,18 +375,18 @@ def _worst_check(
 def verify_identities(
     sample_count: int,
     rng_seed: int,
-    tolerances: Tolerances = Tolerances(),
     alpha_max: float = 10.0,
 ) -> VerificationReport:
     """Randomized verification of the closed-form identities and both routes.
 
     Draws ``sample_count`` seed pairs with magnitudes uniform in
     [0, alpha_max] and random phases and checks the six closed-form
-    identities on every one.  A second draw of min(sample_count,
-    ``ORACLE_SAMPLES_MAX``) pairs capped at ``ORACLE_ALPHA_MAX`` compares the
-    Fock-space route against the closed forms field by field, plus the
-    reduced-purity route to the source purity.  Violations are reported,
-    not raised; the caller decides what a failing report means.
+    identities on every one to ``IDENTITY_ATOL``.  A second draw of
+    min(sample_count, ``ORACLE_SAMPLES_MAX``) pairs capped at
+    ``ORACLE_ALPHA_MAX`` compares the Fock-space route against the closed
+    forms field by field, plus the reduced-purity route to the source
+    purity, to ``ORACLE_ATOL``.  Violations are reported, not raised; the
+    caller decides what a failing report means.
     Deterministic for a fixed ``rng_seed``.
     """
     if sample_count < 1:
@@ -421,7 +413,7 @@ def verify_identities(
         return validate_measures(closed_form_measures(mags[:, 0], mags[:, 1]))
 
     checks = [
-        _worst_check(name, residuals, closed_seeds, tolerances.closed_form)
+        _worst_check(name, residuals, closed_seeds, IDENTITY_ATOL)
         for name, residuals in closed_route(closed_seeds).identity_residuals().items()
     ]
 
@@ -432,5 +424,5 @@ def verify_identities(
             if name == PURITY_RESIDUAL
             else f"fock route matches closed form: {name}"
         )
-        checks.append(_worst_check(label, residual, oracle_seeds, tolerances.oracle))
+        checks.append(_worst_check(label, residual, oracle_seeds, ORACLE_ATOL))
     return VerificationReport(rng_seed=rng_seed, checks=tuple(checks))

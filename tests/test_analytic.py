@@ -13,8 +13,7 @@ from duality_lab.analytic import (
     closed_form_measures,
     complementarity_measures,
     detector_fidelity,
-    quanton_amplitudes,
-    quanton_density_closed,
+    path_amplitudes,
     validate_measures,
 )
 
@@ -43,23 +42,34 @@ class TestSeedPair:
             SeedPair(1.0, complex(1.7e308, 1.7e308))
 
 
-class TestQuantonAmplitudes:
+def pure_density(seeds: SeedPair) -> QuantonDensityMatrix:
+    """Density matrix of the pure path superposition c1 |1> + c2 |2>."""
+    a, b = abs(seeds.alpha1), abs(seeds.alpha2)
+    return QuantonDensityMatrix(*path_amplitudes(a * a, b * b).density)
+
+
+class TestPathAmplitudes:
     def test_equal_seeds_are_balanced(self):
         for alpha in (0.0, 1.0, 3.7, 2.0 + 1.0j):
-            amps = quanton_amplitudes(SeedPair(alpha, alpha))
+            amps = path_amplitudes(abs(alpha) ** 2, abs(alpha) ** 2)
             assert amps.c1 == pytest.approx(1 / math.sqrt(2), abs=1e-15)
             assert amps.c2 == amps.c1
 
     def test_two_one_point(self):
-        amps = quanton_amplitudes(SeedPair(2, 1))
+        amps = path_amplitudes(4.0, 1.0)
         assert amps.c1 == pytest.approx(math.sqrt(5 / 7), abs=1e-15)
         assert amps.c2 == pytest.approx(math.sqrt(2 / 7), abs=1e-15)
 
     def test_normalization_random(self):
-        rng = np.random.default_rng(0)
-        for seeds in random_seed_pairs(rng, 100, 10.0):
-            amps = quanton_amplitudes(seeds)
-            assert abs(amps.c1**2 + amps.c2**2 - 1.0) < 1e-12
+        mags = np.random.default_rng(0).uniform(0.0, 10.0, (2, 100))
+        amps = path_amplitudes(*(mags * mags))
+        assert np.all(np.abs(amps.c1**2 + amps.c2**2 - 1.0) < 1e-12)
+
+    def test_path_amplitudes_are_checked(self):
+        with pytest.raises(ValueError, match="point 1: c1\\^2 \\+ c2\\^2 deviates"):
+            QuantonAmplitudes(np.array([0.6, 0.8, 1.0]), np.array([0.8, 0.8, 0.0]))
+        with pytest.raises(ValueError, match="point 2: path amplitudes must be non-negative"):
+            QuantonAmplitudes(np.array([0.6, 1.0, -1.0]), np.array([0.8, 0.0, 0.0]))
 
 
 class TestDetectorFidelity:
@@ -83,33 +93,28 @@ class TestDetectorFidelity:
         assert cmath.phase(f) == pytest.approx(math.pi / 2, abs=1e-15)
 
 
-class TestQuantonDensityClosed:
+class TestQuantonDensityMatrix:
     def test_equal_seeds_balanced(self):
-        rho = quanton_density_closed(SeedPair(1.7, 1.7))
-        assert rho.rho11 == 0.5 and rho.rho22 == 0.5
+        rho = pure_density(SeedPair(1.7, 1.7))
+        assert rho.rho11 == pytest.approx(0.5, abs=1e-15)
+        assert rho.rho22 == rho.rho11
 
     def test_two_one_point(self):
-        rho = quanton_density_closed(SeedPair(2, 1))
+        rho = pure_density(SeedPair(2, 1))
         assert rho.rho11 == pytest.approx(5 / 7, abs=1e-15)
         assert rho.rho22 == pytest.approx(2 / 7, abs=1e-15)
         assert abs(rho.rho12) == pytest.approx(math.sqrt(10) / 7, abs=1e-15)
 
     def test_vacuum_seeds(self):
-        rho = quanton_density_closed(SeedPair(0, 0))
-        assert (rho.rho11, rho.rho22, abs(rho.rho12)) == (0.5, 0.5, 0.5)
-        assert rho.rho12.imag == 0.0
+        rho = pure_density(SeedPair(0, 0))
+        for element in (rho.rho11, rho.rho22, abs(rho.rho12)):
+            assert element == pytest.approx(0.5, abs=1e-15)
 
     def test_pure_state_coherence_saturates_positivity(self):
         rng = np.random.default_rng(1)
         for seeds in random_seed_pairs(rng, 100, 10.0):
-            rho = quanton_density_closed(seeds)
+            rho = pure_density(seeds)
             assert abs(abs(rho.rho12) - math.sqrt(rho.rho11 * rho.rho22)) < 1e-12
-
-    def test_phase_convention(self):
-        seeds = SeedPair(1.0, 1.0j)
-        rho = quanton_density_closed(seeds)
-        expected = cmath.phase(seeds.alpha1.conjugate() * seeds.alpha2)
-        assert cmath.phase(rho.rho12) == pytest.approx(expected, abs=1e-15)
 
     def test_type_validation(self):
         # one bad point among good ones; the message names it
@@ -122,12 +127,6 @@ class TestQuantonDensityClosed:
                 QuantonDensityMatrix(rho11, rho22, rho12)
         rho = QuantonDensityMatrix(*(np.array(column) for column in zip(*good)))
         assert np.array_equal(rho.coherence, [0.25, 0.1])
-
-    def test_path_amplitudes_are_checked(self):
-        with pytest.raises(ValueError, match="point 1: c1\\^2 \\+ c2\\^2 deviates"):
-            QuantonAmplitudes(np.array([0.6, 0.8, 1.0]), np.array([0.8, 0.8, 0.0]))
-        with pytest.raises(ValueError, match="point 2: path amplitudes must be non-negative"):
-            QuantonAmplitudes(np.array([0.6, 1.0, -1.0]), np.array([0.8, 0.0, 0.0]))
 
 
 class TestComplementarityMeasures:

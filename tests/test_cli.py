@@ -2,11 +2,12 @@ import json
 import math
 
 import pytest
+from scipy.special import gammainc
 
 from duality_lab import cli, oracle, sweep
 from duality_lab.analytic import SeedPair, complementarity_measures
 from duality_lab.cli import build_parser, main
-from duality_lab.fock import DEFAULT_POLICY, poisson_tail_mass
+from duality_lab.fock import DEFAULT_POLICY
 
 
 def _fail_if_called(*args, **kwargs):
@@ -49,7 +50,7 @@ class TestMeasuresCommand:
         assert max(payload["oracle"]["residuals"].values()) <= 1e-8
         lam = max(math.hypot(*payload["alpha1"]), math.hypot(*payload["alpha2"])) ** 2
         cutoff, tol = payload["oracle"]["cutoff"], DEFAULT_POLICY.tail_tolerance
-        assert poisson_tail_mass(lam, cutoff) < tol <= poisson_tail_mass(lam, cutoff - 1)
+        assert gammainc(cutoff, lam) < tol <= gammainc(cutoff - 1, lam)
 
     def test_callers_share_one_comparison(self, capsys):
         # the sweep, measures --oracle and route_residuals agree bit for bit
@@ -89,13 +90,14 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert "overall: PASS" in out
 
-    def test_impossible_tolerance_exits_one(self, capsys):
-        rc = main(
-            ["verify", "--samples", "50", "--seed", "1", "--tol-closed", "0",
-             "--tol-oracle", "0"]
-        )
-        assert rc == 1
+    def test_impossible_tolerance_exits_one(self, monkeypatch, capsys):
+        monkeypatch.setattr(oracle, "IDENTITY_ATOL", 0.0)
+        monkeypatch.setattr(oracle, "ORACLE_ATOL", 0.0)
+        assert main(["verify", "--samples", "50", "--seed", "1"]) == 1
         assert "overall: FAIL" in capsys.readouterr().out
+        # no flag loosens a check
+        with pytest.raises(SystemExit):
+            main(["verify", "--tol-oracle", "1"])
 
     def test_json_flag(self, capsys):
         rc = main(["verify", "--samples", "50", "--seed", "3", "--json"])
@@ -279,6 +281,17 @@ class TestFringeAndFitCommands:
         assert err.startswith("error: ") and flag in err
         assert err.count("\n") == 1  # no warning or traceback
         assert not out.exists()
+
+    def test_counts_too_small_to_fit_exit_one(self, tmp_path, capsys):
+        scan = tmp_path / "tiny.csv"
+        fringe = ["fringe", "--alpha1", "1", "--alpha2", "1", "--scale", "1e-300",
+                  "--tint", "1e-10", "--noise", "none", "--out", str(scan)]
+        for argv in (fringe, ["fit", "--input", str(scan)]):
+            assert main(argv) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: counts too small to fit: offset 4e-310")
+            assert err.count("\n") == 1  # no traceback
+        assert scan.exists()
 
     def test_fit_missing_file_exits_two(self, tmp_path, capsys):
         rc = main(["fit", "--input", str(tmp_path / "absent.csv")])

@@ -209,6 +209,17 @@ class TestFitFringe:
         with pytest.raises(ValueError, match="counts too large to fit: 4e\\+198"):
             fit_fringe(FringeScan(theta, 1e198 * shape, "ingested"))
 
+    def test_counts_past_underflow_rejected(self):
+        theta = 2 * math.pi * np.arange(16) / 16
+        shape = 3.0 - np.sin(theta)
+        fit = fit_fringe(FringeScan(theta, 1e-70 * shape, "ingested"))
+        assert fit.coherence_estimate == pytest.approx(1 / 3, abs=1e-9)
+        assert math.isfinite(fit.phase0_stderr)
+        # amplitude**4 underflows at 1e-100, offset**2 as well at 1e-200
+        for scale in (1e-100, 1e-200):
+            with pytest.raises(ValueError, match="counts too small to fit"):
+                fit_fringe(FringeScan(theta, scale * shape, "ingested"))
+
     def test_too_few_points(self):
         with pytest.raises(ValueError, match=">= 8"):
             fit_fringe(noiseless_scan(1, 1, points=6))

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.special import gammainc, gammaln
 
-from duality_lab import fock
+from duality_lab import fock, oracle
 from duality_lab.analytic import (
     MEASURE_FIELDS,
     SeedPair,
@@ -17,7 +17,6 @@ from duality_lab.analytic import (
 )
 from duality_lab.fock import (
     DEFAULT_POLICY,
-    FockVector,
     Segments,
     cutoffs_for_means,
     tensor_product,
@@ -27,7 +26,6 @@ from duality_lab.oracle import (
     COHERENT_2,
     ORACLE_ALPHA_MAX,
     PURITY_RESIDUAL,
-    Tolerances,
     _sample_seeds,
     build_composite,
     measures_from_state,
@@ -47,10 +45,7 @@ def random_seeds(rng, count, mag_max):
 def detector_vectors(state, k):
     """Pair k's two detector states as full two-mode idler vectors."""
     coherent1, coherent2, added1, added2 = state.factors[:, slice(*state.segments.bounds[k])]
-    cutoff = int(state.cutoffs[k])
-    d1 = tensor_product(FockVector(cutoff, added1), FockVector(cutoff, coherent2))
-    d2 = tensor_product(FockVector(cutoff, coherent1), FockVector(cutoff, added2))
-    return d1, d2
+    return tensor_product(added1, coherent2), tensor_product(coherent1, added2)
 
 
 def partial_trace_by_contraction(state, k) -> np.ndarray:
@@ -430,10 +425,10 @@ class TestVerifyIdentities:
         for check in report.checks:
             assert check.worst_residual < check.tolerance
 
-    def test_impossible_tolerances_fail_without_raising(self):
-        report = verify_identities(
-            50, rng_seed=7, tolerances=Tolerances(closed_form=0.0, oracle=0.0)
-        )
+    def test_impossible_tolerances_fail_without_raising(self, monkeypatch):
+        monkeypatch.setattr(oracle, "IDENTITY_ATOL", 0.0)
+        monkeypatch.setattr(oracle, "ORACLE_ATOL", 0.0)
+        report = verify_identities(50, rng_seed=7)
         assert not report.all_passed
         assert any(check.worst_residual > 0.0 for check in report.checks)
 
