@@ -48,7 +48,7 @@ def pure_density(seeds: SeedPair) -> QuantonDensityMatrix:
     return QuantonDensityMatrix(*path_amplitudes(a * a, b * b).density)
 
 
-class TestPathAmplitudes:
+class TestQuantonAmplitudes:
     def test_equal_seeds_are_balanced(self):
         for alpha in (0.0, 1.0, 3.7, 2.0 + 1.0j):
             amps = path_amplitudes(abs(alpha) ** 2, abs(alpha) ** 2)

@@ -62,6 +62,19 @@ def poisson_tail_by_cumsum(lam: float, n: int) -> float:
     return 1.0 - total
 
 
+class TestSegments:
+    def test_layout(self):
+        segments = Segments([2, 3])
+        assert segments.bounds == [(0, 3), (3, 7)]
+        assert segments.size == 7
+        assert segments.levels.tolist() == [0, 1, 2, 0, 1, 2, 3]
+
+    def test_rejects_bad_cutoffs(self):
+        for cutoffs in ([0], [4, -1], [[4, 4]]):
+            with pytest.raises(ValueError, match="cutoffs must be a 1-d array of levels >= 1"):
+                Segments(cutoffs)
+
+
 class TestCoherentState:
     def test_vacuum(self):
         v = coherent(0.0, 16)
@@ -85,6 +98,11 @@ class TestCoherentState:
     def test_rejects_nonfinite_alpha(self):
         with pytest.raises(ValueError, match="finite"):
             coherent(complex(np.inf, 0), 16)
+
+    def test_rejects_alphas_not_matching_segments(self):
+        for alphas in ([1.0], [[1.0]], [[1.0, 2.0, 3.0]]):
+            with pytest.raises(ValueError, match="one segment per column"):
+                coherent_state(alphas, Segments([8, 8]))
 
     def test_rejects_cutoff_beyond_ceiling(self):
         with pytest.raises(ValueError, match="ceiling"):
@@ -118,7 +136,7 @@ class TestApplyCreation:
 
 
 class TestSpacs:
-    def test_normalized_creation_on_coherent(self):
+    def test_photon_added_to_coherent_is_spacs(self):
         for alpha in (0.0, 0.7, 2.0 - 1.5j):
             up = raised(alpha, 40)
             assert np.array_equal(spacs(alpha, 40), up / np.linalg.norm(up))

@@ -352,6 +352,13 @@ class TestReduceQuanton:
         # reduced coherence carries the detector overlap: sqrt(10)/7 * 2/sqrt(10)
         assert abs(rho.rho12[0]) == pytest.approx(2 / 7, abs=1e-9)
 
+    def test_phase_convention(self):
+        # rho12 carries the phase of conj(alpha1) alpha2
+        for pair in ((1.0, 1.0j), (0.7 + 0.2j, 1.3 - 0.5j)):
+            rho = reduce_quanton(build_composite([pair]))
+            expected = cmath.phase(complex(pair[0]).conjugate() * pair[1])
+            assert cmath.phase(rho.rho12[0]) == pytest.approx(expected, abs=1e-12)
+
     def test_unit_trace(self):
         rho = reduce_quanton(build_composite(random_seeds(np.random.default_rng(22), 20, 3.0)))
         assert np.all(np.abs(rho.rho11 + rho.rho22 - 1.0) < 1e-10)
