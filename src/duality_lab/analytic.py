@@ -52,9 +52,6 @@ class SeedPair:
         object.__setattr__(self, "alpha1", a1)
         object.__setattr__(self, "alpha2", a2)
 
-    def swapped(self) -> "SeedPair":
-        return SeedPair(self.alpha2, self.alpha1)
-
 
 class PointError(ValueError):
     """A check failed at one point of a batch; ``index`` names the point."""
@@ -80,36 +77,6 @@ def _fail_first(bad, detail) -> None:
 
 
 @dataclass(frozen=True)
-class QuantonAmplitudes:
-    """Real, non-negative path amplitudes (c1, c2) with c1^2 + c2^2 = 1.
-
-    Floats for one seed pair or equal-length arrays for a batch.
-    ``density`` holds (c1^2, c2^2, c1 c2), the elements rho11, rho22 and
-    rho12 of the pure path state's density matrix.
-    """
-
-    c1: float
-    c2: float
-    density: tuple = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        c1, c2 = np.asarray(self.c1, dtype=float), np.asarray(self.c2, dtype=float)
-        density = (c1 * c1, c2 * c2, c1 * c2)
-        object.__setattr__(self, "density", density)
-        residual = np.abs(density[0] + density[1] - 1.0)
-        # a NaN compares false, so it fails here and is judged below
-        if np.count_nonzero((residual <= IDENTITY_ATOL) & (np.minimum(c1, c2) >= 0.0)) == c1.size:
-            return
-        negative = (c1 < 0.0) | (c2 < 0.0)
-        _fail_first(
-            negative | (residual > IDENTITY_ATOL),
-            lambda k: "path amplitudes must be non-negative"
-            if negative.flat[k]
-            else f"c1^2 + c2^2 deviates from 1 by {residual.flat[k]:.3e}",
-        )
-
-
-@dataclass(frozen=True)
 class QuantonDensityMatrix:
     """2x2 Hermitian density matrix of the signal photon over the two paths.
 
@@ -117,8 +84,10 @@ class QuantonDensityMatrix:
     Positivity demands |rho12| <= sqrt(rho11 rho22); equality holds exactly
     when the matrix describes the pure path superposition, while a reduced
     (detector-traced) state sits strictly inside the bound for |F| < 1.
-    Scalars for one seed pair or equal-length arrays for a batch; a failed
-    check names the first point at fault.  ``coherence`` is |rho12|.
+    ``path_density`` builds the pure matrix and ``oracle.CompositeState``
+    the reduced one.  Scalars for one seed pair or equal-length arrays for
+    a batch; a failed check names the first point at fault.  ``coherence``
+    is |rho12|.
     """
 
     rho11: float
@@ -281,17 +250,21 @@ def _clamped_sqrt(radicands):
     return np.sqrt(np.minimum(1.0, np.maximum(0.0, x)))
 
 
-def path_amplitudes(alpha1_abs_sq, alpha2_abs_sq) -> QuantonAmplitudes:
-    """Path amplitudes c_j = sqrt(1 + |alpha_j|^2) / sqrt(2 + |alpha_1|^2 + |alpha_2|^2).
+def path_density(alpha1_abs_sq, alpha2_abs_sq) -> QuantonDensityMatrix:
+    """Density matrix of the pure path state c1 |1> + c2 |2>, checked.
 
-    Stimulated emission favours the more strongly seeded crystal, so the path
-    weights follow the seeded gains 1 + |alpha_j|^2.  Takes the squared seed
-    magnitudes as floats or equal-length arrays.
+    The path amplitudes are c_j = sqrt(1 + |alpha_j|^2) / sqrt(2 + |alpha_1|^2
+    + |alpha_2|^2): stimulated emission favours the more strongly seeded
+    crystal, so the path weights follow the seeded gains 1 + |alpha_j|^2.
+    Returns (rho11, rho22, rho12) = (c1^2, c2^2, c1 c2).  Takes the squared
+    seed magnitudes as floats or equal-length arrays.
     """
     na = 1.0 + alpha1_abs_sq
     nb = 1.0 + alpha2_abs_sq
     total = na + nb
-    return QuantonAmplitudes(np.sqrt(na / total), np.sqrt(nb / total))
+    c1 = np.sqrt(na / total)
+    c2 = np.sqrt(nb / total)
+    return QuantonDensityMatrix(c1 * c1, c2 * c2, c1 * c2)
 
 
 def detector_fidelity(seeds: SeedPair) -> complex:

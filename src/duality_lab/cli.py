@@ -6,7 +6,8 @@ optional Fock-space cross-check), ``verify`` (randomized identity suite),
 to CSV plus a fitted-vs-analytic summary) and ``fit`` (fit a scan file).
 
 Exit codes: 0 success (and, for ``verify``, all checks passed); 1 validation
-or verification failure; 2 I/O or parse error.
+or verification failure, or an input too large for memory; 2 I/O or parse
+error.
 """
 
 from __future__ import annotations
@@ -239,6 +240,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
 
 

@@ -13,7 +13,8 @@ power; it is kept exactly and no background subtraction is offered.
 
 Simulated scans draw Poisson counts per phase point from a seeded generator,
 and the fit recovers the contrast with a linear least-squares estimator that
-also reports standard errors.
+also reports standard errors.  Its Neyman weights 1/max(counts, 1) bias the
+contrast high at low counts and at C near 1.
 """
 
 from __future__ import annotations
@@ -64,13 +65,11 @@ def count_rate(seeds: SeedPair, delta_theta, pump_rate_scale: float):
     )
 
 
-def pump_scale_for_peak(seeds: SeedPair, peak_rate: float = PEAK_RATE_BUDGET) -> float:
-    """Scale that puts the fringe maximum at ``peak_rate`` counts per second."""
-    if not peak_rate > 0.0:
-        raise ValueError(f"peak_rate must be > 0, got {peak_rate}")
+def pump_scale_for_peak(seeds: SeedPair) -> float:
+    """Scale that puts the fringe maximum at ``PEAK_RATE_BUDGET`` counts per second."""
     a = abs(seeds.alpha1)
     b = abs(seeds.alpha2)
-    return peak_rate / (2.0 + (a + b) ** 2)
+    return PEAK_RATE_BUDGET / (2.0 + (a + b) ** 2)
 
 
 @dataclass(frozen=True)
@@ -97,13 +96,16 @@ class FringeConfig:
                 f"pump_rate_scale (--scale) must be finite and > 0, got {self.pump_rate_scale!r}"
             )
         if self.phase_points < 4:
-            raise ValueError(f"phase_points must be >= 4, got {self.phase_points}")
+            raise ValueError(f"phase_points (--points) must be >= 4, got {self.phase_points}")
         if not 0.0 < self.integration_time < math.inf:
             raise ValueError(
                 f"integration_time (--tint) must be finite and > 0, got {self.integration_time!r}"
             )
         if self.noise not in NOISE_MODES:
             raise ValueError(f"noise must be one of {NOISE_MODES}, got {self.noise!r}")
+        # a noiseless scan draws no number, so its seed is never read
+        if self.noise == "poisson" and self.rng_seed < 0:
+            raise ValueError(f"rng_seed (--seed) must be >= 0, got {self.rng_seed}")
         a = abs(self.seeds.alpha1)
         b = abs(self.seeds.alpha2)
         # count_rate at sin(dtheta) = -1, in its own order of operations, so

@@ -20,9 +20,11 @@ The route works on a batch of seed pairs at once.  ``build_composite`` keeps
 the four single-mode factors of every pair in one flat photon-number array,
 pair p in its own segment of columns: ``fock.coherent_state`` builds the two
 coherent seeds and ``fock.spacs_state`` their photon-added counterparts.
-``reduce_quanton`` and ``measures_from_state`` return one array record for
-the batch, and every check names the seed pair at fault.  Inner products
-and norms are taken pair by pair on contiguous segments.
+The state holds the pure path density matrix ``pure`` and the reduced one,
+``reduced``, built once from the detector overlaps.  Both, and the record
+``measures_from_state`` returns, are one array record for the batch, and
+every check names the seed pair at fault.  Inner products and norms are taken
+pair by pair on contiguous segments.
 ``route_residuals`` is the one comparison of the two routes that the CLI,
 the sweeps and ``verify_identities`` share; ``verify_identities`` wraps it
 in a randomized pass/fail report.
@@ -42,17 +44,16 @@ from .analytic import (
     MEASURE_FIELDS,
     ComplementarityMeasures,
     PointError,
-    QuantonAmplitudes,
     QuantonDensityMatrix,
     _clamped_sqrt,
     _fail_first,
     closed_form_measures,
-    path_amplitudes,
+    path_density,
     validate_measures,
 )
 from .fock import Segments, coherent_state, cutoffs_for_means, spacs_state
 
-_STATE_NORM_ATOL = 1e-10
+_FACTOR_NORM_ATOL = 1e-10
 
 # Beyond this seed magnitude the required cutoffs grow quadratically while the
 # closed forms stay exact, so the sweep and verify oracle draws stop here.
@@ -96,11 +97,13 @@ class _NamingSeedPairs:
 class CompositeState:
     """Joint quanton-detector states of a batch of seed pairs.
 
-    Pair p's state is c1 |path 1>|d1> + c2 |path 2>|d2>.  The quanton factor
-    is an explicit two-level path label (the signal photon occupies exactly
-    one of two orthonormal modes) and each detector is a product state of
-    the two idler modes, kept as its factors: d1 = a†|alpha_1> |alpha_2> and
-    d2 = |alpha_1> a†|alpha_2>, photon-added factors normalized.
+    Pair p's state is c1 |path 1>|d1> + c2 |path 2>|d2>, and ``pure`` is
+    the density matrix of its path part c1 |path 1> + c2 |path 2>.  The
+    quanton factor is an explicit two-level path label (the signal photon
+    occupies exactly one of two orthonormal modes) and each detector is a
+    product state of the two idler modes, kept as its factors:
+    d1 = a†|alpha_1> |alpha_2> and d2 = |alpha_1> a†|alpha_2>, photon-added
+    factors normalized.
 
     ``seeds`` is the (pairs, 2) complex seed array.  ``factors`` has one row
     per factor (the ``COHERENT_1`` .. ``ADDED_2`` rows) and pair p's levels
@@ -108,17 +111,20 @@ class CompositeState:
 
     Construction takes the inner products once, pair by pair on contiguous
     segments: ``detector_gram[i, j, p]`` is <d_i+1|d_j+1>, the product of
-    two idler inner products, and ``path_weights`` holds c_j^2 <d_j|d_j>,
-    whose sum is the global norm^2.  Every factor and the global state must
-    have unit norm.
+    two idler inner products.  It then traces the detector out: for
+    |psi> = sum_j c_j |j>|d_j> the reduced quanton matrix ``reduced`` has
+    rho[i][j] = c_i c_j <d_j|d_i>, formed from ``pure`` and the Gram matrix
+    (the full index contraction over the joint idler vectors gives the same
+    matrix; the test suite checks that equivalence).  Every factor must have
+    unit norm, and the reduced trace, which is the global norm^2, must be 1.
     """
 
     seeds: np.ndarray
     segments: Segments
     factors: np.ndarray
-    amplitudes: QuantonAmplitudes
+    pure: QuantonDensityMatrix
     detector_gram: np.ndarray = field(init=False)
-    path_weights: tuple = field(init=False)
+    reduced: QuantonDensityMatrix = field(init=False)
 
     def __post_init__(self):
         count = len(self.seeds)
@@ -126,7 +132,7 @@ class CompositeState:
             self.seeds.shape != (count, 2)
             or len(self.segments.cutoffs) != count
             or self.factors.shape != (4, self.segments.size)
-            or np.shape(self.amplitudes.c1) != (count,)
+            or np.shape(self.pure.rho11) != (count,)
         ):
             raise ValueError(
                 f"factor layout does not match the {count} seed pairs: factors "
@@ -151,33 +157,26 @@ class CompositeState:
             )
         # one contiguous row per overlap: strided rows slow every check below
         overlaps = np.array(overlaps, dtype=complex).reshape(count, 8).T.copy()
-        object.__setattr__(self, "detector_gram", overlaps[4:].reshape(2, 2, count))
+        gram = overlaps[4:].reshape(2, 2, count)
+        object.__setattr__(self, "detector_gram", gram)
         norms_sq = overlaps[:4].real
-        w1, w2, _ = self.amplitudes.density
-        weights = (w1 * overlaps[4].real, w2 * overlaps[7].real)
-        object.__setattr__(self, "path_weights", weights)
-        global_norm_sq = weights[0] + weights[1]
-        errors = np.empty((5, count))
-        np.sqrt(norms_sq, out=errors[:4])
-        errors[4] = global_norm_sq
-        errors -= 1.0
-        np.abs(errors, out=errors)
         # a NaN norm, from a non-finite factor, compares false and fails too
-        unit = errors <= _STATE_NORM_ATOL
-        if np.count_nonzero(unit) == unit.size:
-            return
-        unit_error, global_error = errors[:4], errors[4]
-        off_unit = ~unit[:4]
+        off_unit = ~(np.abs(np.sqrt(norms_sq) - 1.0) <= _FACTOR_NORM_ATOL)
 
         def detail(k):
-            if off_unit[:, k].any():
-                row = off_unit[:, k].argmax()
-                norm = math.sqrt(norms_sq[row, k])
-                return f"{_FACTOR_NAMES[row]} norm {norm!r} is not unit"
-            return f"global state norm^2 {float(global_norm_sq[k])!r} is not unit"
+            row = off_unit[:, k].argmax()
+            return f"{_FACTOR_NAMES[row]} norm {math.sqrt(norms_sq[row, k])!r} is not unit"
 
+        pure = self.pure
         with _NamingSeedPairs(self.seeds):
-            _fail_first(off_unit.any(axis=0) | (global_error > _STATE_NORM_ATOL), detail)
+            _fail_first(off_unit.any(axis=0), detail)
+            # the trace check of this matrix is the global norm^2 check
+            reduced = QuantonDensityMatrix(
+                pure.rho11 * gram[0, 0].real,
+                pure.rho22 * gram[1, 1].real,
+                pure.coherence * gram[1, 0],
+            )
+        object.__setattr__(self, "reduced", reduced)
 
     @property
     def cutoffs(self) -> np.ndarray:
@@ -209,25 +208,8 @@ def build_composite(seeds) -> CompositeState:
         coherent_state(seeds.T, segments, out=factors[:2])
         spacs_state(factors[:2], segments, out=factors[2:])
         factors.setflags(write=False)
-        amplitudes = path_amplitudes(mags_sq[0], mags_sq[1])
-    return CompositeState(seeds, segments, factors, amplitudes)
-
-
-def reduce_quanton(state: CompositeState) -> QuantonDensityMatrix:
-    """Trace the detector out of each pair's pure composite state.
-
-    For |psi> = sum_j c_j |j>|d_j> the partial trace over the detector is
-    rho[i][j] = c_i c_j <d_j|d_i>, which is evaluated here from the path
-    weights and the detector Gram matrix, explicit Fock inner products of the
-    detector factors that the state took at construction (the full index
-    contraction over the joint idler vectors gives the same matrix; the test
-    suite checks that equivalence).  Returns one array record for the batch;
-    trace and positivity are checked per pair.
-    """
-    rho11, rho22 = state.path_weights
-    rho12 = state.amplitudes.density[2] * state.detector_gram[1, 0]
-    with _NamingSeedPairs(state.seeds):
-        return QuantonDensityMatrix(rho11, rho22, rho12)
+        pure = path_density(mags_sq[0], mags_sq[1])
+    return CompositeState(seeds, segments, factors, pure)
 
 
 def measures_from_state(state: CompositeState) -> ComplementarityMeasures:
@@ -242,14 +224,13 @@ def measures_from_state(state: CompositeState) -> ComplementarityMeasures:
     None of the closed forms used by the analytic route appear here.  The
     batch is checked once by ``validate_measures``.
     """
-    rho11, rho22, rho12 = state.amplitudes.density
+    pure, reduced = state.pure, state.reduced
     fidelity = state.detector_gram[0, 1]
     f_abs = np.hypot(fidelity.real, fidelity.imag)
-    paired_root = 2.0 * np.sqrt(rho11 * rho22)
+    paired_root = 2.0 * np.sqrt(pure.rho11 * pure.rho22)
     paired_root_f = paired_root * f_abs
     pr2, prf2 = paired_root * paired_root, paired_root_f * paired_root_f
-    visibility = 2.0 * rho12
-    reduced = reduce_quanton(state)
+    visibility = 2.0 * pure.coherence
     balance = reduced.rho11 - reduced.rho22
     coherence_off = reduced.coherence
     with _NamingSeedPairs(state.seeds):
@@ -385,10 +366,16 @@ def verify_identities(
     min(sample_count, ``ORACLE_SAMPLES_MAX``) pairs capped at
     ``ORACLE_ALPHA_MAX`` compares the Fock-space route against the closed
     forms field by field, plus the reduced-purity route to the source
-    purity, to ``ORACLE_ATOL``.  Violations are reported, not raised; the
-    caller decides what a failing report means.
-    Deterministic for a fixed ``rng_seed``.
+    purity, to ``ORACLE_ATOL``.  Route disagreements are reported, not
+    raised, and the caller decides what a failing report means.  Identity
+    violations are not: both routes pass their measures through
+    ``validate_measures``, which raises ValueError at the first point that
+    breaks an identity by more than the same 1e-12, or leaves [0, 1],
+    before any report is built.  Deterministic for a fixed ``rng_seed``
+    (--seed), which must be >= 0.
     """
+    if rng_seed < 0:
+        raise ValueError(f"rng_seed (--seed) must be >= 0, got {rng_seed}")
     if sample_count < 1:
         raise ValueError(f"sample_count (--samples) must be >= 1, got {sample_count}")
     if not (math.isfinite(alpha_max) and alpha_max >= 0.0):

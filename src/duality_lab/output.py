@@ -340,7 +340,7 @@ def _svg_header(width: int, height: int, title: str) -> list[str]:
     ]
 
 
-def render_curves_svg(table: SweepTable, title: str = "duality measures") -> str:
+def render_curves_svg(table: SweepTable) -> str:
     """Six measure curves against |alpha_1| with axes and a legend."""
     columns = _table_columns(table)
     width, height = 840, 560
@@ -355,7 +355,7 @@ def render_curves_svg(table: SweepTable, title: str = "duality measures") -> str
     def py(y: float) -> float:
         return bottom - y * (bottom - top)
 
-    parts = _svg_header(width, height, title)
+    parts = _svg_header(width, height, "duality measures")
     # frame and ticks
     parts.append(
         f'<rect x="{left:.2f}" y="{top:.2f}" width="{right - left:.2f}" '

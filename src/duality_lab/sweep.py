@@ -63,8 +63,12 @@ class AxisSpec:
         if self.stop < self.start:
             raise ValueError("stop must be >= start")
 
+    def points(self) -> float:
+        """``count()`` as a float: inf where the number of steps overflows."""
+        return float(np.floor((self.stop - self.start) / self.step + 1e-9)) + 1.0
+
     def count(self) -> int:
-        return int(math.floor((self.stop - self.start) / self.step + 1e-9)) + 1
+        return int(self.points())
 
     def values(self) -> np.ndarray:
         vals = self.start + np.arange(self.count()) * self.step
@@ -96,6 +100,16 @@ class SweepGrid:
                 raise ValueError(f"{self.mode} mode needs an alpha axis")
             if self.mode == "surface" and self.gamma_axis is None:
                 raise ValueError("surface mode needs a gamma axis")
+            axes = {"--amax / --astep": self.alpha_axis}
+            if self.mode == "surface":
+                axes["--gstep"] = self.gamma_axis
+            for flags, axis in axes.items():
+                # refused before count() turns an overflowing float into an int
+                if not axis.points() <= MAX_GRID_POINTS:
+                    raise ValueError(
+                        f"the grid axis set by {flags} has {axis.points():.12g} points, "
+                        f"above the {MAX_GRID_POINTS} limit"
+                    )
             # checked here because expansion builds no SeedPair per point
             largest = self.alpha_axis.last()
             flags = "--amax"

@@ -15,7 +15,7 @@ import pytest
 from duality_lab.analytic import MEASURE_FIELDS, SeedPair, complementarity_measures
 from duality_lab.cli import main
 from duality_lab.interferometer import FringeConfig, fit_fringe, simulate_fringe
-from duality_lab.oracle import build_composite, measures_from_state, reduce_quanton
+from duality_lab.oracle import build_composite, measures_from_state
 from duality_lab.sweep import fig2a_grid, fig2b_grid, run_sweep, surface_grid
 
 
@@ -59,7 +59,7 @@ def test_criterion_2_oracle_equivalence(capsys):
     pairs = random_seed_pairs(rng, 200, 3.0)
     state = build_composite([(seeds.alpha1, seeds.alpha2) for seeds in pairs])
     fock_route = measures_from_state(state)
-    purity_mu2 = 2.0 * reduce_quanton(state).purity() - 1.0
+    purity_mu2 = 2.0 * state.reduced.purity() - 1.0
     worst_field = 0.0
     worst_purity = 0.0
     for k, seeds in enumerate(pairs):

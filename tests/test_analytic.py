@@ -7,13 +7,12 @@ import pytest
 from duality_lab.analytic import (
     MEASURE_FIELDS,
     ComplementarityMeasures,
-    QuantonAmplitudes,
     QuantonDensityMatrix,
     SeedPair,
     closed_form_measures,
     complementarity_measures,
     detector_fidelity,
-    path_amplitudes,
+    path_density,
     validate_measures,
 )
 
@@ -45,31 +44,25 @@ class TestSeedPair:
 def pure_density(seeds: SeedPair) -> QuantonDensityMatrix:
     """Density matrix of the pure path superposition c1 |1> + c2 |2>."""
     a, b = abs(seeds.alpha1), abs(seeds.alpha2)
-    return QuantonDensityMatrix(*path_amplitudes(a * a, b * b).density)
+    return path_density(a * a, b * b)
 
 
-class TestQuantonAmplitudes:
+class TestPathDensity:
     def test_equal_seeds_are_balanced(self):
         for alpha in (0.0, 1.0, 3.7, 2.0 + 1.0j):
-            amps = path_amplitudes(abs(alpha) ** 2, abs(alpha) ** 2)
-            assert amps.c1 == pytest.approx(1 / math.sqrt(2), abs=1e-15)
-            assert amps.c2 == amps.c1
+            rho = path_density(abs(alpha) ** 2, abs(alpha) ** 2)
+            assert rho.rho11 == pytest.approx(0.5, abs=1e-15)
+            assert rho.rho22 == rho.rho11
 
     def test_two_one_point(self):
-        amps = path_amplitudes(4.0, 1.0)
-        assert amps.c1 == pytest.approx(math.sqrt(5 / 7), abs=1e-15)
-        assert amps.c2 == pytest.approx(math.sqrt(2 / 7), abs=1e-15)
+        rho = path_density(4.0, 1.0)
+        assert rho.rho11 == pytest.approx(5 / 7, abs=1e-15)
+        assert rho.rho22 == pytest.approx(2 / 7, abs=1e-15)
 
-    def test_normalization_random(self):
+    def test_trace_random(self):
         mags = np.random.default_rng(0).uniform(0.0, 10.0, (2, 100))
-        amps = path_amplitudes(*(mags * mags))
-        assert np.all(np.abs(amps.c1**2 + amps.c2**2 - 1.0) < 1e-12)
-
-    def test_path_amplitudes_are_checked(self):
-        with pytest.raises(ValueError, match="point 1: c1\\^2 \\+ c2\\^2 deviates"):
-            QuantonAmplitudes(np.array([0.6, 0.8, 1.0]), np.array([0.8, 0.8, 0.0]))
-        with pytest.raises(ValueError, match="point 2: path amplitudes must be non-negative"):
-            QuantonAmplitudes(np.array([0.6, 1.0, -1.0]), np.array([0.8, 0.0, 0.0]))
+        rho = path_density(*(mags * mags))
+        assert np.all(np.abs(rho.rho11 + rho.rho22 - 1.0) < 1e-12)
 
 
 class TestDetectorFidelity:
@@ -165,7 +158,7 @@ class TestComplementarityMeasures:
         rng = np.random.default_rng(3)
         for seeds in random_seed_pairs(rng, 200, 10.0):
             m1 = complementarity_measures(seeds)
-            m2 = complementarity_measures(seeds.swapped())
+            m2 = complementarity_measures(SeedPair(seeds.alpha2, seeds.alpha1))
             for name in MEASURE_FIELDS:
                 assert abs(getattr(m1, name) - getattr(m2, name)) <= 1e-15
 

@@ -117,6 +117,11 @@ class TestVerifyCommand:
         err = capsys.readouterr().err
         assert "error: alpha_max (--alpha-max) must be finite and >= 0" in err
 
+    def test_negative_seed_is_named(self, monkeypatch, capsys):
+        monkeypatch.setattr(oracle, "_sample_seeds", _fail_if_called)
+        assert main(["verify", "--seed", "-1"]) == 1
+        assert capsys.readouterr().err == "error: rng_seed (--seed) must be >= 0, got -1\n"
+
     def test_alpha_max_above_seed_bound_exits_one_up_front(self, monkeypatch, capsys):
         monkeypatch.setattr(oracle, "closed_form_measures", _fail_if_called)
         assert main(["verify", "--alpha-max", "1001"]) == 1
@@ -187,6 +192,24 @@ class TestSweepCommand:
         assert rc == 1
         assert f"error: --gstep applies to --mode surface only, not {mode}" in (
             capsys.readouterr().err
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("args, flags, points", [
+        (["--mode", "fig2a", "--amax", "1", "--astep", "5e-324"], "--amax / --astep", "inf"),
+        (["--mode", "surface", "--amax", "1e300", "--astep", "1e-300"], "--amax / --astep", "inf"),
+        (["--mode", "surface", "--gstep", "1e-320", "--amax", "0"], "--gstep", "inf"),
+        (["--mode", "fig2b", "--amax", "1", "--astep", "1e-300"], "--amax / --astep", "1e+300"),
+        (["--mode", "fig2a", "--amax", "1", "--astep", "1e-6"], "--amax / --astep", "1000001"),
+    ])
+    def test_axis_past_the_limit_exits_one(
+        self, tmp_path, monkeypatch, capsys, args, flags, points
+    ):
+        monkeypatch.setattr(sweep, "_grid_columns", _fail_if_called)
+        out = tmp_path / "grid.csv"
+        assert main(["sweep", *args, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: the grid axis set by {flags} has {points} points, above the 1000000 limit\n"
         )
         assert not out.exists()
 
@@ -271,6 +294,8 @@ class TestFringeAndFitCommands:
         (["--scale", "1e308", "--noise", "none"], "--scale"),
         (["--scale", "1e200", "--noise", "none"], "--scale"),
         (["--scale", "1e10", "--tint", "1e9"], "--tint"),
+        (["--seed", "-1"], "rng_seed (--seed) must be >= 0, got -1"),
+        (["--points", "3"], "phase_points (--points) must be >= 4, got 3"),
     ])
     def test_bad_scale_or_tint_is_named_up_front(self, tmp_path, monkeypatch, capsys, args, flag):
         monkeypatch.setattr(cli, "simulate_fringe", _fail_if_called)
@@ -280,6 +305,29 @@ class TestFringeAndFitCommands:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and flag in err
         assert err.count("\n") == 1  # no warning or traceback
+        assert not out.exists()
+
+    def test_noiseless_scan_ignores_its_seed(self, tmp_path):
+        args = ["fringe", "--alpha1", "2", "--alpha2", "1", "--points", "16", "--noise", "none"]
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert main(args + ["--seed", "-1", "--out", str(a)]) == 0
+        assert main(args + ["--seed", "0", "--out", str(b)]) == 0
+        # the header records the seed; the counts do not depend on it
+        data = [[line for line in path.read_text().splitlines() if not line.startswith("#")]
+                for path in (a, b)]
+        assert data[0] == data[1] and len(data[0]) == 17
+
+    def test_out_of_memory_exits_one(self, tmp_path, monkeypatch, capsys):
+        def no_memory(config):
+            raise MemoryError("Unable to allocate 745. GiB for an array")
+
+        monkeypatch.setattr(cli, "simulate_fringe", no_memory)
+        out = tmp_path / "scan.csv"
+        argv = ["fringe", "--alpha1", "1", "--alpha2", "1", "--points", "100000000000",
+                "--out", str(out)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err == "error: out of memory: Unable to allocate 745. GiB for an array\n"
         assert not out.exists()
 
     def test_counts_too_small_to_fit_exit_one(self, tmp_path, capsys):

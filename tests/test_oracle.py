@@ -29,7 +29,6 @@ from duality_lab.oracle import (
     _sample_seeds,
     build_composite,
     measures_from_state,
-    reduce_quanton,
     route_residuals,
     verify_identities,
 )
@@ -52,7 +51,8 @@ def partial_trace_by_contraction(state, k) -> np.ndarray:
     """Pair k's reduced quanton matrix the long way: build the full joint
     amplitude table psi[path, idler] and contract the idler index explicitly."""
     d1, d2 = detector_vectors(state, k)
-    psi = np.stack([state.amplitudes.c1[k] * d1, state.amplitudes.c2[k] * d2])
+    c1, c2 = np.sqrt(state.pure.rho11[k]), np.sqrt(state.pure.rho22[k])
+    psi = np.stack([c1 * d1, c2 * d2])
     return psi @ psi.conj().T
 
 
@@ -191,7 +191,7 @@ def assert_batch_matches_reference(seeds):
     for name, values in expected.items():
         assert np.array_equal(residuals[name], values), name
     state = build_composite(seeds)
-    fock_route, reduced = measures_from_state(state), reduce_quanton(state)
+    fock_route, reduced = measures_from_state(state), state.reduced
     for k, seed_pair in enumerate(pairs):
         measures, _, (red11, red22, red12) = reference_measures(seed_pair)
         assert {name: getattr(fock_route, name)[k] for name in MEASURE_FIELDS} == measures
@@ -314,7 +314,7 @@ class TestBuildComposite:
         stretched = state.factors.copy()
         pair = slice(*state.segments.bounds[1])
         stretched[[ADDED_1, COHERENT_2], pair] *= 1.0 + 0.9e-10
-        with pytest.raises(ValueError, match=r"seed pair 1 .*global state norm\^2 .* is not unit"):
+        with pytest.raises(ValueError, match=r"seed pair 1 .*trace deviates from 1"):
             dataclasses.replace(state, factors=stretched)
 
     def test_non_finite_input_is_named(self):
@@ -338,15 +338,15 @@ class TestBuildComposite:
                 build_composite(seeds)
 
 
-class TestReduceQuanton:
+class TestReducedMatrix:
     def test_vacuum_seeds(self):
-        rho = reduce_quanton(build_composite([(0, 0)]))
+        rho = build_composite([(0, 0)]).reduced
         assert rho.rho11[0] == pytest.approx(0.5, abs=1e-12)
         assert rho.rho22[0] == pytest.approx(0.5, abs=1e-12)
         assert abs(rho.rho12[0]) < 1e-15
 
     def test_two_one_point(self):
-        rho = reduce_quanton(build_composite([(2, 1)]))
+        rho = build_composite([(2, 1)]).reduced
         assert rho.rho11[0] == pytest.approx(5 / 7, abs=1e-9)
         assert rho.rho22[0] == pytest.approx(2 / 7, abs=1e-9)
         # reduced coherence carries the detector overlap: sqrt(10)/7 * 2/sqrt(10)
@@ -355,18 +355,18 @@ class TestReduceQuanton:
     def test_phase_convention(self):
         # rho12 carries the phase of conj(alpha1) alpha2
         for pair in ((1.0, 1.0j), (0.7 + 0.2j, 1.3 - 0.5j)):
-            rho = reduce_quanton(build_composite([pair]))
+            rho = build_composite([pair]).reduced
             expected = cmath.phase(complex(pair[0]).conjugate() * pair[1])
             assert cmath.phase(rho.rho12[0]) == pytest.approx(expected, abs=1e-12)
 
     def test_unit_trace(self):
-        rho = reduce_quanton(build_composite(random_seeds(np.random.default_rng(22), 20, 3.0)))
+        rho = build_composite(random_seeds(np.random.default_rng(22), 20, 3.0)).reduced
         assert np.all(np.abs(rho.rho11 + rho.rho22 - 1.0) < 1e-10)
 
     def test_matches_full_contraction(self):
         seeds = random_seeds(np.random.default_rng(23), 10, 3.0)
         state = build_composite(seeds)
-        rho = reduce_quanton(state)
+        rho = state.reduced
         for k in range(len(seeds)):
             full = partial_trace_by_contraction(state, k)
             assert abs(rho.rho11[k] - full[0, 0].real) < 1e-12
@@ -410,13 +410,13 @@ class TestMeasuresFromState:
 
     def test_purity_identity(self):
         seeds = random_seeds(np.random.default_rng(25), 50, 4.0)
-        lhs = 2.0 * reduce_quanton(build_composite(seeds)).purity() - 1.0
+        lhs = 2.0 * build_composite(seeds).reduced.purity() - 1.0
         assert np.all(np.abs(lhs - closed_at(seeds).mu_s ** 2) < 1e-8)
 
     def test_entanglement_concurrence_route(self):
         # E for a pure joint state equals sqrt(2 (1 - Tr[rho_r^2]))
         state = build_composite(random_seeds(np.random.default_rng(26), 50, 3.0))
-        purity = reduce_quanton(state).purity()
+        purity = state.reduced.purity()
         concurrence = np.sqrt(np.maximum(0.0, 2.0 * (1.0 - purity)))
         assert np.all(np.abs(measures_from_state(state).E - concurrence) < 1e-8)
 
