@@ -15,6 +15,9 @@ normalized photon-added counterparts.  ``inner_product`` and
 ``tensor_product`` act on one state's 1-d amplitude array; the latter builds
 the joint two-mode vector for tests that contract it in full.  A single state
 is a one-segment batch: ``coherent_state([[alpha]], Segments([cutoff]))[0]``.
+
+Only the oracle needs this module's scipy functions, so ``scipy.special`` is
+loaded when a cutoff or a coherent state is first computed, not on import.
 """
 
 from __future__ import annotations
@@ -25,9 +28,8 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 import numpy as np
-from scipy.special import gammainc, gammaln
 
-from .analytic import _SEED_MAGNITUDE_MAX, _fail_first
+from .analytic import _fail_first
 
 
 # The Poisson(mean) tail falls below 1e-12 near the Cornish-Fisher level
@@ -48,6 +50,8 @@ def _minimal_cutoffs(means, tolerance: float, floor: int, ceiling: int) -> np.nd
     guess.  Raises ValueError naming the first mean that is negative or NaN,
     or that even ``ceiling`` leaves too much tail.
     """
+    from scipy.special import gammainc  # local: the closed-form commands never load scipy
+
     means = np.asarray(means, dtype=float)
     start = np.floor(
         means + _TAIL_Z * np.sqrt(means) + ((_TAIL_Z * _TAIL_Z + 2.0) / 6.0 - 4.0)
@@ -93,17 +97,13 @@ class CutoffPolicy:
 
 _TAIL_TOLERANCE = 1e-12
 _CUTOFF_FLOOR = 16
-_MEAN_MAX = _SEED_MAGNITUDE_MAX**2
 
 # The ceiling is the cutoff the largest seed ``SeedPair`` accepts
-# (|alpha| = 1000) needs, so no valid seed is refused.  Twice the mean photon
-# number lies ~1000 standard deviations out, where the Poisson tail underflows
-# to zero.
-DEFAULT_POLICY = CutoffPolicy(
-    _TAIL_TOLERANCE,
-    _CUTOFF_FLOOR,
-    int(_minimal_cutoffs([_MEAN_MAX], _TAIL_TOLERANCE, _CUTOFF_FLOOR, int(2 * _MEAN_MAX))[0]),
-)
+# (|alpha| = 1000, mean photon number 1e6) needs, so no valid seed is refused.
+# It is pinned so that importing this module computes nothing and loads no
+# scipy; tests/test_fock.py derives it with ``_minimal_cutoffs`` over
+# [floor, 2e6], where the Poisson tail underflows to zero.
+DEFAULT_POLICY = CutoffPolicy(_TAIL_TOLERANCE, _CUTOFF_FLOOR, 1_007_044)
 
 def cutoffs_for_means(means) -> np.ndarray:
     """The cutoff rule of ``DEFAULT_POLICY`` for each mean photon number |alpha|^2.
@@ -195,6 +195,8 @@ def coherent_state(
     stays finite for any representable alpha.  Returns ``out`` (allocated
     when None), shaped (rows, ``segments.size``).
     """
+    from scipy.special import gammaln  # local: the closed-form commands never load scipy
+
     alphas = np.asarray(alphas, dtype=complex)
     cutoffs, lengths = segments.cutoffs, segments.lengths
     if alphas.ndim != 2 or alphas.shape[1] != len(cutoffs):

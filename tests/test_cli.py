@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from scipy.special import gammainc
@@ -388,3 +392,33 @@ class TestParserReuse:
         args = parser.parse_args(["measures", "--alpha1", "1", "--alpha2", "1"])
         assert not args.json and not args.oracle
         assert not hasattr(args, "seed") and not hasattr(args, "out")
+
+
+# Runs in a fresh interpreter: the test session itself has scipy loaded.
+_SCIPY_PROBE = """
+import sys
+from pathlib import Path
+from duality_lab import cli
+out = Path(sys.argv[1])
+closed = [
+    ["measures", "--alpha1", "2", "--alpha2", "1"],
+    ["sweep", "--mode", "fig2a", "--out", str(out / "fig2a.csv")],
+    ["fringe", "--alpha1", "2", "--alpha2", "1", "--out", str(out / "scan.csv")],
+    ["fit", "--input", str(out / "scan.csv")],
+]
+for argv in closed:
+    assert cli.main(argv) == 0, argv
+    assert "scipy" not in sys.modules, argv
+assert cli.main(["measures", "--alpha1", "2", "--alpha2", "1", "--oracle"]) == 0
+assert "scipy.special" in sys.modules
+"""
+
+
+def test_closed_form_commands_never_load_scipy(tmp_path):
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    run = subprocess.run(
+        [sys.executable, "-c", _SCIPY_PROBE, str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert run.returncode == 0, run.stderr

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from scipy.special import gammainc
 
+from duality_lab.analytic import _SEED_MAGNITUDE_MAX
 from duality_lab.fock import (
     DEFAULT_POLICY,
     Segments,
+    _minimal_cutoffs,
     apply_creation,
     choose_cutoff,
     coherent_state,
@@ -247,6 +249,14 @@ class TestChooseCutoff:
     def test_default_ceiling_serves_the_largest_seed(self):
         # |alpha| = 1000 is the largest magnitude SeedPair accepts
         assert choose_cutoff([1000.0]) == DEFAULT_POLICY.ceiling == 1_007_044
+
+    def test_pinned_ceiling_is_derived(self):
+        # the pinned ceiling is the cutoff for the largest mean photon number,
+        # searched up to twice that mean, where the Poisson tail underflows
+        assert _SEED_MAGNITUDE_MAX**2 == 1e6
+        derived = _minimal_cutoffs([1e6], 1e-12, 16, 2_000_000)[0]
+        assert derived == DEFAULT_POLICY.ceiling == 1_007_044
+        assert (DEFAULT_POLICY.tail_tolerance, DEFAULT_POLICY.floor) == (1e-12, 16)
 
     def test_bisection_matches_linear_scan(self):
         # a linear scan, as choose_cutoff did up to a ceiling of 512, is the reference
