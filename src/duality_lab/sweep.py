@@ -7,11 +7,14 @@ Three canned grids cover the interesting landscape:
   * ``surface`` — two axes, the seed ratio gamma = |alpha_2|/|alpha_1| and
     the magnitude |alpha| = |alpha_2|, so |alpha_1| = |alpha| / gamma.
 
-A sweep expands its grid into magnitude columns, evaluates the closed forms
-over all points in one call and returns a ``SweepTable``, which validates
-the measures when it is built; the emitters in ``output`` write its columns.
-An optional oracle check re-evaluates eligible points through the
-Fock-space route and records the worst per-field deviation.
+An explicit list of seed pairs is a fourth grid.  Each factory checks its
+arguments once, naming the CLI flag at fault, and expands its grid into a
+``SweepGrid``: the magnitude columns of every point, in row-major axis
+order.  ``run_sweep`` evaluates the closed forms over all points in one call
+and returns a ``SweepTable``, which validates the measures when it is built;
+the emitters in ``output`` write its columns.  An optional oracle check
+re-evaluates eligible points through the Fock-space route and records the
+worst per-field deviation.
 """
 
 from __future__ import annotations
@@ -35,8 +38,6 @@ from .oracle import ORACLE_ALPHA_MAX, route_residuals
 
 logger = logging.getLogger(__name__)
 
-SWEEP_MODES = ("fig2a", "fig2b", "surface", "explicit")
-
 MAX_GRID_POINTS = 1_000_000
 
 DEFAULT_FIG2_ALPHA_MAX = 6.0
@@ -46,98 +47,73 @@ DEFAULT_SURFACE_ALPHA_STEP = 0.1
 DEFAULT_SURFACE_GAMMA_STEP = 0.02
 
 
-@dataclass(frozen=True)
-class AxisSpec:
-    """Inclusive arithmetic grid start, start+step, ..., capped at stop."""
-
-    start: float
-    stop: float
-    step: float
-
-    def __post_init__(self):
-        for name in ("start", "stop", "step"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
-        if self.step <= 0.0:
-            raise ValueError(f"step must be > 0, got {self.step}")
-        if self.stop < self.start:
-            raise ValueError("stop must be >= start")
-
-    def points(self) -> float:
-        """``count()`` as a float: inf where the number of steps overflows."""
-        return float(np.floor((self.stop - self.start) / self.step + 1e-9)) + 1.0
-
-    def count(self) -> int:
-        return int(self.points())
-
-    def values(self) -> np.ndarray:
-        vals = self.start + np.arange(self.count()) * self.step
-        # the last point may overshoot stop by rounding; pin it back
-        return np.minimum(vals, self.stop)
-
-    def last(self) -> float:
-        """``values()[-1]``, without expanding the axis."""
-        return min(self.start + (self.count() - 1) * self.step, self.stop)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SweepGrid:
-    mode: str
-    alpha_axis: Optional[AxisSpec] = None
-    gamma_axis: Optional[AxisSpec] = None
-    seeds: tuple = ()
-    oracle_check: bool = False
+    """A grid's points as magnitude columns, in row-major axis order.
 
-    def __post_init__(self):
-        if self.mode not in SWEEP_MODES:
-            raise ValueError(f"mode must be one of {SWEEP_MODES}, got {self.mode!r}")
-        if self.mode == "explicit":
-            if not self.seeds:
-                raise ValueError("explicit mode needs at least one seed pair")
-            object.__setattr__(self, "seeds", tuple(self.seeds))
-        else:
-            if self.alpha_axis is None:
-                raise ValueError(f"{self.mode} mode needs an alpha axis")
-            if self.mode == "surface" and self.gamma_axis is None:
-                raise ValueError("surface mode needs a gamma axis")
-            axes = {"--amax / --astep": self.alpha_axis}
-            if self.mode == "surface":
-                axes["--gstep"] = self.gamma_axis
-            for flags, axis in axes.items():
-                # refused before count() turns an overflowing float into an int
-                if not axis.points() <= MAX_GRID_POINTS:
-                    raise ValueError(
-                        f"the grid axis set by {flags} has {axis.points():.12g} points, "
-                        f"above the {MAX_GRID_POINTS} limit"
-                    )
-            # checked here because expansion builds no SeedPair per point
-            largest = self.alpha_axis.last()
-            flags = "--amax"
-            if self.mode == "surface":
-                largest /= self.gamma_axis.start
-                flags = "--amax / --gstep"
-            if not largest <= _SEED_MAGNITUDE_MAX:
-                raise ValueError(
-                    f"largest |alpha1| = {largest:.6g} exceeds the sanity bound "
-                    f"{_SEED_MAGNITUDE_MAX:g} (set by {flags})"
-                )
+    Built by ``fig2a_grid``, ``fig2b_grid``, ``surface_grid`` and
+    ``explicit_grid``, which check their arguments first.  ``seeds`` holds
+    an explicit list's (points, 2) complex seed pairs, whose phases the
+    oracle check uses, and is None for the canned grids.  ``skipped``
+    counts the surface points dropped at |alpha| = 0.
+    """
+
+    alpha1_abs: np.ndarray
+    alpha2_abs: np.ndarray
+    gamma: np.ndarray
+    oracle_check: bool = False
+    seeds: Optional[np.ndarray] = None
+    skipped: int = 0
 
     def point_count(self) -> int:
-        if self.mode == "explicit":
-            return len(self.seeds)
-        count = self.alpha_axis.count()
-        if self.mode == "surface":
-            count *= self.gamma_axis.count()
-        return count
+        """Points in the grid, the skipped ones included."""
+        return len(self.gamma) + self.skipped
 
 
-def _alpha_axis(alpha_max: float, alpha_step: float) -> AxisSpec:
+def _axis(flags: str, start: float, stop: float, step: float) -> np.ndarray:
+    """The inclusive grid start, start + step, ..., capped at stop; errors name ``flags``."""
+    points = float(np.floor((stop - start) / step + 1e-9)) + 1.0
+    # refused before int() turns an overflowing float count into an int
+    if not points <= MAX_GRID_POINTS:
+        raise ValueError(
+            f"the grid axis set by {flags} has {points:.12g} points, "
+            f"above the {MAX_GRID_POINTS} limit"
+        )
+    values = start + np.arange(int(points)) * step
+    # the last point may overshoot stop by rounding; pin it back
+    return np.minimum(values, stop)
+
+
+def _alpha_axis(alpha_max: float, alpha_step: float) -> np.ndarray:
     """The |alpha| axis 0, alpha_step, ..., alpha_max; errors name the CLI flag."""
     if not (math.isfinite(alpha_max) and alpha_max >= 0.0):
         raise ValueError(f"--amax must be finite and >= 0, got {alpha_max:g}")
     if not (math.isfinite(alpha_step) and alpha_step > 0.0):
         raise ValueError(f"--astep must be finite and > 0, got {alpha_step:g}")
-    return AxisSpec(0.0, alpha_max, alpha_step)
+    return _axis("--amax / --astep", 0.0, alpha_max, alpha_step)
+
+
+def _check_seed_bound(largest: float, flags: str) -> None:
+    # checked here because expansion builds no SeedPair per point
+    if not largest <= _SEED_MAGNITUDE_MAX:
+        raise ValueError(
+            f"largest |alpha1| = {largest:.6g} exceeds the sanity bound "
+            f"{_SEED_MAGNITUDE_MAX:g} (set by {flags})"
+        )
+
+
+def _check_point_count(count: int) -> None:
+    if count > MAX_GRID_POINTS:
+        raise ValueError(f"grid has {count} points, above the {MAX_GRID_POINTS} limit")
+
+
+def _ratio_grid(
+    alpha_max: float, alpha_step: float, gamma: float, oracle_check: bool
+) -> SweepGrid:
+    """The one-axis sweep alpha_1 = |alpha|, alpha_2 = gamma |alpha|."""
+    alphas = _alpha_axis(alpha_max, alpha_step)
+    _check_seed_bound(alphas[-1], "--amax")
+    return SweepGrid(alphas, alphas * gamma, np.full_like(alphas, gamma), oracle_check)
 
 
 def fig2a_grid(
@@ -146,9 +122,7 @@ def fig2a_grid(
     oracle_check: bool = False,
 ) -> SweepGrid:
     """Equal-seed sweep alpha_1 = alpha_2 = |alpha|."""
-    return SweepGrid(
-        "fig2a", alpha_axis=_alpha_axis(alpha_max, alpha_step), oracle_check=oracle_check
-    )
+    return _ratio_grid(alpha_max, alpha_step, 1.0, oracle_check)
 
 
 def fig2b_grid(
@@ -157,9 +131,7 @@ def fig2b_grid(
     oracle_check: bool = False,
 ) -> SweepGrid:
     """Fixed-ratio sweep alpha_1 = |alpha| = 2 alpha_2."""
-    return SweepGrid(
-        "fig2b", alpha_axis=_alpha_axis(alpha_max, alpha_step), oracle_check=oracle_check
-    )
+    return _ratio_grid(alpha_max, alpha_step, 0.5, oracle_check)
 
 
 def surface_grid(
@@ -168,19 +140,48 @@ def surface_grid(
     gamma_step: float = DEFAULT_SURFACE_GAMMA_STEP,
     oracle_check: bool = False,
 ) -> SweepGrid:
-    """Two-axis sweep over gamma in (0, 1] and |alpha| = |alpha_2| in [0, alpha_max]."""
+    """Two-axis sweep over gamma in (0, 1] and |alpha| = |alpha_2| in [0, alpha_max].
+
+    Gamma is the outer axis and |alpha| the inner one.  |alpha_1| =
+    |alpha| / gamma is undefined at |alpha| = 0, so those points are
+    skipped with a notice.
+    """
     if not 0.0 < gamma_step <= 1.0:
         raise ValueError(f"--gstep must lie in (0, 1], got {gamma_step:g}")
-    return SweepGrid(
-        "surface",
-        alpha_axis=_alpha_axis(alpha_max, alpha_step),
-        gamma_axis=AxisSpec(gamma_step, 1.0, gamma_step),
-        oracle_check=oracle_check,
-    )
+    alphas = _alpha_axis(alpha_max, alpha_step)
+    gammas = _axis("--gstep", gamma_step, 1.0, gamma_step)
+    _check_seed_bound(alphas[-1] / gammas[0], "--amax / --gstep")
+    _check_point_count(len(alphas) * len(gammas))
+    kept = alphas[alphas != 0.0]
+    if not kept.size:
+        raise ValueError(
+            f"--amax / --astep must give the surface a point with |alpha| > 0, "
+            f"got --amax {alpha_max:g} below --astep {alpha_step:g}"
+        )
+    skipped = (len(alphas) - len(kept)) * len(gammas)
+    if skipped:
+        logger.warning(
+            "skipped %d surface grid points with |alpha_1| = 0 "
+            "(seed ratio undefined there)",
+            skipped,
+        )
+    a2 = np.tile(kept, len(gammas))
+    gamma = np.repeat(gammas, len(kept))
+    return SweepGrid(a2 / gamma, a2, gamma, oracle_check, skipped=skipped)
 
 
 def explicit_grid(seed_pairs: Sequence[SeedPair], oracle_check: bool = False) -> SweepGrid:
-    return SweepGrid("explicit", seeds=tuple(seed_pairs), oracle_check=oracle_check)
+    """One point per seed pair, in the order given."""
+    seed_pairs = tuple(seed_pairs)
+    if not seed_pairs:
+        raise ValueError("explicit mode needs at least one seed pair")
+    _check_point_count(len(seed_pairs))
+    seeds = np.array([(pair.alpha1, pair.alpha2) for pair in seed_pairs])
+    # np.hypot, unlike np.abs, matches abs(complex) bit for bit
+    a1, a2 = np.hypot(seeds.real, seeds.imag).T
+    gamma = np.full_like(a1, math.nan)
+    np.divide(a2, a1, out=gamma, where=a1 > 0.0)
+    return SweepGrid(a1, a2, gamma, oracle_check, seeds=seeds)
 
 
 # Emitted columns: coordinates, then the plotted measures.
@@ -230,56 +231,22 @@ class SweepTable:
         return len(self.gamma)
 
 
-def _grid_columns(grid: SweepGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Expand the grid to (|alpha_1|, |alpha_2|, gamma) in row-major axis order."""
-    if grid.mode == "explicit":
-        a1 = np.array([abs(pair.alpha1) for pair in grid.seeds])
-        a2 = np.array([abs(pair.alpha2) for pair in grid.seeds])
-        gamma = np.full_like(a1, math.nan)
-        np.divide(a2, a1, out=gamma, where=a1 > 0.0)
-        return a1, a2, gamma
-    alphas = grid.alpha_axis.values()
-    if grid.mode == "fig2a":
-        return alphas, alphas, np.full_like(alphas, 1.0)
-    if grid.mode == "fig2b":
-        return alphas, alphas / 2.0, np.full_like(alphas, 0.5)
-    # surface: gamma outer, |alpha| inner; |alpha_1| = |alpha| / gamma is
-    # undefined at |alpha| = 0, so those points are skipped with a notice.
-    gammas = grid.gamma_axis.values()
-    kept = alphas[alphas != 0.0]
-    skipped = (len(alphas) - len(kept)) * len(gammas)
-    if skipped:
-        logger.warning(
-            "skipped %d surface grid points with |alpha_1| = 0 "
-            "(seed ratio undefined there)",
-            skipped,
-        )
-    a2 = np.tile(kept, len(gammas))
-    gamma = np.repeat(gammas, len(kept))
-    return a2 / gamma, a2, gamma
-
-
-def _oracle_residuals(
-    grid: SweepGrid,
-    a1: np.ndarray,
-    a2: np.ndarray,
-    measures: ComplementarityMeasures,
-) -> Optional[np.ndarray]:
+def _oracle_residuals(grid: SweepGrid, measures: ComplementarityMeasures) -> Optional[np.ndarray]:
     """Worst per-field Fock-route deviation, NaN above the oracle cap.
 
     None when no point is within the cap.
     """
+    a1, a2 = grid.alpha1_abs, grid.alpha2_abs
     eligible = np.flatnonzero(np.maximum(a1, a2) <= ORACLE_ALPHA_MAX)
     if not eligible.size:
         return None
-    if grid.mode == "explicit":
-        seeds = np.array([(s.alpha1, s.alpha2) for s in grid.seeds])[eligible]
-    else:
-        seeds = np.stack((a1, a2), axis=1)[eligible].astype(complex)
+    seeds = grid.seeds
+    if seeds is None:
+        seeds = np.stack((a1, a2), axis=1).astype(complex)
     closed = ComplementarityMeasures(
         **{name: getattr(measures, name)[eligible] for name in MEASURE_FIELDS}
     )
-    residuals, _ = route_residuals(seeds, closed)
+    residuals, _ = route_residuals(seeds[eligible], closed)
     worst = np.full(len(a1), math.nan)
     worst[eligible] = np.max([residuals[name] for name in MEASURE_FIELDS], axis=0)
     return worst
@@ -288,18 +255,10 @@ def _oracle_residuals(
 def run_sweep(grid: SweepGrid) -> SweepTable:
     """Evaluate the closed-form measures over the grid as one table.
 
-    Points come back in row-major axis order.  With ``grid.oracle_check`` the
+    Points come back in the grid's order.  With ``grid.oracle_check`` the
     Fock-space route is also evaluated wherever both seed magnitudes are
     within the oracle cap, and the worst per-field deviation is attached.
     """
-    if grid.point_count() > MAX_GRID_POINTS:
-        raise ValueError(
-            f"grid has {grid.point_count()} points, above the "
-            f"{MAX_GRID_POINTS} limit"
-        )
-    a1, a2, gamma = _grid_columns(grid)
-    measures = closed_form_measures(a1, a2)
-    oracle_residual = None
-    if grid.oracle_check:
-        oracle_residual = _oracle_residuals(grid, a1, a2, measures)
-    return SweepTable(a1, a2, gamma, measures, oracle_residual)
+    measures = closed_form_measures(grid.alpha1_abs, grid.alpha2_abs)
+    oracle_residual = _oracle_residuals(grid, measures) if grid.oracle_check else None
+    return SweepTable(grid.alpha1_abs, grid.alpha2_abs, grid.gamma, measures, oracle_residual)

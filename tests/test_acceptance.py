@@ -59,7 +59,9 @@ def test_criterion_2_oracle_equivalence(capsys):
     pairs = random_seed_pairs(rng, 200, 3.0)
     state = build_composite([(seeds.alpha1, seeds.alpha2) for seeds in pairs])
     fock_route = measures_from_state(state)
-    purity_mu2 = 2.0 * state.reduced.purity() - 1.0
+    reduced = state.reduced
+    purity = reduced.rho11**2 + reduced.rho22**2 + 2.0 * np.abs(reduced.rho12) ** 2
+    purity_mu2 = 2.0 * purity - 1.0
     worst_field = 0.0
     worst_purity = 0.0
     for k, seeds in enumerate(pairs):

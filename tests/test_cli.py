@@ -109,6 +109,13 @@ class TestVerifyCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["all_passed"] is True
 
+    def test_oracle_draw_stays_within_alpha_max(self, capsys):
+        args = ["verify", "--samples", "20", "--seed", "1", "--alpha-max", "0.5", "--json"]
+        assert main(args) == 0
+        for check in json.loads(capsys.readouterr().out)["checks"]:
+            magnitudes = [math.hypot(*z) for z in check["worst_seed_pair"]]
+            assert max(magnitudes) <= 0.5, check["identity"]
+
     def test_bad_sample_count_exits_one(self, monkeypatch, capsys):
         monkeypatch.setattr(oracle, "_sample_seeds", _fail_if_called)
         assert main(["verify", "--samples", "0", "--seed", "1"]) == 1
@@ -171,7 +178,7 @@ class TestSweepCommand:
 
     def test_surface_seed_bound_exits_one_up_front(self, tmp_path, monkeypatch, capsys):
         # |alpha_1| = |alpha| / gamma reaches 10 / 0.002 = 5000 on this grid
-        monkeypatch.setattr(sweep, "_grid_columns", _fail_if_called)
+        monkeypatch.setattr(cli, "run_sweep", _fail_if_called)
         out = tmp_path / "surface.csv"
         rc = main(["sweep", "--mode", "surface", "--gstep", "0.002", "--out", str(out)])
         assert rc == 1
@@ -188,9 +195,21 @@ class TestSweepCommand:
         assert f"error: {flag} must" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("amax", ["0", "0.05"])
+    def test_surface_without_a_positive_alpha_is_named(self, tmp_path, caplog, capsys, amax):
+        out = tmp_path / "surface.csv"
+        args = ["sweep", "--mode", "surface", "--amax", amax, "--astep", "0.1"]
+        assert main([*args, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: --amax / --astep must give the surface a point with |alpha| > 0, "
+            f"got --amax {amax} below --astep 0.1\n"
+        )
+        assert "skipped" not in caplog.text
+        assert not out.exists()
+
     @pytest.mark.parametrize("mode", ["fig2a", "fig2b"])
     def test_gstep_outside_surface_mode_is_named(self, tmp_path, monkeypatch, capsys, mode):
-        monkeypatch.setattr(sweep, "_grid_columns", _fail_if_called)
+        monkeypatch.setattr(cli, "run_sweep", _fail_if_called)
         out = tmp_path / "g.csv"
         rc = main(["sweep", "--mode", mode, "--gstep", "5", "--amax", "1", "--out", str(out)])
         assert rc == 1
@@ -209,7 +228,7 @@ class TestSweepCommand:
     def test_axis_past_the_limit_exits_one(
         self, tmp_path, monkeypatch, capsys, args, flags, points
     ):
-        monkeypatch.setattr(sweep, "_grid_columns", _fail_if_called)
+        monkeypatch.setattr(cli, "run_sweep", _fail_if_called)
         out = tmp_path / "grid.csv"
         assert main(["sweep", *args, "--out", str(out)]) == 1
         assert capsys.readouterr().err == (

@@ -41,6 +41,11 @@ def random_seeds(rng, count, mag_max):
     return mags * np.exp(1j * phases)
 
 
+def tr_rho_squared(rho) -> np.ndarray:
+    """Tr[rho^2] = rho11^2 + rho22^2 + 2 |rho12|^2 of a quanton density record."""
+    return rho.rho11**2 + rho.rho22**2 + 2.0 * np.abs(rho.rho12) ** 2
+
+
 def detector_vectors(state, k):
     """Pair k's two detector states as full two-mode idler vectors."""
     coherent1, coherent2, added1, added2 = state.factors[:, slice(*state.segments.bounds[k])]
@@ -250,12 +255,31 @@ class TestCutoffRule:
         assert got.tolist() == expected
         assert {16, 17} <= set(got.tolist())
 
-    def test_a_bad_guess_widens_to_the_full_range(self, monkeypatch):
-        means = self.means()[::20]
-        expected = cutoffs_for_means(means)
-        for z in (0.0, 3.0, 30.0):
-            monkeypatch.setattr(fock, "_TAIL_Z", z)
-            assert np.array_equal(cutoffs_for_means(means), expected), z
+    def test_the_window_holds_the_crossing_at_every_step(self):
+        # The eight-level window moves with its start k, a step function of
+        # the mean.  Both sides of every step up to k = 20,000, and of every
+        # 97th above it, get the minimal cutoff from the window alone.
+        z, top = fock._TAIL_Z, DEFAULT_POLICY.ceiling - 7
+        shift = (z * z + 2.0) / 6.0 - 4.0
+
+        def start(mean):
+            return np.floor(mean + z * np.sqrt(mean) + shift)
+
+        ks = np.concatenate([np.arange(17, 20_001), np.arange(20_001, top + 1, 97)])
+        root = (np.sqrt(z * z + 4.0 * (ks - shift)) - z) / 2.0
+        first = root * root  # about the smallest mean whose window starts at k
+        for _ in range(16):
+            first = np.where(start(first) < ks, np.nextafter(first, np.inf), first)
+        for _ in range(16):
+            lower = np.nextafter(first, 0.0)
+            first = np.where(start(lower) >= ks, lower, first)
+        last = np.nextafter(first, 0.0)  # the largest mean of step k - 1
+        assert np.array_equal(start(first), ks) and np.array_equal(start(last), ks - 1)
+        means = np.concatenate([last, first])
+        cutoffs = cutoffs_for_means(means)
+        tol = DEFAULT_POLICY.tail_tolerance
+        assert np.all(gammainc(cutoffs, means) < tol)
+        assert np.all(gammainc(cutoffs - 1, means) >= tol)
 
     def test_beyond_the_ceiling_names_the_mean(self):
         with pytest.raises(ValueError, match=r"point 1: no cutoff <= ceiling .* 1\.21e\+06"):
@@ -410,13 +434,13 @@ class TestMeasuresFromState:
 
     def test_purity_identity(self):
         seeds = random_seeds(np.random.default_rng(25), 50, 4.0)
-        lhs = 2.0 * build_composite(seeds).reduced.purity() - 1.0
+        lhs = 2.0 * tr_rho_squared(build_composite(seeds).reduced) - 1.0
         assert np.all(np.abs(lhs - closed_at(seeds).mu_s ** 2) < 1e-8)
 
     def test_entanglement_concurrence_route(self):
         # E for a pure joint state equals sqrt(2 (1 - Tr[rho_r^2]))
         state = build_composite(random_seeds(np.random.default_rng(26), 50, 3.0))
-        purity = state.reduced.purity()
+        purity = tr_rho_squared(state.reduced)
         concurrence = np.sqrt(np.maximum(0.0, 2.0 * (1.0 - purity)))
         assert np.all(np.abs(measures_from_state(state).E - concurrence) < 1e-8)
 

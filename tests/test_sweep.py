@@ -7,8 +7,8 @@ import pytest
 
 from duality_lab.analytic import SeedPair
 from duality_lab.sweep import (
-    AxisSpec,
-    SweepGrid,
+    MAX_GRID_POINTS,
+    _axis,
     explicit_grid,
     fig2a_grid,
     fig2b_grid,
@@ -17,49 +17,36 @@ from duality_lab.sweep import (
 )
 
 
-class TestAxisSpec:
+class TestAxis:
     def test_values_include_both_endpoints(self):
-        axis = AxisSpec(0.0, 6.0, 0.05)
-        values = axis.values()
+        values = _axis("--amax / --astep", 0.0, 6.0, 0.05)
         assert values[0] == 0.0
         assert values[-1] == 6.0
         assert len(values) == 121
 
     def test_endpoint_pinned_against_rounding(self):
-        axis = AxisSpec(0.02, 1.0, 0.02)
-        values = axis.values()
+        values = _axis("--gstep", 0.02, 1.0, 0.02)
         assert len(values) == 50
         assert values[-1] == 1.0
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            AxisSpec(0.0, 1.0, 0.0)
-        with pytest.raises(ValueError):
-            AxisSpec(1.0, 0.0, 0.1)
-
 
 class TestGridConstruction:
-    def test_mode_validation(self):
-        with pytest.raises(ValueError, match="mode"):
-            SweepGrid("fig3")
-        with pytest.raises(ValueError, match="alpha axis"):
-            SweepGrid("fig2a")
-        with pytest.raises(ValueError, match="gamma axis"):
-            SweepGrid("surface", alpha_axis=AxisSpec(0, 1, 0.1))
+    def test_empty_explicit_list_rejected(self):
         with pytest.raises(ValueError, match="seed pair"):
-            SweepGrid("explicit")
+            explicit_grid([])
 
     def test_point_counts(self):
         assert fig2a_grid().point_count() == 121
         assert surface_grid().point_count() == 50 * 101
 
     def test_too_large_rejected(self):
-        grid = surface_grid(alpha_step=0.0001, gamma_step=0.01)  # 100001 x 100 points
-        with pytest.raises(ValueError, match="limit"):
-            run_sweep(grid)
+        with pytest.raises(ValueError, match="grid has 10000100 points, above the 1000000 limit"):
+            surface_grid(alpha_step=0.0001, gamma_step=0.01)  # 100001 x 100 points
         # this grid is also too large, but its |alpha_1| reaches 10 / 0.0005
         with pytest.raises(ValueError, match="sanity bound"):
             surface_grid(alpha_step=0.001, gamma_step=0.0005)
+        with pytest.raises(ValueError, match="grid has 1000001 points, above the 1000000 limit"):
+            explicit_grid([SeedPair(1, 1)] * (MAX_GRID_POINTS + 1))
 
     def test_seed_bound_checked_before_expansion(self):
         with pytest.raises(ValueError, match="--amax / --gstep"):
@@ -69,13 +56,8 @@ class TestGridConstruction:
         with pytest.raises(ValueError, match="--amax"):
             fig2b_grid(alpha_max=1001.0, alpha_step=1.0)
         # the bound applies to the last grid value, not to the requested maximum
-        assert fig2a_grid(alpha_max=1000.5, alpha_step=1.0).alpha_axis.last() == 1000.0
+        assert fig2a_grid(alpha_max=1000.5, alpha_step=1.0).alpha1_abs[-1] == 1000.0
         assert surface_grid(alpha_max=10.0, gamma_step=0.01).point_count() == 101 * 100
-
-    def test_axis_last_matches_values(self):
-        for axis in (AxisSpec(0.0, 6.0, 0.05), AxisSpec(0.02, 1.0, 0.02), AxisSpec(0.0, 8.0, 0.04),
-                     AxisSpec(0.0, 10.05, 0.1)):
-            assert axis.last() == axis.values()[-1]
 
 
 class TestFig2Sweeps:

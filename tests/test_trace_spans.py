@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from duality_lab import oracle
+from duality_lab import oracle, sweep
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -37,3 +37,17 @@ def test_the_oracle_builds_its_states_in_traced_functions(spans):
     metrics = recorder.metrics(1)
     assert metrics["fock.states.self_s"] > 0.0
     assert metrics["oracle.build_composite.self_s"] > 0.0
+
+
+def test_the_sweep_counts_its_rows_and_skipped_points(spans):
+    # the counter reads the grid's point_count(); gamma 0.5 and 1 against
+    # |alpha| 0, 0.5 and 1, where the two |alpha| = 0 points are skipped
+    grid = sweep.surface_grid(alpha_max=1.0, alpha_step=0.5, gamma_step=0.5)
+    recorder = spans.Recorder()
+    recorder.install()
+    try:
+        sweep.run_sweep(grid)
+    finally:
+        recorder.uninstall()
+    metrics = recorder.metrics(1)
+    assert (metrics["sweep.rows"], metrics["sweep.skipped_points"]) == (4, 2)
