@@ -103,6 +103,17 @@ class QuantonDensityMatrix:
         # |rho12|; np.hypot, unlike np.abs, matches abs(complex) bit for bit
         coherence = np.hypot(rho12.real, rho12.imag)
         object.__setattr__(self, "coherence", coherence)
+        if rho11.size == rho22.size == coherence.size == 1:
+            # one point: the same checks on Python floats cost a fraction of
+            # the array ones; a failure falls through to name its check
+            r11, r22, c = rho11.item(), rho22.item(), coherence.item()
+            if (
+                r11 >= 0.0
+                and r22 >= 0.0
+                and abs(r11 + r22 - 1.0) <= IDENTITY_ATOL
+                and c <= math.sqrt(max(r11 * r22, 0.0)) + IDENTITY_ATOL
+            ):
+                return
         trace_error = np.abs(rho11 + rho22 - 1.0)
         lowest = np.minimum(rho11, rho22)
         # the bound of a point with a negative diagonal is never read
@@ -112,7 +123,9 @@ class QuantonDensityMatrix:
         if np.count_nonzero(holds) == holds.size:
             return
         negative = lowest < 0.0
-        off_trace = trace_error > IDENTITY_ATOL
+        # a NaN element compares false to every bound, and fails as off trace
+        # or off positivity
+        off_trace = ~(trace_error <= IDENTITY_ATOL)
 
         def detail(k):
             if negative.flat[k]:
@@ -124,7 +137,7 @@ class QuantonDensityMatrix:
                 f"{bound.flat[k]:.12g}"
             )
 
-        _fail_first(negative | off_trace | (coherence > bound + IDENTITY_ATOL), detail)
+        _fail_first(~holds, detail)
 
 
 @dataclass(frozen=True)
@@ -169,12 +182,16 @@ IDENTITY_NAMES = (
 )
 
 
-def _identity_terms(values: np.ndarray) -> list:
-    """The six identities' signed residuals from the seven fields stacked along the first axis.
+def _identity_terms(values) -> list:
+    """The six identities' signed residuals from the seven fields in ``MEASURE_FIELDS`` order.
 
-    For a single point the rows are numpy scalars, for a batch arrays.
+    ``values`` is a list of seven floats for a single point, or an array
+    stacking the seven fields along its first axis.
     """
-    d2, p2, e2, v2, c2, _, m2 = values * values
+    # one multiply over the stack: six separate squares of a large batch cost
+    # fresh pages each
+    squares = values * values if isinstance(values, np.ndarray) else [x * x for x in values]
+    d2, p2, e2, v2, c2, _, m2 = squares
     _, _, _, v, c, f_abs, _ = values
     return [
         d2 - p2 - e2,
@@ -195,9 +212,19 @@ def validate_measures(measures: ComplementarityMeasures) -> ComplementarityMeasu
     """
     values = np.array([getattr(measures, name) for name in MEASURE_FIELDS], dtype=float)
     values = values.reshape(len(MEASURE_FIELDS), -1)
-    # a single point's rows are numpy scalars, whose arithmetic costs less
-    terms = _identity_terms(values[:, 0] if values.shape[1] == 1 else values)
-    residuals = np.abs(terms).reshape(len(IDENTITY_NAMES), -1)
+    if values.shape[1] == 1:
+        # one point: the same checks on Python floats cost a fraction of the
+        # array ones; a failure falls through to name its check
+        point = values.ravel().tolist()
+        d, p, _, v, c, _, _ = point
+        if (
+            all(-1e-15 <= x <= 1.0 + 1e-12 for x in point)
+            and all(abs(term) <= IDENTITY_ATOL for term in _identity_terms(point))
+            and c <= v + IDENTITY_ATOL
+            and p <= d + IDENTITY_ATOL
+        ):
+            return measures
+    residuals = np.abs(_identity_terms(values))
     d, p, _, v, c, _, _ = values
     inside = (values >= -1e-15) & (values <= 1.0 + 1e-12)
     # a NaN compares false, so it fails here and is judged below

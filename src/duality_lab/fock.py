@@ -16,8 +16,11 @@ normalized photon-added counterparts.  ``inner_product`` and
 the joint two-mode vector for tests that contract it in full.  A single state
 is a one-segment batch: ``coherent_state([[alpha]], Segments([cutoff]))[0]``.
 
-Only the oracle needs this module's scipy functions, so ``scipy.special`` is
-loaded when a cutoff or a coherent state is first computed, not on import.
+Cutoffs and coherent amplitudes both come from one numpy kernel for the
+Poisson log-pmf, ``_poisson_log_pmf``, in Loader's saddle-point form
+(C. Loader, *Fast and Accurate Computation of Binomial Probabilities*, 2000;
+the form R's ``dpois`` uses).  It is accurate to a few ulps of log p for
+every level and mean the oracle reaches, so the module needs numpy alone.
 """
 
 from __future__ import annotations
@@ -32,6 +35,107 @@ import numpy as np
 from .analytic import _fail_first
 
 
+# stirlerr(n) = log(n!) - (n log n - n + log(2 pi n) / 2), Stirling's error,
+# for n = 1 .. 15 (Loader's table; n = 0 holds a placeholder).
+_STIRLERR = (
+    0.0, 0.08106146679532726, 0.0413406959554093, 0.02767792568499834,
+    0.020790672103765093, 0.016644691189821193, 0.013876128823070748,
+    0.01189670994589177, 0.010411265261972096, 0.009255462182712733,
+    0.00833056343336287, 0.007573675487951841, 0.00694284010720953,
+    0.006408994188004207, 0.0059513701127588475, 0.005554733551962801,
+)
+# Above 15, stirlerr(n) = 1/(12n) - 1/(360n^3) + 1/(1260n^5) - 1/(1680n^7)
+# + 1/(1188n^9), short of the true value by less than 1.2e-16.
+_STIRLING_SERIES = (1.0 / 12.0, 1.0 / 360.0, 1.0 / 1260.0, 1.0 / 1680.0, 1.0 / 1188.0)
+
+# Below this mean n / mean can overflow, so the deviance takes log n - log mean.
+_MEAN_TINY = 1e-290
+# Above this mean the deviance near the mean, where n log(n / mean) and
+# n - mean cancel, takes Loader's series in v = (n - mean) / (n + mean):
+# bd0 = (n - mean) v + 2n (v^3/3 + v^5/5 + ... + v^17/17) for |n - mean| <
+# 0.1 (n + mean).  At and below it the direct form stays within 3e-15 of
+# log p.
+_SERIES_MEAN = 1000.0
+_SERIES_V = 0.1
+_SERIES_TERMS = tuple(2.0 / (2 * j + 1) for j in range(1, 9))
+
+
+# The heads -stirlerr(n) - log(2 pi n) / 2, the part of log p(n; mean) that
+# depends on n alone, of levels 0 .. len - 1; 0 at n = 0, where log p is
+# -mean.  It starts as levels 0 .. 15 from the table above and grows on
+# demand, a block of levels at a time, to at least twice its length.
+_heads = np.array(
+    [0.0] + [-s - 0.5 * math.log(2.0 * math.pi * n) for n, s in enumerate(_STIRLERR) if n]
+)
+_HEADS_BLOCK = 1 << 16
+
+
+def _stirling_heads(top: int) -> np.ndarray:
+    """-stirlerr(n) - log(2 pi n) / 2 for n = 0 .. top at least, 0 at n = 0."""
+    global _heads
+    heads = _heads
+    if top >= len(heads):
+        grown = np.empty(max(top + 1, 2 * len(heads)))
+        grown[: len(heads)] = heads
+        s0, s1, s2, s3, s4 = _STIRLING_SERIES
+        for start in range(len(heads), len(grown), _HEADS_BLOCK):
+            n = np.arange(float(start), float(min(start + _HEADS_BLOCK, len(grown))))
+            r = 1.0 / n
+            r2 = r * r
+            stirlerr = r * (s0 - r2 * (s1 - r2 * (s2 - r2 * (s3 - r2 * s4))))
+            n *= 2.0 * math.pi
+            grown[start : start + len(n)] = -(0.5 * np.log(n) + stirlerr)
+        _heads = heads = grown
+    return heads
+
+
+def _poisson_log_pmf(n: np.ndarray, mean: np.ndarray) -> np.ndarray:
+    """log P(X = n) for X ~ Poisson(mean), elementwise over broadcast arrays.
+
+    Loader's saddle-point form: log p = -stirlerr(n) - bd0 - log(2 pi n) / 2
+    with the deviance bd0 = n log(n / mean) + mean - n, which is ``mean`` at
+    n = 0.  It never forms n! or mean^n, so nothing cancels at large n: the
+    result is within a few ulps of log p for levels n >= 0 up to 2e6 and
+    finite means up to 1e6 (tests/test_fock.py checks it against mpmath).
+    Levels n are integers >= 0 (of any dtype); a zero mean gives 0 at n = 0
+    and -inf above.
+    """
+    n = np.asarray(n)
+    mean = np.asarray(mean, dtype=float)
+    t = n - mean
+    # bd0 = n log1p(t / mean) - t; at n = 0, t / mean is -1 exactly and the
+    # floor keeps 0 * log1p(-1) from turning into nan
+    if mean.min(initial=math.inf) >= _MEAN_TINY:
+        bd0 = t / mean
+        np.maximum(bd0, -1.0 + 2.0**-53, out=bd0)
+        np.log1p(bd0, out=bd0)
+        bd0 *= n
+        bd0 -= t
+    else:
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            direct = n * np.log1p(np.maximum(t / mean, -1.0 + 2.0**-53)) - t
+            far = n * (np.log(np.maximum(n, 1.0)) - np.log(mean)) - t
+        bd0 = np.where(mean >= _MEAN_TINY, direct, np.where(n > 0.0, far, mean))
+    if mean.max(initial=0.0) > _SERIES_MEAN:
+        # only where |v| < 0.1 and the mean is large, so a large batch pays
+        # for its near-mean levels alone
+        n_all, mean_all = np.broadcast_arrays(n, mean)
+        near = np.abs(t) < _SERIES_V * (n_all + mean_all)
+        near &= mean_all > _SERIES_MEAN
+        t_near, n_near = t[near], n_all[near]
+        v = t_near / (n_near + mean_all[near])
+        w = v * v
+        series = np.full_like(w, _SERIES_TERMS[-1])
+        for term in _SERIES_TERMS[-2::-1]:
+            series *= w
+            series += term
+        series *= n_near * v * w
+        series += t_near * v
+        bd0[near] = series
+    levels = n.astype(np.intp, copy=False)
+    return np.subtract(_stirling_heads(int(levels.max(initial=0)))[levels], bd0, out=bd0)
+
+
 # The Poisson(mean) tail falls below 1e-12 near the Cornish-Fisher level
 # mean + z sqrt(mean) + (z^2 + 2) / 6 with z = 7.034.  The eight levels from
 # 4 below to 3 above its floor (or from the cutoff floor) hold the crossing
@@ -40,27 +144,57 @@ from .analytic import _fail_first
 # tail(k + 7) < 1e-12 at its last, and tests/test_oracle.py repeats it on a
 # sample of the steps.  Above 1e6 the window stops at the ceiling.
 _TAIL_Z = 7.034
-_WINDOW = np.arange(8.0)
+_WINDOW = 8
+
+# A tail is the sum of the pmf from its level up to the window start plus
+# 4.5 sqrt(mean) + 18 levels; the levels beyond carry less than 1e-30, a
+# 1e-18 share of the tolerance, at every mean in [0, 1e6] (tests/test_fock.py
+# checks the bound).  At most this many levels are evaluated at once.
+_SPAN_SIGMAS = 4.5
+_SPAN_EXTRA = 18
+_SPAN_BUDGET = 1 << 18
+
+
+def _window_span(mean_max: float) -> int:
+    return math.ceil(_SPAN_SIGMAS * math.sqrt(mean_max)) + _SPAN_EXTRA
+
+
+def _window_tails(start: np.ndarray, means: np.ndarray, span: int) -> np.ndarray:
+    """Poisson tails P(X >= start + i), i = 0 .. 7, one row per mean."""
+    levels = start[:, None] + np.arange(span)
+    pmf = np.exp(_poisson_log_pmf(levels, means[:, None]))
+    # running sums from the top level down, smallest terms first
+    return np.cumsum(pmf[:, ::-1], axis=1)[:, : -_WINDOW - 1 : -1]
 
 
 def _minimal_cutoffs(means, tolerance: float, floor: int, ceiling: int) -> np.ndarray:
     """Per mean, the smallest N in [floor, ceiling] with Poisson tail P(X >= N) < tolerance.
 
-    One vectorised pass evaluates the tail on an eight-level window around
-    the Cornish-Fisher guess and takes the level where it crosses the
-    tolerance.  Raises ValueError naming the first mean that is negative or
-    NaN, or that even ``ceiling`` leaves too much tail.
+    One vectorised pass sums the pmf over an eight-level window around the
+    Cornish-Fisher guess, plus the levels above it that still count, and
+    takes the level where the tail crosses the tolerance.  Means are taken
+    in chunks of at most ``_SPAN_BUDGET`` levels.  Raises ValueError naming
+    the first mean that is negative or NaN, or that even ``ceiling`` leaves
+    too much tail.
     """
-    from scipy.special import gammainc  # local: the closed-form commands never load scipy
-
     means = np.asarray(means, dtype=float)
-    start = np.floor(
-        means + _TAIL_Z * np.sqrt(means) + ((_TAIL_Z * _TAIL_Z + 2.0) / 6.0 - 4.0)
-    )
-    start = np.minimum(np.maximum(start, floor), ceiling + 1 - len(_WINDOW))
-    below = gammainc(start[:, None] + _WINDOW, means[:, None]) < tolerance
-    first = below.argmax(axis=1)
     _fail_first(~(means >= 0.0), lambda k: f"mean photon number {means[k]} is not >= 0")
+    # Past the ceiling every mean, inf too, fails as the ceiling itself does.
+    lam = np.minimum(means, float(ceiling))
+    start = np.floor(lam + _TAIL_Z * np.sqrt(lam) + ((_TAIL_Z * _TAIL_Z + 2.0) / 6.0 - 4.0))
+    start = np.minimum(np.maximum(start, floor), ceiling + 1 - _WINDOW).astype(np.intp)
+    span = _window_span(float(lam.max(initial=0.0)))
+    rows = max(1, _SPAN_BUDGET // span)
+    if len(lam) <= rows:
+        tails = _window_tails(start, lam, span)
+    else:
+        tails = np.concatenate([
+            _window_tails(start[i : i + rows], lam[i : i + rows],
+                          _window_span(float(lam[i : i + rows].max())))
+            for i in range(0, len(lam), rows)
+        ])
+    below = tails < tolerance
+    first = below.argmax(axis=1)
     # first == 0 is the answer only where the window starts at the floor.  Any
     # other miss is a mean above 1e6, whose window ends at the ceiling.
     _fail_first(
@@ -68,7 +202,7 @@ def _minimal_cutoffs(means, tolerance: float, floor: int, ceiling: int) -> np.nd
         lambda k: f"no cutoff <= ceiling {ceiling} bounds the photon-number "
         f"tail below {tolerance:.3e} for |alpha|^2 = {means[k]:.6g}",
     )
-    return (start + first).astype(np.int64)
+    return (start + first).astype(np.int64, copy=False)
 
 
 @dataclass(frozen=True)
@@ -89,9 +223,9 @@ _CUTOFF_FLOOR = 16
 
 # The ceiling is the cutoff the largest seed ``SeedPair`` accepts
 # (|alpha| = 1000, mean photon number 1e6) needs, so no valid seed is refused.
-# It is pinned so that importing this module computes nothing and loads no
-# scipy; tests/test_fock.py derives it with ``_minimal_cutoffs`` over
-# [floor, 2e6], where the Poisson tail underflows to zero.
+# It is pinned so that importing this module sums no Poisson tail;
+# tests/test_fock.py derives it with ``_minimal_cutoffs`` over [floor, 2e6],
+# where the Poisson tail underflows to zero.
 DEFAULT_POLICY = CutoffPolicy(_TAIL_TOLERANCE, _CUTOFF_FLOOR, 1_007_044)
 
 def cutoffs_for_means(means) -> np.ndarray:
@@ -178,14 +312,13 @@ def coherent_state(
     """Coherent states |alpha>, one row per row of ``alphas`` and one segment per column.
 
     Segment p of every row holds levels 0 .. ``segments.cutoffs[p]``.
-    Amplitudes are proportional to alpha**n / sqrt(n!) and each truncated
-    segment is renormalized to unit norm, so it is exactly normalized even
-    when the cutoff is tight.  Magnitudes are accumulated in log space, which
-    stays finite for any representable alpha.  Returns ``out`` (allocated
-    when None), shaped (rows, ``segments.size``).
+    Amplitudes are proportional to alpha**n / sqrt(n!): their magnitudes are
+    sqrt(p(n; |alpha|^2)) from the Poisson log-pmf kernel, which stays
+    accurate at any level, and each truncated segment is renormalized to unit
+    norm, so it is exactly normalized even when the cutoff is tight.  Alpha
+    = 0 gives the vacuum |0>.  Returns ``out`` (allocated when None), shaped
+    (rows, ``segments.size``).
     """
-    from scipy.special import gammaln  # local: the closed-form commands never load scipy
-
     alphas = np.asarray(alphas, dtype=complex)
     cutoffs, lengths = segments.cutoffs, segments.lengths
     if alphas.ndim != 2 or alphas.shape[1] != len(cutoffs):
@@ -193,46 +326,35 @@ def coherent_state(
             f"alphas must be (rows, segments) with one segment per column, got "
             f"shape {alphas.shape} for {len(cutoffs)} segments"
         )
+    seeds = alphas.tolist()
+    mags = [[abs(a) for a in row] for row in seeds]
+    # |alpha|^2 and the phase of every seed, one row of segments each
+    means, phases = np.array(
+        [[[m * m for m in row] for row in mags], [[cmath.phase(a) for a in row] for row in seeds]]
+    )
     ceiling = DEFAULT_POLICY.ceiling
-    finite = np.isfinite(alphas)
+    finite = np.isfinite(means)
     if np.count_nonzero(finite) != finite.size or np.count_nonzero(cutoffs > ceiling):
         finite = finite.all(axis=0)
-        _fail_first(
-            ~finite | (cutoffs > ceiling),
-            lambda k: "alpha must be finite"
-            if not finite[k]
-            else f"cutoff {cutoffs[k]} exceeds policy ceiling {ceiling}",
-        )
+
+        def detail(k):
+            if finite[k]:
+                return f"cutoff {cutoffs[k]} exceeds policy ceiling {ceiling}"
+            if not np.isfinite(alphas[:, k]).all():
+                return "alpha must be finite"
+            return f"|alpha|^2 overflows for |alpha| = {max(row[k] for row in mags):.6g}"
+
+        _fail_first(~finite | (cutoffs > ceiling), detail)
     if out is None:
         out = np.empty((len(alphas), segments.size), dtype=complex)
     n = segments.levels
-    seeds = alphas.tolist()
-    log_mag, phases = np.array(
-        [
-            [[math.log(abs(a)) if a else 0.0 for a in row] for row in seeds],
-            [[cmath.phase(a) for a in row] for row in seeds],
-        ]
-    ).repeat(lengths, axis=2)
-    # n * log|alpha| - log(n!) / 2, then shifted so each segment peaks at 0
-    log_mag *= n
-    half_log_factorial = n + 1.0
-    gammaln(half_log_factorial, out=half_log_factorial)
-    half_log_factorial *= 0.5
-    log_mag -= half_log_factorial
-    del half_log_factorial
-    log_mag -= np.maximum.reduceat(log_mag, segments.starts, axis=1).repeat(lengths, axis=1)
-    np.exp(log_mag, out=log_mag)
-    np.multiply(1j * n, phases, out=out)
-    del phases
+    magnitudes = _poisson_log_pmf(n, means.repeat(lengths, axis=1))
+    magnitudes *= 0.5
+    np.exp(magnitudes, out=magnitudes)
+    np.multiply(1j * n, phases.repeat(lengths, axis=1), out=out)
     np.exp(out, out=out)
-    np.multiply(log_mag, out, out=out)
-    del log_mag
-    for row, row_seeds in zip(out, seeds):
-        if 0 in row_seeds:
-            for (start, stop), a in zip(segments.bounds, row_seeds):
-                if not a:  # the vacuum |0>
-                    row[start:stop] = 0.0
-                    row[start] = 1.0
+    np.multiply(magnitudes, out, out=out)
+    del magnitudes
     _normalize_segments(out, segments)
     return out
 

@@ -7,6 +7,7 @@ import pytest
 from duality_lab.analytic import (
     MEASURE_FIELDS,
     ComplementarityMeasures,
+    PointError,
     QuantonDensityMatrix,
     SeedPair,
     closed_form_measures,
@@ -121,6 +122,27 @@ class TestQuantonDensityMatrix:
         rho = QuantonDensityMatrix(*(np.array(column) for column in zip(*good)))
         assert np.array_equal(rho.coherence, [0.25, 0.1])
 
+    def test_one_point_fails_where_a_batch_does(self):
+        # a one-point record takes a fast path; it must refuse the same points
+        # with the same words as the batch, and pass the same ones
+        good = (0.5, 0.5, 0.25)
+        for bad in [(0.6, 0.6, 0.1), (0.5, 0.5, 0.9), (-0.1, 1.1, 0.0), (math.nan, 0.5, 0.1),
+                    (0.5, 0.5, complex(math.nan, 0.0)), (0.5, 0.5 + 1.1e-12, 0.0)]:
+            with pytest.raises(PointError) as in_batch:
+                QuantonDensityMatrix(*(np.array(column) for column in zip(good, bad)))
+            with pytest.raises(PointError) as alone:
+                QuantonDensityMatrix(*(np.array([x]) for x in bad))
+            with pytest.raises(ValueError) as scalar:
+                QuantonDensityMatrix(*bad)
+            assert (in_batch.value.index, alone.value.index) == (1, 0)
+            assert alone.value.detail == in_batch.value.detail == str(scalar.value), bad
+        # on the tolerance edges, inside
+        for edge in [(0.5, 0.5 + 0.9e-12, 0.0), (0.5, 0.5, 0.5 + 0.9e-12), (0.0, 1.0, 0.0)]:
+            rho = QuantonDensityMatrix(*(np.array([x]) for x in edge))
+            assert rho.coherence.shape == (1,)
+            QuantonDensityMatrix(*(np.array(column) for column in zip(good, edge)))
+            QuantonDensityMatrix(*edge)
+
 
 class TestComplementarityMeasures:
     def test_vacuum_seeds(self):
@@ -213,6 +235,32 @@ class TestComplementarityMeasures:
             validate_measures(ComplementarityMeasures(D=1, P=0, E=1, V=1, C=0.5, F_abs=0, mu_s=0))
         with pytest.raises(ValueError, match="outside"):
             validate_measures(ComplementarityMeasures(D=1.5, P=0, E=1, V=1, C=0, F_abs=0, mu_s=0))
+
+    def test_one_point_fails_where_a_batch_does(self):
+        # a one-point record takes a fast path; it must refuse the same points
+        # with the same words as the batch, and pass the same ones
+        good = closed_form_measures(np.array([0.0, 1.0, 2.0]), np.array([0.0, 1.0, 1.0]))
+        c2 = float(good.C[2])
+        # (point, field, new value, refused)
+        for k, name, value, refused in [
+            (2, "C", 0.9, True), (2, "D", 1.5, True), (2, "mu_s", math.nan, True),
+            (2, "P", 0.2, True), (2, "V", 0.0, True), (2, "F_abs", 2e-12, True),
+            (2, "C", c2 + 3e-12, True), (2, "C", c2 + 5e-13, False),
+            (0, "P", -1.1e-15, True), (0, "P", -0.9e-15, False), (0, "V", 1.0 + 2e-12, True),
+        ]:
+            batch = {field: getattr(good, field).copy() for field in MEASURE_FIELDS}
+            batch[name][k] = value
+            one = {field: column[k : k + 1] for field, column in batch.items()}
+            scalar = {field: float(column[k]) for field, column in batch.items()}
+            words = []
+            for record in (batch, one, scalar):
+                try:
+                    validate_measures(ComplementarityMeasures(**record))
+                    words.append(None)
+                except ValueError as error:
+                    words.append(str(error))
+            assert words[0] == words[1] == words[2], (name, value, words)
+            assert (words[0] is not None) == refused, (name, value, words)
 
     def test_validation_covers_every_point_of_an_array_record(self):
         good = closed_form_measures(np.array([0.0, 1.0, 2.0]), np.array([0.0, 1.0, 1.0]))

@@ -1,14 +1,22 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.special import gammainc
 
 from duality_lab.analytic import _SEED_MAGNITUDE_MAX
 from duality_lab.fock import (
+    _STIRLERR,
+    _TAIL_Z,
+    _WINDOW,
     DEFAULT_POLICY,
     Segments,
     _minimal_cutoffs,
+    _poisson_log_pmf,
+    _window_span,
+    _window_tails,
+    cutoffs_for_means,
     apply_creation,
     choose_cutoff,
     coherent_state,
@@ -64,6 +72,97 @@ def poisson_tail_by_cumsum(lam: float, n: int) -> float:
     return 1.0 - total
 
 
+def exact_log_pmf(n: int, mean: float):
+    """log P(X = n) for X ~ Poisson(mean), to 40 digits."""
+    with mpmath.workdps(40):
+        mean = mpmath.mpf(mean)
+        return -mean if n == 0 else n * mpmath.log(mean) - mean - mpmath.loggamma(n + 1)
+
+
+def exact_tail(mean: float, n: int):
+    """P(X >= n) for X ~ Poisson(mean), to 40 digits."""
+    with mpmath.workdps(40):
+        return mpmath.gammainc(n, 0, mpmath.mpf(mean), regularized=True)
+
+
+def window_start(mean: float) -> int:
+    """The first level of the cutoff rule's eight-level window, below the ceiling."""
+    shift = (_TAIL_Z * _TAIL_Z + 2.0) / 6.0 - 4.0
+    return max(DEFAULT_POLICY.floor, math.floor(mean + _TAIL_Z * math.sqrt(mean) + shift))
+
+
+class TestPoissonLogPmf:
+    # both sides of the series threshold (1000), the tiny-mean form (below
+    # 1e-290) and the largest mean a seed can have
+    MEANS = [1e-300, 1e-250, 1e-12, 0.1, 1.3, 9.0, 50.0, 361.0, 999.0, 1000.0, 1001.0,
+             4321.5, 1e4, 1e5, 999_999.75, 1e6]
+
+    def levels(self, mean: float, rng) -> np.ndarray:
+        """Low levels, the bulk, the cutoff window and the levels its tails sum, far tails."""
+        sigma = math.sqrt(mean)
+        start = window_start(mean)
+        return np.unique(np.concatenate([
+            np.arange(40.0),
+            np.round(mean + sigma * rng.uniform(-12.0, 12.0, 150)).clip(0.0),
+            start + np.arange(float(_WINDOW)),
+            start + np.round(rng.uniform(0.0, _window_span(mean), 40)),
+            np.round(rng.uniform(0.0, 2e6, 40)),
+            [2e6],
+        ]))
+
+    def test_matches_mpmath(self):
+        rng = np.random.default_rng(31)
+        for mean in self.MEANS:
+            n = self.levels(mean, rng)
+            got = _poisson_log_pmf(n, np.full(n.shape, mean))
+            for level, value in zip(n.tolist(), got.tolist()):
+                exact = exact_log_pmf(int(level), mean)
+                assert abs(value - exact) <= 1e-14 * abs(exact), (mean, level, value)
+
+    def test_the_stirling_table_is_correctly_rounded(self):
+        with mpmath.workdps(40):
+            for n in range(1, 16):
+                exact = mpmath.loggamma(n + 1) - (n * mpmath.log(n) - n + mpmath.log(2 * mpmath.pi * n) / 2)
+                assert _STIRLERR[n] == float(exact), n
+
+    def test_zero_mean(self):
+        got = _poisson_log_pmf(np.arange(4.0), np.zeros(4))
+        assert got.tolist() == [0.0, -math.inf, -math.inf, -math.inf]
+
+    def test_window_tails_match_mpmath_at_the_crossing(self):
+        tol = DEFAULT_POLICY.tail_tolerance
+        checked = 0
+        for mean in [0.3, 1.3, 5.0, 9.0, 40.0, 361.0, 870.0, 999.0, 1001.0, 5000.0,
+                     1e4, 1e5, 5e5, 1e6]:
+            start = window_start(mean)
+            tails = _window_tails(np.array([float(start)]), np.array([mean]), _window_span(mean))
+            for i, tail in enumerate(tails[0].tolist()):
+                exact = exact_tail(mean, start + i)
+                # the tails within six orders of the tolerance decide the cutoff
+                if 1e-6 * tol <= exact <= 1e6 * tol:
+                    assert abs(tail - exact) <= 2e-14 * exact, (mean, start + i, tail)
+                    checked += 1
+            if start > DEFAULT_POLICY.floor:
+                assert tails[0, 0] >= tol > tails[0, -1], mean
+        assert checked >= 90
+
+    def test_the_span_leaves_out_less_than_1e_30(self):
+        # the remainder past the span is at most p(top) / (1 - mean / (top + 1))
+        means = np.concatenate([np.linspace(1e-3, 100.0, 4001), np.geomspace(100.0, 1e6, 4000)])
+        tops = np.array([window_start(m) + _window_span(m) for m in means.tolist()], dtype=float)
+        bound = _poisson_log_pmf(tops, means) - np.log1p(-means / (tops + 1.0))
+        assert np.all(bound < math.log(1e-30))
+
+    def test_tiny_means_keep_the_floor_and_the_vacuum(self):
+        assert cutoffs_for_means([0.0, 5e-324, 1e-300]).tolist() == [16, 16, 16]
+        for mean in (5e-324, 1e-300):
+            alpha = math.sqrt(mean) * complex(math.cos(0.3), math.sin(0.3))
+            v = coherent(alpha, 16)
+            assert v[0] == 1.0
+            assert abs(v[1] - alpha) <= 1e-13 * abs(alpha)
+            assert not v[3:].any()
+
+
 class TestSegments:
     def test_layout(self):
         segments = Segments([2, 3])
@@ -94,12 +193,31 @@ class TestCoherentState:
         ref = coherent_amplitudes_reference(alpha, 40)
         assert np.allclose(coherent(alpha, 40), ref / np.linalg.norm(ref), atol=1e-13)
 
+    @pytest.mark.parametrize("alpha", [3.0 - 1.5j, 30.0 * complex(math.cos(0.7), math.sin(0.7)), 300.0])
+    def test_magnitudes_match_mpmath(self, alpha):
+        # |c_n| = sqrt(p(n) / (1 - tail above the cutoff)) on every level that
+        # carries weight; log(n!) at these levels would cost ~1e-10 in lgamma
+        mean = abs(alpha) ** 2
+        cutoff = choose_cutoff([alpha])
+        v = coherent(alpha, cutoff)
+        rng = np.random.default_rng(32)
+        sigma = math.sqrt(mean)
+        levels = np.unique(np.round(mean + sigma * rng.uniform(-7.0, 7.0, 120)).clip(0, cutoff))
+        with mpmath.workdps(40):
+            kept = 1 - exact_tail(mean, cutoff + 1)
+            for n in levels.astype(int).tolist():
+                exact = mpmath.sqrt(mpmath.exp(exact_log_pmf(n, mean)) / kept)
+                assert abs(abs(v[n]) - exact) <= 1e-13 * exact, (alpha, n)
+
     def test_truncated_norm_is_one(self):
         assert abs(np.linalg.norm(coherent(2.0, 40)) - 1.0) < 1e-12
 
     def test_rejects_nonfinite_alpha(self):
         with pytest.raises(ValueError, match="finite"):
             coherent(complex(np.inf, 0), 16)
+        # |alpha|^2, the kernel's mean, overflows past |alpha| ~ 1.3e154
+        with pytest.raises(ValueError, match=r"point 1: \|alpha\|\^2 overflows for \|alpha\| = 1e\+200"):
+            coherent_state([[1.0, 1e200]], Segments([16, 16]))
 
     def test_rejects_alphas_not_matching_segments(self):
         for alphas in ([1.0], [[1.0]], [[1.0, 2.0, 3.0]]):
