@@ -22,10 +22,6 @@ import numpy as np
 
 IDENTITY_ATOL = 1e-12
 
-# Floating-point cancellation near |F| -> 1 can push a radicand a hair outside
-# [0, 1]; anything beyond this window is a genuine bug, not rounding.
-_CLAMP_WINDOW = 1e-14
-
 _SEED_MAGNITUDE_MAX = 1.0e3
 
 
@@ -254,24 +250,6 @@ def validate_measures(measures: ComplementarityMeasures) -> ComplementarityMeasu
     return measures
 
 
-def _clamped_sqrt(radicands):
-    """Square roots of radicands stacked along the first axis, one column per point.
-
-    Rounding may push a radicand a hair outside [0, 1]; it is clamped back,
-    and one beyond ``_CLAMP_WINDOW`` fails naming its point.
-    """
-    x = np.asarray(radicands, dtype=float)
-    if np.count_nonzero((x >= -_CLAMP_WINDOW) & (x <= 1.0 + _CLAMP_WINDOW)) != x.size:
-        grid = x.reshape(len(x), -1)
-        outside = (grid < -_CLAMP_WINDOW) | (grid > 1.0 + _CLAMP_WINDOW)
-        _fail_first(
-            outside.any(axis=0).reshape(x.shape[1:]),
-            lambda k: f"radicand {float(grid[:, k][outside[:, k]][0])!r} outside the "
-            "clamp window around [0, 1]",
-        )
-    return np.sqrt(np.minimum(1.0, np.maximum(0.0, x)))
-
-
 def path_density(alpha1_abs_sq, alpha2_abs_sq) -> QuantonDensityMatrix:
     """Density matrix of the pure path state c1 |1> + c2 |2>, checked.
 
@@ -306,39 +284,42 @@ def detector_fidelity(seeds: SeedPair) -> complex:
 
 
 def closed_form_measures(alpha1_abs, alpha2_abs) -> ComplementarityMeasures:
-    """Evaluate all seven measures from the seed magnitudes |alpha_1|, |alpha_2|.
+    """Evaluate all seven measures from the seed magnitudes a = |alpha_1|, b = |alpha_2|.
 
     Takes scalars or equal-shape arrays and returns an unvalidated record of
-    the same shape.  With r = rho11 rho22 and |F| the detector fidelity:
+    the same shape.  With T = 2 + a^2 + b^2 and the path weights
+    rho_jj = (1 + |alpha_j|^2) / T:
 
-        D^2   = 1 - 4 r |F|^2        P^2 = 1 - 4 r
-        E^2   = 4 r (1 - |F|^2)      V   = 2 sqrt(r)
-        C     = 2 |alpha_1||alpha_2| / (2 + |alpha_1|^2 + |alpha_2|^2) = V |F|
-        mu_s  = sqrt(1 - E^2)
+        P     = |a - b| (a + b) / T          = sqrt(1 - V^2)
+        E     = 2 sqrt(1 + a^2 + b^2) / T    = V sqrt(1 - |F|^2)
+        D     = sqrt((2 + (a - b)^2) (2 + (a + b)^2)) / T = sqrt(1 - C^2)
+        mu_s  = (a^2 + b^2) / T              = sqrt(1 - E^2)
+        V     = 2 sqrt(rho11 rho22)
+        C     = 2 a b / T                    = V |F|
+        |F|   = a b / sqrt((1 + a^2) (1 + b^2))
 
-    Callers pass the result through ``validate_measures``.
+    No form subtracts nearly equal terms (a - b of the inputs is exact), so
+    each measure is good to a few ulps relative, down to equal seeds and
+    zero, and none needs a clamp.  Callers pass the result through
+    ``validate_measures``.
     """
     a = alpha1_abs
     b = alpha2_abs
-    na = 1.0 + a * a
-    nb = 1.0 + b * b
+    a2 = a * a
+    b2 = b * b
+    na = 1.0 + a2
+    nb = 1.0 + b2
     total = na + nb
-    rho11 = na / total
-    rho22 = nb / total
-    # Grouped so that equal seeds give four_r == 1.0 exactly and hence P == 0.
-    four_r = 4.0 * na * nb / (total * total)
-    f_abs = a * b / np.sqrt(na * nb)
-    f2 = f_abs * f_abs
-    e2 = four_r * (1.0 - f2)
-    d, p, e, mu_s = _clamped_sqrt([1.0 - four_r * f2, 1.0 - four_r, e2, 1.0 - e2])
+    spread = abs(a - b)
+    width = a + b
     return ComplementarityMeasures(
-        D=d,
-        P=p,
-        E=e,
-        V=2.0 * np.sqrt(rho11 * rho22),
+        D=np.sqrt((2.0 + spread * spread) * (2.0 + width * width)) / total,
+        P=spread * width / total,
+        E=2.0 * np.sqrt(na + b2) / total,
+        V=2.0 * np.sqrt(na / total * (nb / total)),
         C=2.0 * a * b / total,
-        F_abs=f_abs,
-        mu_s=mu_s,
+        F_abs=a * b / np.sqrt(na * nb),
+        mu_s=(a2 + b2) / total,
     )
 
 

@@ -12,7 +12,8 @@ check, not a tautology:
     its closed form.  Each detector state is a product over the two idler
     modes, so its overlaps are products of single-mode inner products and
     no two-mode vector is ever formed;
-  * D, P, E, V, C come from their definitional sums over path pairs;
+  * P comes from the diagonal of the reduced quanton matrix, E, V and C
+    from their definitional sums over path pairs, and D = hypot(P, E);
   * mu_s comes from the purity of the numerically reduced quanton matrix,
     never from the closed-form expression the analytic module uses.
 
@@ -45,7 +46,6 @@ from .analytic import (
     ComplementarityMeasures,
     PointError,
     QuantonDensityMatrix,
-    _clamped_sqrt,
     _fail_first,
     closed_form_measures,
     path_density,
@@ -215,32 +215,35 @@ def build_composite(seeds) -> CompositeState:
 def measures_from_state(state: CompositeState) -> ComplementarityMeasures:
     """Form all seven measures from the explicit states, definitions first.
 
-    D, P and E come from the sums over distinct path pairs of
-    sqrt(rho_ii rho_jj), with and without the detector overlap weight;
-    V and C from the weighted off-diagonal sums; mu_s from the purity of
-    the reduced matrix via sqrt(2 Tr[rho_r^2] - 1), evaluated in its
-    unit-trace form (rho11 - rho22)^2 + 4 |rho12|^2, which is the same
-    number without the catastrophic cancellation near zero purity excess.
+    P = |rho11 - rho22| of the reduced matrix, the which-path bias left after
+    the detectors are traced out.  E = sqrt(pr^2 - pr^2 |F|^2), with
+    pr = 2 sqrt(rho11 rho22) of the pure matrix and |F| the detector overlap,
+    and D = hypot(P, E).  V and C come from the weighted off-diagonal sums,
+    and mu_s from the purity of the reduced matrix, sqrt(2 Tr[rho_r^2] - 1),
+    evaluated in its unit-trace form hypot(rho11 - rho22, 2 |rho12|), which
+    is the same number without the cancellation near zero purity excess.
     None of the closed forms used by the analytic route appear here.  The
-    batch is checked once by ``validate_measures``.
+    batch is checked once by ``validate_measures``; a NaN there, such as the
+    root of a negative E radicand, fails it.
     """
     pure, reduced = state.pure, state.reduced
     fidelity = state.detector_gram[0, 1]
     f_abs = np.hypot(fidelity.real, fidelity.imag)
     paired_root = 2.0 * np.sqrt(pure.rho11 * pure.rho22)
     paired_root_f = paired_root * f_abs
-    pr2, prf2 = paired_root * paired_root, paired_root_f * paired_root_f
     visibility = 2.0 * pure.coherence
     balance = reduced.rho11 - reduced.rho22
-    coherence_off = reduced.coherence
-    with _NamingSeedPairs(state.seeds):
-        d, p, e, mu_s = _clamped_sqrt(
-            [1.0 - prf2, 1.0 - pr2, pr2 - prf2,
-             balance * balance + 4.0 * coherence_off * coherence_off]
-        )
+    p = np.abs(balance)
+    e = np.sqrt(paired_root * paired_root - paired_root_f * paired_root_f)
     return validate_measures(
         ComplementarityMeasures(
-            D=d, P=p, E=e, V=visibility, C=visibility * f_abs, F_abs=f_abs, mu_s=mu_s
+            D=np.hypot(p, e),
+            P=p,
+            E=e,
+            V=visibility,
+            C=visibility * f_abs,
+            F_abs=f_abs,
+            mu_s=np.hypot(balance, 2.0 * reduced.coherence),
         )
     )
 

@@ -160,7 +160,8 @@ def surface_grid(
         )
     skipped = (len(alphas) - len(kept)) * len(gammas)
     if skipped:
-        logger.warning(
+        # every surface starts its |alpha| axis at 0, so this is no warning
+        logger.info(
             "skipped %d surface grid points with |alpha_1| = 0 "
             "(seed ratio undefined there)",
             skipped,

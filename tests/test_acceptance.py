@@ -182,7 +182,7 @@ def test_criterion_5_fringe_monte_carlo(capsys):
 
 def test_criterion_6_surface_asymptotics(capsys, caplog):
     """V - C vanishes at (gamma=1, |alpha|=10) and exceeds 0.2 in the corner."""
-    with caplog.at_level(logging.WARNING, logger="duality_lab"):
+    with caplog.at_level(logging.INFO, logger="duality_lab"):
         cols = run_sweep(surface_grid()).columns
     assert "skipped" in caplog.text
     gamma, alpha2 = cols["gamma"], cols["alpha2_abs"]

@@ -1,8 +1,11 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from duality_lab.analytic import (
     MEASURE_FIELDS,
@@ -287,3 +290,76 @@ class TestComplementarityMeasures:
             m = complementarity_measures(pair)
             for name in MEASURE_FIELDS:
                 assert getattr(columns, name)[k] == getattr(m, name)
+
+
+def exact_measures(a: float, b: float) -> dict:
+    """The seven measures at seed magnitudes (a, b) from their definitions, in mpmath.
+
+    rho_jj = (1 + |alpha_j|^2) / T with T = 2 + a^2 + b^2, P = |rho11 - rho22|,
+    V = 2 sqrt(rho11 rho22), |F| = a b / sqrt((1 + a^2)(1 + b^2)), C = V |F|,
+    D = sqrt(1 - V^2 |F|^2), E = sqrt(V^2 (1 - |F|^2)) and mu_s = sqrt(1 - E^2).
+    These cancel: 1 - E^2 is about (a^2 + b^2)^2 / 4 near zero, and
+    rho11 - rho22 is (a - b)(a + b) / T.  The working precision is raised by
+    the digits they lose, so 60 digits are left after the cancellation.
+    """
+    a, b = mpmath.mpf(a), mpmath.mpf(b)
+    lost = 0
+    for scale, power in ((max(a, b), 4), (abs(a - b), 2)):
+        if 0 < scale < 1:
+            lost += power * (1 - int(mpmath.floor(mpmath.log10(scale))))
+    with mpmath.workdps(60 + lost):
+        na, nb = 1 + a * a, 1 + b * b
+        total = na + nb
+        rho11, rho22 = na / total, nb / total
+        v = 2 * mpmath.sqrt(rho11 * rho22)
+        f_abs = a * b / mpmath.sqrt(na * nb)
+        e2 = v * v * (1 - f_abs * f_abs)
+        values = dict(
+            D=mpmath.sqrt(1 - v * v * f_abs * f_abs),
+            P=abs(rho11 - rho22),
+            E=mpmath.sqrt(e2),
+            V=v,
+            C=v * f_abs,
+            F_abs=f_abs,
+            mu_s=mpmath.sqrt(1 - e2),
+        )
+        return {name: +value for name, value in values.items()}
+
+
+# below this the squares in the closed forms leave the normal range
+_UNDERFLOW = 1e-290
+
+
+def assert_closed_forms_match_mpmath(a_values, b_values):
+    """Every measure within 1e-14 relative of ``exact_measures``; absolutely below 1e-290."""
+    closed = validate_measures(closed_form_measures(np.array(a_values), np.array(b_values)))
+    for k, (a, b) in enumerate(zip(a_values, b_values)):
+        for name, exact in exact_measures(a, b).items():
+            got = float(getattr(closed, name)[k])
+            error = abs(mpmath.mpf(got) - exact)
+            if exact < _UNDERFLOW:
+                assert error <= 1e-300, (a, b, name, got, exact)
+            else:
+                assert error <= 1e-14 * exact, (a, b, name, got, float(error / exact))
+
+
+class TestClosedFormsMatchMpmath:
+    EDGE_SEEDS = [
+        (3.0, 3.0 + 1e-10), (20.0, 20.0 + 1e-8), (1e-8, 0.0), (1e-3, 5e-4),
+        (1000.0, 999.5), (1000.0, 1000.0), (1000.0, 0.0), (0.0, 0.0),
+    ]
+
+    @pytest.mark.parametrize(("a", "b"), EDGE_SEEDS)
+    def test_edge_seeds(self, a, b):
+        assert_closed_forms_match_mpmath([a, b], [b, a])
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(a=st.floats(0.0, 1000.0), offset=st.floats(-1e-4, 1e-4))
+    def test_as_the_ratio_goes_to_one(self, a, offset):
+        b = min(a * (1.0 + offset), 1000.0)
+        assert_closed_forms_match_mpmath([a, b], [b, a])
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(a=st.floats(0.0, 1e-3), b=st.floats(0.0, 1e-3))
+    def test_as_the_seeds_go_to_zero(self, a, b):
+        assert_closed_forms_match_mpmath([a, b], [b, a])

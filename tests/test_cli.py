@@ -1,4 +1,5 @@
 import json
+import logging
 import math
 import os
 import subprocess
@@ -30,6 +31,14 @@ class TestMeasuresCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["alpha1"] == [2.0, 0.0]
         assert payload["measures"]["C"] == pytest.approx(4 / 7, abs=1e-15)
+
+    def test_near_equal_seeds_keep_their_small_p(self, capsys):
+        # P = |a - b| (a + b) / T = 3.0e-10 here; a root of 1 - V^2 would print 0 or 1e-8
+        assert main(["measures", "--alpha1", "3", "--alpha2", "3.000000001", "--oracle"]) == 0
+        out = capsys.readouterr().out
+        assert "P      = 0.000000000300000" in out
+        (delta_p,) = [line for line in out.splitlines() if "|delta P " in line]
+        assert float(delta_p.rsplit("=", 1)[1]) <= 1e-15
 
     def test_oracle_flag_adds_residuals(self, capsys):
         assert main(
@@ -197,6 +206,7 @@ class TestSweepCommand:
 
     @pytest.mark.parametrize("amax", ["0", "0.05"])
     def test_surface_without_a_positive_alpha_is_named(self, tmp_path, caplog, capsys, amax):
+        caplog.set_level(logging.INFO, logger="duality_lab")  # the skip notice's level
         out = tmp_path / "surface.csv"
         args = ["sweep", "--mode", "surface", "--amax", amax, "--astep", "0.1"]
         assert main([*args, "--out", str(out)]) == 1

@@ -9,9 +9,15 @@ changed, each by at most 2.7e-15, with the same worst seed pairs.  They
 were re-recorded again when the Poisson log-pmf kernel replaced scipy's
 gammaln in the coherent amplitudes: only ``oracle_residual`` and verify's
 worst residuals moved (by at most 2.3e-15; the same worst seed pairs and
-the same cutoffs), and measures-oracle kept its bytes.  Any
-change to the numbers, their formatting or the column layout changes a
-digest.  Default grid flags unless shown.
+the same cutoffs), and measures-oracle kept its bytes.  They were
+re-recorded once more when D, P, E and mu_s took subtraction-free closed
+forms and the Fock route took P, D and mu_s from |rho11 - rho22| and
+hypot: only those four measures (as D2, P2, E2, mu_s2 in the sweeps)
+and ``oracle_residual``, by at most 2.2e-15, and verify's worst residuals
+and their seed pairs moved (its worst Fock-route P residual fell from
+2.0e-14 to 1.0e-15); every SVG, V, C2, F_abs, coordinate column and cutoff
+kept its value.  Any change to the numbers, their formatting or the column layout
+changes a digest.  Default grid flags unless shown.
 """
 
 import hashlib
@@ -23,44 +29,44 @@ from duality_lab.cli import main
 
 SWEEP_FILES = [
     pytest.param(["--mode", "fig2a", "--format", "csv"], "out.csv",
-                 "1c89c1bf18a249b68ca28583070ff3e9d61731318b8b08c4e9ec5d955e9e0ede", id="fig2a.csv"),
+                 "5d06eb6af0c92f6d0bf88b0b82cc92f3f0c811eac45463844d64c0ed751ad0dd", id="fig2a.csv"),
     pytest.param(["--mode", "fig2a", "--format", "json"], "out.json",
-                 "ed126461cc88848aff72a1e28dd67da521900542d9fdf93541e2cde175e16f5a", id="fig2a.json"),
+                 "9f624eae4f0ffe50129157e848c10ca2de665c3a968f19a4cf2f49ccc4e10edf", id="fig2a.json"),
     pytest.param(["--mode", "fig2a", "--format", "svg"], "out.svg",
                  "cf58af3694023ac92cc2251a97519c50498b3eea79b0b91de5cff659703e924b", id="fig2a.svg"),
     pytest.param(["--mode", "fig2b", "--format", "csv"], "out.csv",
-                 "5b886f1845c1109a50cba766416749c3b9945aacf79fd48f18ae77050f0595bc", id="fig2b.csv"),
+                 "2e7a19856b1744e511932c5a7fbc0dae1a3da6935327c6d2560ea1fe6a6c76ae", id="fig2b.csv"),
     pytest.param(["--mode", "fig2b", "--format", "json"], "out.json",
-                 "da4743c6e6df7288737518f98b78eed377e5de3ca03807d61e6fd52d2fd4fb18", id="fig2b.json"),
+                 "97ba05b20f1649503238c7f78e4f8d128fddb0fd235e77c5a15a5bb88187c716", id="fig2b.json"),
     pytest.param(["--mode", "fig2b", "--format", "svg"], "out.svg",
                  "d8d3c82e57c79a10c09141fcbcf5829b01b438fd845e9a0f01ba7c3f9110fb9d", id="fig2b.svg"),
     pytest.param(["--mode", "surface", "--format", "csv"], "out.csv",
-                 "ee411ec28c00c9be1954e23e6a3e8115fee4452e5f3056965a949852c609c11d", id="surface.csv"),
+                 "050977411288843d6166f415d9a4a757702b5858a857aa13514d96fa2b3f9321", id="surface.csv"),
     pytest.param(["--mode", "surface", "--format", "json"], "out.json",
-                 "8b0731ffd5c7b3668e0033433b14ab8b4297c30176cdd23a39929ee7902b6faa", id="surface.json"),
+                 "00188170e781d3762c75c60f9c25adf7d99be5af0d89f0fc78de90ee890c0ef8", id="surface.json"),
     pytest.param(["--mode", "surface", "--format", "svg"], "out_C.svg",
                  "a40f69c36294a0045d1cc88d5b0eb93ec80a0dacd6b2948367c1cddfd8ed0565", id="surface_C.svg"),
     pytest.param(["--mode", "surface", "--format", "svg"], "out_V.svg",
                  "6ba093ff94e68a28c84321ca6c8469b132d36997073fe1747c60f1698aa0066e", id="surface_V.svg"),
     # 40 rows above the oracle cap carry an empty residual
     pytest.param(["--mode", "fig2a", "--oracle", "--format", "csv"], "out.csv",
-                 "be9348c971eeec55494171e8f9537151276311c1309f80060294502f62dc1760", id="fig2a-oracle.csv"),
+                 "dc67a3460c5754d31d56cc7660fc451a4b1953dbfa60d5e6ac70af4d72caba6c", id="fig2a-oracle.csv"),
     pytest.param(["--mode", "fig2a", "--oracle", "--format", "json"], "out.json",
-                 "9cad07545fe5cf13f11273952af67a2a098a9446a962d86c85f6fbd35f46f626", id="fig2a-oracle.json"),
+                 "e85b39d6d7d57ece9dd85517c801799fe0a20fcaa126793033152fd1866d7f23", id="fig2a-oracle.json"),
     pytest.param(["--mode", "surface", "--amax", "8", "--astep", "0.04", "--gstep", "0.01",
                   "--format", "csv"], "out.csv",
-                 "13a2ce9d55fc35b01513d53039cdc28da68d83fceef23d2d7b3491892d3e0119", id="surface-fine.csv"),
+                 "5217efef39618811858d65a0d2b4134569c7b1210dc2aefaee93f6dec4d77ded", id="surface-fine.csv"),
 ]
 
 STDOUTS = [
     pytest.param(["verify", "--samples", "10000", "--seed", "0", "--json"],
-                 "0f8a5928eb70d61fb82f4177ed038b2aa32952636e7b08919325b9c14d7c4cad",
+                 "25e9c05a2b2415ea86e6a6df03ec8566700fbfc85543c93d9db2a94536613261",
                  id="verify"),
     pytest.param(["measures", "--alpha1", "2", "--alpha2", "1", "--oracle", "--json"],
-                 "fa24a899ed9446e8f9eefef2ec813906fd926ac1215cfda2e0ecf85a93a57f2c",
+                 "d2e22c81741f6b20e5b3c8592eda0e0fd7ccf00cb226dc624d26cea2337bc395",
                  id="measures-oracle"),
     pytest.param(["measures", "--alpha1=3,4", "--alpha2=-1,0.5", "--json"],
-                 "dd0153de770df93d908cf0072ab1f8a80783bbd7456b66a9147d1f08b978eb7f",
+                 "01a4627ce859cce60eba9ddf49d343fec8e00a6b04e2129867006162ef1fec9b",
                  id="measures-complex"),
 ]
 
@@ -87,10 +93,10 @@ def test_explicit_grid_digests():
     seeds = [SeedPair(0, 1), SeedPair(2, 1), SeedPair(3 + 4j, -1 + 0.5j), SeedPair(8, 1)]
     table = run_sweep(explicit_grid(seeds, oracle_check=True))
     assert sha256(rows_to_csv_text(table).encode()) == (
-        "834b92d01daeab5dc5b75bb3d228c329f602678339f6691620ae052e2d7e4a67"
+        "f74284d2e72232075a248b86107466ebbbc89e57caddc98fcc90c232ac4029ba"
     )
     assert sha256(rows_to_json_text(table).encode()) == (
-        "b0d007692a8486f9b8c91efb14c1b97855db7280e80b0f3aa3d2f361b3662763"
+        "76399e31f51479ec5d1f16c391f0b3933b41f41c372d072820a11137e7035b91"
     )
 
 

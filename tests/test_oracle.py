@@ -136,18 +136,12 @@ def reference_measures(seeds: SeedPair):
     paired_root_f = paired_root * f_abs
     visibility = 2.0 * c1 * c2
     balance = red11 - red22
-    coherence_off = abs(red12)
-    radicands = np.asarray(
-        [
-            1.0 - paired_root_f * paired_root_f,
-            1.0 - paired_root * paired_root,
-            paired_root * paired_root - paired_root_f * paired_root_f,
-            balance * balance + 4.0 * coherence_off * coherence_off,
-        ]
-    )
-    d, p, e, mu_s = np.sqrt(np.minimum(1.0, np.maximum(0.0, radicands))).tolist()
+    p = abs(balance)
+    e = math.sqrt(paired_root * paired_root - paired_root_f * paired_root_f)
+    # libm's hypot, as the batch takes it: math.hypot can differ in the last bit
     measures = dict(
-        D=d, P=p, E=e, V=visibility, C=visibility * f_abs, F_abs=f_abs, mu_s=mu_s
+        D=float(np.hypot(p, e)), P=p, E=e, V=visibility, C=visibility * f_abs, F_abs=f_abs,
+        mu_s=float(np.hypot(balance, 2.0 * abs(red12))),
     )
     return measures, cutoff, (red11, red22, red12)
 
@@ -484,6 +478,17 @@ class TestMeasuresFromState:
             closed = complementarity_measures(SeedPair(z1, z2))
             for name in MEASURE_FIELDS:
                 assert abs(getattr(fock_route, name)[k] - getattr(closed, name)) < 1e-8
+
+    @pytest.mark.parametrize("seeds", [(3, 3.000000001), (20, 20 + 1e-8), (1e-8, 0)])
+    def test_near_equal_and_tiny_seeds_agree(self, seeds):
+        # a root of a cancelling difference such as 1 - V^2 would leave P
+        # 1.5e-8 off at the first two pairs.  P and V carry no truncation
+        # error; the rest inherit the <= 1e-12 tail the cutoff leaves in |F|,
+        # which D and E amplify by |F| / sqrt(1 - |F|^2), about 2 at the
+        # first pair (2.2e-12 seen)
+        residuals, _ = route_residuals([seeds], closed_at(np.array([seeds], dtype=complex)))
+        for name, residual in residuals.items():
+            assert residual[0] <= (1e-15 if name in ("P", "V") else 5e-12), name
 
     def test_purity_identity(self):
         seeds = random_seeds(np.random.default_rng(25), 50, 4.0)

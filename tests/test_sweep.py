@@ -96,7 +96,7 @@ class TestFig2Sweeps:
 
 class TestSurfaceSweep:
     def test_skips_undefined_ratio_with_warning(self, caplog):
-        with caplog.at_level(logging.WARNING, logger="duality_lab"):
+        with caplog.at_level(logging.INFO, logger="duality_lab"):
             table = run_sweep(surface_grid())
         assert "skipped 50" in caplog.text
         assert len(table) == 50 * 101 - 50
