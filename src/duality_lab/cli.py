@@ -156,7 +156,7 @@ def _cmd_sweep(args) -> int:
         raise ValueError(f"--gstep applies to --mode surface only, not {args.mode}")
     flags = {"alpha_max": args.amax, "alpha_step": args.astep, "gamma_step": args.gstep}
     given = {name: value for name, value in flags.items() if value is not None}
-    table = run_sweep(factory(oracle_check=args.oracle, **given))
+    table = run_sweep(factory(**given), oracle_check=args.oracle)
     written = emit_outputs(table, args.format, args.out)
     names = ", ".join(str(p) for p in written)
     print(f"wrote {len(table)} rows -> {names}")

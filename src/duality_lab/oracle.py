@@ -201,8 +201,9 @@ def build_composite(seeds) -> CompositeState:
         # |alpha_1|^2 and |alpha_2|^2 as two contiguous rows; np.hypot, unlike
         # np.abs, matches abs(complex) bit for bit
         mags = np.hypot(seeds.real.T, seeds.imag.T, order="C")
-        mags_sq = mags * mags
-        # a NaN or infinite seed has no cutoff, and the rule names it
+        with np.errstate(over="ignore"):
+            mags_sq = mags * mags
+        # the rule names every pair whose |alpha|^2 is NaN, inf or too large
         segments = Segments(cutoffs_for_means(np.maximum(mags_sq[0], mags_sq[1])))
         factors = np.empty((4, segments.size), dtype=complex)
         coherent_state(seeds.T, segments, out=factors[:2])

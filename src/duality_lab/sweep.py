@@ -10,11 +10,12 @@ Three canned grids cover the interesting landscape:
 An explicit list of seed pairs is a fourth grid.  Each factory checks its
 arguments once, naming the CLI flag at fault, and expands its grid into a
 ``SweepGrid``: the magnitude columns of every point, in row-major axis
-order.  ``run_sweep`` evaluates the closed forms over all points in one call
-and returns a ``SweepTable``, which validates the measures when it is built;
-the emitters in ``output`` write its columns.  An optional oracle check
-re-evaluates eligible points through the Fock-space route and records the
-worst per-field deviation.
+order.  A grid describes points only.  ``run_sweep`` evaluates the closed
+forms over all points in one call and returns a ``SweepTable``, which
+validates the measures when it is built; the emitters in ``output`` write
+its columns.  ``run_sweep(grid, oracle_check=True)`` also re-evaluates the
+points within the oracle cap through the Fock-space route, in bounded
+batches, and records the worst per-field deviation.
 """
 
 from __future__ import annotations
@@ -61,7 +62,6 @@ class SweepGrid:
     alpha1_abs: np.ndarray
     alpha2_abs: np.ndarray
     gamma: np.ndarray
-    oracle_check: bool = False
     seeds: Optional[np.ndarray] = None
     skipped: int = 0
 
@@ -107,38 +107,33 @@ def _check_point_count(count: int) -> None:
         raise ValueError(f"grid has {count} points, above the {MAX_GRID_POINTS} limit")
 
 
-def _ratio_grid(
-    alpha_max: float, alpha_step: float, gamma: float, oracle_check: bool
-) -> SweepGrid:
+def _ratio_grid(alpha_max: float, alpha_step: float, gamma: float) -> SweepGrid:
     """The one-axis sweep alpha_1 = |alpha|, alpha_2 = gamma |alpha|."""
     alphas = _alpha_axis(alpha_max, alpha_step)
     _check_seed_bound(alphas[-1], "--amax")
-    return SweepGrid(alphas, alphas * gamma, np.full_like(alphas, gamma), oracle_check)
+    return SweepGrid(alphas, alphas * gamma, np.full_like(alphas, gamma))
 
 
 def fig2a_grid(
     alpha_max: float = DEFAULT_FIG2_ALPHA_MAX,
     alpha_step: float = DEFAULT_FIG2_ALPHA_STEP,
-    oracle_check: bool = False,
 ) -> SweepGrid:
     """Equal-seed sweep alpha_1 = alpha_2 = |alpha|."""
-    return _ratio_grid(alpha_max, alpha_step, 1.0, oracle_check)
+    return _ratio_grid(alpha_max, alpha_step, 1.0)
 
 
 def fig2b_grid(
     alpha_max: float = DEFAULT_FIG2_ALPHA_MAX,
     alpha_step: float = DEFAULT_FIG2_ALPHA_STEP,
-    oracle_check: bool = False,
 ) -> SweepGrid:
     """Fixed-ratio sweep alpha_1 = |alpha| = 2 alpha_2."""
-    return _ratio_grid(alpha_max, alpha_step, 0.5, oracle_check)
+    return _ratio_grid(alpha_max, alpha_step, 0.5)
 
 
 def surface_grid(
     alpha_max: float = DEFAULT_SURFACE_ALPHA_MAX,
     alpha_step: float = DEFAULT_SURFACE_ALPHA_STEP,
     gamma_step: float = DEFAULT_SURFACE_GAMMA_STEP,
-    oracle_check: bool = False,
 ) -> SweepGrid:
     """Two-axis sweep over gamma in (0, 1] and |alpha| = |alpha_2| in [0, alpha_max].
 
@@ -168,10 +163,10 @@ def surface_grid(
         )
     a2 = np.tile(kept, len(gammas))
     gamma = np.repeat(gammas, len(kept))
-    return SweepGrid(a2 / gamma, a2, gamma, oracle_check, skipped=skipped)
+    return SweepGrid(a2 / gamma, a2, gamma, skipped=skipped)
 
 
-def explicit_grid(seed_pairs: Sequence[SeedPair], oracle_check: bool = False) -> SweepGrid:
+def explicit_grid(seed_pairs: Sequence[SeedPair]) -> SweepGrid:
     """One point per seed pair, in the order given."""
     seed_pairs = tuple(seed_pairs)
     if not seed_pairs:
@@ -182,7 +177,7 @@ def explicit_grid(seed_pairs: Sequence[SeedPair], oracle_check: bool = False) ->
     a1, a2 = np.hypot(seeds.real, seeds.imag).T
     gamma = np.full_like(a1, math.nan)
     np.divide(a2, a1, out=gamma, where=a1 > 0.0)
-    return SweepGrid(a1, a2, gamma, oracle_check, seeds=seeds)
+    return SweepGrid(a1, a2, gamma, seeds=seeds)
 
 
 # Emitted columns: coordinates, then the plotted measures.
@@ -232,6 +227,11 @@ class SweepTable:
         return len(self.gamma)
 
 
+# Pairs per Fock-route batch, which bounds the oracle's memory on any grid: at
+# |alpha| <= 4 a factor has at most 53 levels.  Residuals do not depend on it.
+_ORACLE_BATCH = 4096
+
+
 def _oracle_residuals(grid: SweepGrid, measures: ComplementarityMeasures) -> Optional[np.ndarray]:
     """Worst per-field Fock-route deviation, NaN above the oracle cap.
 
@@ -244,22 +244,24 @@ def _oracle_residuals(grid: SweepGrid, measures: ComplementarityMeasures) -> Opt
     seeds = grid.seeds
     if seeds is None:
         seeds = np.stack((a1, a2), axis=1).astype(complex)
-    closed = ComplementarityMeasures(
-        **{name: getattr(measures, name)[eligible] for name in MEASURE_FIELDS}
-    )
-    residuals, _ = route_residuals(seeds[eligible], closed)
     worst = np.full(len(a1), math.nan)
-    worst[eligible] = np.max([residuals[name] for name in MEASURE_FIELDS], axis=0)
+    for start in range(0, len(eligible), _ORACLE_BATCH):
+        batch = eligible[start : start + _ORACLE_BATCH]
+        closed = ComplementarityMeasures(
+            **{name: getattr(measures, name)[batch] for name in MEASURE_FIELDS}
+        )
+        residuals, _ = route_residuals(seeds[batch], closed)
+        worst[batch] = np.max([residuals[name] for name in MEASURE_FIELDS], axis=0)
     return worst
 
 
-def run_sweep(grid: SweepGrid) -> SweepTable:
+def run_sweep(grid: SweepGrid, oracle_check: bool = False) -> SweepTable:
     """Evaluate the closed-form measures over the grid as one table.
 
-    Points come back in the grid's order.  With ``grid.oracle_check`` the
+    Points come back in the grid's order.  With ``oracle_check`` the
     Fock-space route is also evaluated wherever both seed magnitudes are
     within the oracle cap, and the worst per-field deviation is attached.
     """
     measures = closed_form_measures(grid.alpha1_abs, grid.alpha2_abs)
-    oracle_residual = _oracle_residuals(grid, measures) if grid.oracle_check else None
+    oracle_residual = _oracle_residuals(grid, measures) if oracle_check else None
     return SweepTable(grid.alpha1_abs, grid.alpha2_abs, grid.gamma, measures, oracle_residual)

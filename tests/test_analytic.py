@@ -1,12 +1,15 @@
 import cmath
 import math
+import types
 
 import mpmath
 import numpy as np
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from duality_lab import analytic
 from duality_lab.analytic import (
     MEASURE_FIELDS,
     ComplementarityMeasures,
@@ -363,3 +366,30 @@ class TestClosedFormsMatchMpmath:
     @given(a=st.floats(0.0, 1e-3), b=st.floats(0.0, 1e-3))
     def test_as_the_seeds_go_to_zero(self, a, b):
         assert_closed_forms_match_mpmath([a, b], [b, a])
+
+
+class TestClosedFormsSymbolically:
+    """The code's own closed forms, evaluated on symbols, against the definitions."""
+
+    def test_squares_match_definitions_and_identities_hold(self, monkeypatch):
+        a, b = sympy.symbols("a b", nonnegative=True)
+        # closed_form_measures takes np.sqrt alone from numpy
+        monkeypatch.setattr(analytic, "np", types.SimpleNamespace(sqrt=sympy.sqrt))
+        closed = closed_form_measures(a, b)
+        total = 2 + a**2 + b**2
+        rho11, rho22 = (1 + a**2) / total, (1 + b**2) / total
+        p2 = (rho11 - rho22) ** 2
+        v2 = 4 * rho11 * rho22
+        f2 = a**2 * b**2 / ((1 + a**2) * (1 + b**2))
+        c2 = v2 * f2
+        e2 = v2 * (1 - f2)
+        squares = dict(D=p2 + e2, P=p2, E=e2, V=v2, C=c2, F_abs=f2, mu_s=p2 + c2)
+        for name in MEASURE_FIELDS:
+            assert sympy.simplify(getattr(closed, name) ** 2 - squares[name]) == 0, name
+        d2, m2 = squares["D"], squares["mu_s"]
+        identities = [
+            d2 - p2 - e2, p2 + e2 + c2 - 1, p2 + c2 - m2, m2 + e2 - 1, c2 - v2 * f2, v2 + p2 - 1,
+        ]
+        assert len(identities) == len(analytic.IDENTITY_NAMES)
+        for name, term in zip(analytic.IDENTITY_NAMES, identities):
+            assert sympy.simplify(term) == 0, name

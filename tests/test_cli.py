@@ -71,7 +71,7 @@ class TestMeasuresCommand:
         argv = ["measures", "--alpha1=1.5,-0.5", "--alpha2=0.7,2", "--oracle", "--json"]
         assert main(argv) == 0
         printed = json.loads(capsys.readouterr().out)["oracle"]
-        table = sweep.run_sweep(sweep.explicit_grid([seeds], oracle_check=True))
+        table = sweep.run_sweep(sweep.explicit_grid([seeds]), oracle_check=True)
         assert table.columns["oracle_residual"][0] == max(printed["residuals"].values())
         residuals, cutoffs = oracle.route_residuals(
             [(seeds.alpha1, seeds.alpha2)], complementarity_measures(seeds)

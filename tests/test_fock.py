@@ -212,23 +212,12 @@ class TestCoherentState:
     def test_truncated_norm_is_one(self):
         assert abs(np.linalg.norm(coherent(2.0, 40)) - 1.0) < 1e-12
 
-    def test_rejects_nonfinite_alpha(self):
-        with pytest.raises(ValueError, match="finite"):
-            coherent(complex(np.inf, 0), 16)
-        # |alpha|^2, the kernel's mean, overflows past |alpha| ~ 1.3e154
-        with pytest.raises(ValueError, match=r"point 1: \|alpha\|\^2 overflows for \|alpha\| = 1e\+200"):
-            coherent_state([[1.0, 1e200]], Segments([16, 16]))
-
     def test_rejects_alphas_not_matching_segments(self):
         for alphas in ([1.0], [[1.0]], [[1.0, 2.0, 3.0]]):
             with pytest.raises(ValueError, match="one segment per column"):
                 coherent_state(alphas, Segments([8, 8]))
 
-    def test_rejects_cutoff_beyond_ceiling(self):
-        with pytest.raises(ValueError, match="ceiling"):
-            coherent(1.0, DEFAULT_POLICY.ceiling + 1)
-        with pytest.raises(ValueError, match="ceiling"):
-            coherent(1100.0, DEFAULT_POLICY.ceiling + 1)
+    def test_rejects_cutoff_below_one(self):
         with pytest.raises(ValueError):
             coherent(1.0, 0)
 
@@ -406,6 +395,9 @@ class TestChooseCutoff:
             choose_cutoff([])
         with pytest.raises(ValueError):
             choose_cutoff([complex(np.nan, 0)])
+        # |alpha|^2 overflows to inf, which the rule refuses by name
+        with pytest.raises(ValueError, match=r"\|alpha\|\^2 = inf"):
+            choose_cutoff([1e200])
 
 
 class TestInvariants:

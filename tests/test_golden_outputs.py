@@ -91,7 +91,7 @@ def test_stdout_digest(capsys, args, digest):
 def test_explicit_grid_digests():
     # NaN gamma, a missing oracle residual, and complex seeds
     seeds = [SeedPair(0, 1), SeedPair(2, 1), SeedPair(3 + 4j, -1 + 0.5j), SeedPair(8, 1)]
-    table = run_sweep(explicit_grid(seeds, oracle_check=True))
+    table = run_sweep(explicit_grid(seeds), oracle_check=True)
     assert sha256(rows_to_csv_text(table).encode()) == (
         "f74284d2e72232075a248b86107466ebbbc89e57caddc98fcc90c232ac4029ba"
     )

@@ -398,6 +398,9 @@ class TestBuildComposite:
             build_composite([(0.5, 1), (1, 2), (complex(np.nan, 0), 1)])
         with pytest.raises(ValueError, match=r"seed pair 0 \(alpha1=inf.*\|alpha\|\^2 = inf"):
             build_composite([(complex(np.inf, 0), 1), (1, 2)])
+        # |alpha_2|^2 overflows: the rule names the pair, and numpy stays quiet
+        with pytest.raises(ValueError, match=r"seed pair 1 \(alpha1=1.*\|alpha\|\^2 = inf"):
+            build_composite([(0.5, 1), (1.0, 1e200)])
 
     def test_seed_beyond_the_ceiling_is_named(self):
         with pytest.raises(ValueError, match=r"seed pair 1 \(alpha1=2.*no cutoff <= ceiling"):

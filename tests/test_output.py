@@ -233,7 +233,7 @@ class TestRowEmitters:
 
     def test_oracle_column_only_when_present(self, small_rows):
         assert "oracle_residual" not in rows_to_csv_text(small_rows)
-        rows = run_sweep(explicit_grid([SeedPair(1, 1), SeedPair(9, 9)], oracle_check=True))
+        rows = run_sweep(explicit_grid([SeedPair(1, 1), SeedPair(9, 9)]), oracle_check=True)
         text = rows_to_csv_text(rows)
         lines = text.splitlines()
         assert lines[0].endswith(",oracle_residual")
@@ -281,12 +281,12 @@ class TestColumnEmittersMatchScalarReference:
         residuals = {row[-1] for row in rows}
         assert "" in residuals and "inf" in residuals and "nan" not in residuals
 
-    @pytest.mark.parametrize("grid", [
-        fig2a_grid(alpha_max=2.0, alpha_step=0.1, oracle_check=True),
-        surface_grid(alpha_max=3.0, alpha_step=0.25, gamma_step=0.1),
+    @pytest.mark.parametrize(("grid", "oracle_check"), [
+        (fig2a_grid(alpha_max=2.0, alpha_step=0.1), True),
+        (surface_grid(alpha_max=3.0, alpha_step=0.25, gamma_step=0.1), False),
     ], ids=["fig2a-oracle", "surface"])
-    def test_csv_and_json_on_sweeps(self, grid):
-        table = run_sweep(grid)
+    def test_csv_and_json_on_sweeps(self, grid, oracle_check):
+        table = run_sweep(grid, oracle_check=oracle_check)
         assert rows_to_csv_text(table) == reference_csv_text(table)
         assert rows_to_json_text(table) == reference_json_text(table)
 

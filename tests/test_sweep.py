@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from duality_lab import sweep
 from duality_lab.analytic import SeedPair
 from duality_lab.sweep import (
     MAX_GRID_POINTS,
@@ -143,22 +144,37 @@ class TestExplicitSweep:
 
 class TestOracleCheck:
     def test_residuals_attached_within_cap(self):
-        table = run_sweep(explicit_grid([SeedPair(2, 1), SeedPair(8, 1)], oracle_check=True))
+        table = run_sweep(explicit_grid([SeedPair(2, 1), SeedPair(8, 1)]), oracle_check=True)
         residual = table.columns["oracle_residual"]
         assert residual[0] < 1e-8
         # |alpha| above the oracle cap: closed form only
         assert math.isnan(residual[1])
 
     def test_no_residual_column_when_nothing_within_cap(self):
-        table = run_sweep(explicit_grid([SeedPair(8, 1)], oracle_check=True))
+        table = run_sweep(explicit_grid([SeedPair(8, 1)]), oracle_check=True)
         assert table.oracle_residual is None
         assert "oracle_residual" not in table.columns
 
     def test_fig2a_oracle_sweep(self):
-        table = run_sweep(fig2a_grid(alpha_max=2.0, alpha_step=0.5, oracle_check=True))
+        table = run_sweep(fig2a_grid(alpha_max=2.0, alpha_step=0.5), oracle_check=True)
         residual = table.columns["oracle_residual"]
         assert not np.any(np.isnan(residual))
         assert residual.max() < 1e-8
+
+    def test_batch_size_does_not_change_residuals(self, monkeypatch):
+        # more batches than one, the last one partial, and a point above the cap
+        grids = [
+            fig2a_grid(alpha_max=2.0, alpha_step=0.25),
+            explicit_grid([
+                SeedPair(1.5 - 0.5j, 0.7 + 2j), SeedPair(8, 1), SeedPair(-2j, 3),
+                SeedPair(0, 1), SeedPair(2 + 1j, 1 - 3j),
+            ]),
+        ]
+        whole = [run_sweep(grid, oracle_check=True).columns["oracle_residual"] for grid in grids]
+        monkeypatch.setattr(sweep, "_ORACLE_BATCH", 3)
+        for grid, expected in zip(grids, whole):
+            got = run_sweep(grid, oracle_check=True).columns["oracle_residual"]
+            assert np.array_equal(got, expected, equal_nan=True)
 
 
 class TestSweepRow:
