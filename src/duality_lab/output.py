@@ -36,6 +36,8 @@ import itertools
 import json
 import math
 import operator
+import os
+import stat
 from pathlib import Path
 from typing import Iterable, Optional
 
@@ -115,9 +117,30 @@ def scan_to_csv_text(scan: FringeScan) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _write_ascii(path: Path, text: str) -> None:
+    """Write ``text`` to ``path`` as ASCII over any existing bytes, then cut the tail.
+
+    Truncating a file before rewriting it stalls on ext4 (consistent with its
+    ``auto_da_alloc`` flush); writing in place does not.  The inode, mode and
+    links are kept and a symlink is followed.  Only regular files are cut, so
+    FIFOs and ``os.devnull`` work.  Not atomic: a crash mid-write can leave new
+    bytes over an old tail.
+    """
+    data = text.encode("ascii")  # before opening, so an error leaves the file as it was
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        rest = memoryview(data)
+        while rest:
+            rest = rest[os.write(fd, rest):]
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)
+
+
 def write_scan_csv(scan: FringeScan, path) -> Path:
     path = Path(path)
-    path.write_text(scan_to_csv_text(scan), encoding="ascii", newline="")
+    _write_ascii(path, scan_to_csv_text(scan))
     return path
 
 
@@ -541,20 +564,20 @@ def emit_outputs(
     path = Path(path)
 
     if format == "csv":
-        path.write_text(rows_to_csv_text(data), encoding="ascii", newline="")
+        _write_ascii(path, rows_to_csv_text(data))
         return [path]
     if format == "json":
-        path.write_text(rows_to_json_text(data), encoding="ascii", newline="")
+        _write_ascii(path, rows_to_json_text(data))
         return [path]
     gammas = data.columns["gamma"]
     if np.isnan(gammas).any():
         raise ValueError("svg output needs a regular grid, not explicit seed lists")
     if len(np.unique(gammas)) == 1:
-        path.write_text(render_curves_svg(data), encoding="ascii", newline="")
+        _write_ascii(path, render_curves_svg(data))
         return [path]
     written = []
     for measure in measures:
         target = path.with_name(f"{path.stem}_{measure}{path.suffix or '.svg'}")
-        target.write_text(render_heatmap_svg(data, measure), encoding="ascii", newline="")
+        _write_ascii(target, render_heatmap_svg(data, measure))
         written.append(target)
     return written

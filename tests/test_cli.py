@@ -1,3 +1,4 @@
+import errno
 import json
 import logging
 import math
@@ -246,6 +247,14 @@ class TestSweepCommand:
         )
         assert not out.exists()
 
+    @pytest.mark.parametrize("fmt", ["csv", "json", "svg"])
+    def test_out_in_a_missing_directory_is_one_error_line(self, tmp_path, capsys, fmt):
+        out = tmp_path / "missing" / f"x.{fmt}"
+        assert main(["sweep", "--mode", "fig2a", "--format", fmt, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: [Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}: {str(out)!r}\n"
+        )
+
     def test_repeat_runs_byte_identical(self, tmp_path):
         args = ["sweep", "--mode", "fig2a", "--amax", "2", "--astep", "0.1"]
         a = tmp_path / "a.json"
@@ -373,6 +382,14 @@ class TestFringeAndFitCommands:
             assert err.startswith("error: counts too small to fit: offset 4e-310")
             assert err.count("\n") == 1  # no traceback
         assert scan.exists()
+
+    def test_out_directory_is_one_error_line(self, tmp_path, capsys):
+        rc = main(["fringe", "--alpha1", "2", "--alpha2", "1", "--points", "16",
+                   "--out", str(tmp_path)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: [Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: {str(tmp_path)!r}\n"
+        )
 
     def test_fit_missing_file_exits_two(self, tmp_path, capsys):
         rc = main(["fit", "--input", str(tmp_path / "absent.csv")])

@@ -1,6 +1,10 @@
 import dataclasses
+import itertools
 import json
 import math
+import os
+import stat
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -361,6 +365,9 @@ def write_lines(path, lines, newline="\n"):
     return path
 
 
+_FUZZ_FILES = itertools.count()
+
+
 class TestScanCsv:
     def test_roundtrip_points_identical(self, poisson_scan, tmp_path):
         path = tmp_path / "scan.csv"
@@ -478,7 +485,8 @@ class TestScanCsv:
     ):
         # small chunks put chunk boundaries between every few lines
         monkeypatch.setattr(output, "_SCAN_CHUNK", chunk)
-        path = tmp_path / "fuzz.csv"
+        # a fresh file per example: rewriting one file stalls on ext4
+        path = tmp_path / f"fuzz{next(_FUZZ_FILES)}.csv"
         path.write_bytes(data)
         outcome = assert_readers_agree(path)
         if outcome[0] == "error":
@@ -671,3 +679,61 @@ class TestEmitOutputs:
         write_scan_csv(poisson_scan, a)
         write_scan_csv(poisson_scan, b)
         assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.fixture(params=["scan", "csv", "json", "curves", "heatmap"])
+def write_output(request, small_rows, poisson_scan):
+    """One output writer: called with a path, it writes there and returns the paths written."""
+    if request.param == "scan":
+        return lambda path: [write_scan_csv(poisson_scan, path)]
+    if request.param == "heatmap":
+        surface = run_sweep(surface_grid(alpha_max=1.0, alpha_step=0.5, gamma_step=0.5))
+        return lambda path: emit_outputs(surface, "svg", path)
+    fmt = "svg" if request.param == "curves" else request.param
+    return lambda path: emit_outputs(small_rows, fmt, path)
+
+
+def stale_files(fresh, name):
+    """Paths of ``fresh`` with ``fresh`` renamed to ``name``, each holding longer stale bytes."""
+    stale = [path.with_name(path.name.replace("fresh", name)) for path in fresh]
+    for path, new in zip(stale, fresh):
+        path.write_bytes(b"x" * (new.stat().st_size + 4096))
+    return stale
+
+
+class TestOutputFilesWrittenInPlace:
+    def test_overwrite_of_a_longer_file_leaves_no_old_tail(self, write_output, tmp_path):
+        fresh = write_output(tmp_path / "fresh.out")
+        old = stale_files(fresh, "old")
+        assert write_output(tmp_path / "old.out") == old
+        assert [p.read_bytes() for p in old] == [p.read_bytes() for p in fresh]
+
+    def test_symlinked_target_is_written_through(self, write_output, tmp_path):
+        fresh = write_output(tmp_path / "fresh.out")
+        targets = stale_files(fresh, "target")
+        links = [path.with_name(path.name.replace("fresh", "link")) for path in fresh]
+        for link, target in zip(links, targets):
+            link.symlink_to(target.name)
+        write_output(tmp_path / "link.out")
+        for link, target, new in zip(links, targets, fresh):
+            assert link.is_symlink() and os.readlink(link) == target.name
+            assert target.read_bytes() == new.read_bytes()
+
+    def test_mode_inode_and_hard_links_are_kept(self, write_output, tmp_path):
+        fresh = write_output(tmp_path / "fresh.out")
+        old = stale_files(fresh, "old")
+        for path in old:
+            path.chmod(0o600)
+            os.link(path, path.with_name(path.name + ".link"))
+        inodes = [path.stat().st_ino for path in old]
+        write_output(tmp_path / "old.out")
+        for path, inode, new in zip(old, inodes, fresh):
+            st = path.stat()
+            assert st.st_ino == inode and st.st_nlink == 2
+            assert stat.S_IMODE(st.st_mode) == 0o600
+            assert path.with_name(path.name + ".link").read_bytes() == new.read_bytes()
+
+    def test_devnull_target_is_written_and_not_truncated(self, small_rows, poisson_scan):
+        assert write_scan_csv(poisson_scan, os.devnull) == Path(os.devnull)
+        for fmt in ("csv", "json", "svg"):
+            assert emit_outputs(small_rows, fmt, os.devnull) == [Path(os.devnull)]
