@@ -206,8 +206,7 @@ def validate_measures(measures: ComplementarityMeasures) -> ComplementarityMeasu
     hold to 1e-12, and C <= V, P <= D.  Raises ValueError naming the first
     check that fails.  Works on scalar and array records alike.
     """
-    values = np.array([getattr(measures, name) for name in MEASURE_FIELDS], dtype=float)
-    values = values.reshape(len(MEASURE_FIELDS), -1)
+    values = _stacked_fields(measures)
     if values.shape[1] == 1:
         # one point: the same checks on Python floats cost a fraction of the
         # array ones; a failure falls through to name its check
@@ -220,6 +219,27 @@ def validate_measures(measures: ComplementarityMeasures) -> ComplementarityMeasu
             and p <= d + IDENTITY_ATOL
         ):
             return measures
+    _checked_residuals(values)
+    return measures
+
+
+def validated_identity_residuals(measures: ComplementarityMeasures) -> np.ndarray:
+    """The checks of ``validate_measures`` in one pass that keeps its residuals.
+
+    Returns the six identities' absolute residuals, one row per name in
+    ``IDENTITY_NAMES`` and one column per point, or raises the ValueError
+    ``validate_measures`` raises.
+    """
+    return _checked_residuals(_stacked_fields(measures))
+
+
+def _stacked_fields(measures: ComplementarityMeasures) -> np.ndarray:
+    values = np.array([getattr(measures, name) for name in MEASURE_FIELDS], dtype=float)
+    return values.reshape(len(MEASURE_FIELDS), -1)
+
+
+def _checked_residuals(values: np.ndarray) -> np.ndarray:
+    """Check the (7, points) field stack; return the (6, points) identity residuals."""
     residuals = np.abs(_identity_terms(values))
     d, p, _, v, c, _, _ = values
     inside = (values >= -1e-15) & (values <= 1.0 + 1e-12)
@@ -229,7 +249,7 @@ def validate_measures(measures: ComplementarityMeasures) -> ComplementarityMeasu
         and np.count_nonzero(residuals <= IDENTITY_ATOL) == residuals.size
         and np.count_nonzero((c <= v + IDENTITY_ATOL) & (p <= d + IDENTITY_ATOL)) == c.size
     ):
-        return measures
+        return residuals
     if not inside.all():
         field_index, point = np.argwhere(~inside)[0]
         raise ValueError(
@@ -247,7 +267,7 @@ def validate_measures(measures: ComplementarityMeasures) -> ComplementarityMeasu
         raise ValueError("C must not exceed V")
     if (p > d + IDENTITY_ATOL).any():
         raise ValueError("P must not exceed D")
-    return measures
+    return residuals
 
 
 def path_density(alpha1_abs_sq, alpha2_abs_sq) -> QuantonDensityMatrix:

@@ -24,8 +24,10 @@ coherent seeds and ``fock.spacs_state`` their photon-added counterparts.
 The state holds the pure path density matrix ``pure`` and the reduced one,
 ``reduced``, built once from the detector overlaps.  Both, and the record
 ``measures_from_state`` returns, are one array record for the batch, and
-every check names the seed pair at fault.  Inner products and norms are taken
-pair by pair on contiguous segments.
+every check names the seed pair at fault.  Inner products and norms are
+segmented reductions: one ``np.add.reduceat`` over the segment starts sums
+every pair's segment on its own, so a pair's results equal those of the
+pair built alone, bit for bit, and no Python loop runs over the pairs.
 ``route_residuals`` is the one comparison of the two routes that the CLI,
 the sweeps and ``verify_identities`` share; ``verify_identities`` wraps it
 in a randomized pass/fail report.
@@ -42,6 +44,7 @@ import numpy as np
 from .analytic import (
     _SEED_MAGNITUDE_MAX,
     IDENTITY_ATOL,
+    IDENTITY_NAMES,
     MEASURE_FIELDS,
     ComplementarityMeasures,
     PointError,
@@ -50,8 +53,16 @@ from .analytic import (
     closed_form_measures,
     path_density,
     validate_measures,
+    validated_identity_residuals,
 )
-from .fock import Segments, coherent_state, cutoffs_for_means, spacs_state
+from .fock import (
+    Segments,
+    _segment_overlaps,
+    _squared_norms,
+    coherent_state,
+    cutoffs_for_means,
+    spacs_state,
+)
 
 _FACTOR_NORM_ATOL = 1e-10
 
@@ -109,14 +120,17 @@ class CompositeState:
     per factor (the ``COHERENT_1`` .. ``ADDED_2`` rows) and pair p's levels
     0 .. cutoffs[p] in segment p of the ``segments`` layout.
 
-    Construction takes the inner products once, pair by pair on contiguous
-    segments: ``detector_gram[i, j, p]`` is <d_i+1|d_j+1>, the product of
-    two idler inner products.  It then traces the detector out: for
-    |psi> = sum_j c_j |j>|d_j> the reduced quanton matrix ``reduced`` has
-    rho[i][j] = c_i c_j <d_j|d_i>, formed from ``pure`` and the Gram matrix
-    (the full index contraction over the joint idler vectors gives the same
-    matrix; the test suite checks that equivalence).  Every factor must have
-    unit norm, and the reduced trace, which is the global norm^2, must be 1.
+    Construction takes the inner products once, as segmented reductions
+    over the factor rows: the four squared factor norms, <c1|a1> and
+    <a2|c2>, whose conjugates are the other two idler overlaps.
+    ``detector_gram[i, j, p]`` is <d_i+1|d_j+1>, the product of two idler
+    inner products, formed for all pairs at once.  It then traces the
+    detector out: for |psi> = sum_j c_j |j>|d_j> the reduced quanton matrix
+    ``reduced`` has rho[i][j] = c_i c_j <d_j|d_i>, formed from ``pure`` and
+    the Gram matrix (the full index contraction over the joint idler vectors
+    gives the same matrix; the test suite checks that equivalence).  Every
+    factor must have unit norm, and the reduced trace, which is the global
+    norm^2, must be 1.
     """
 
     seeds: np.ndarray
@@ -139,27 +153,18 @@ class CompositeState:
                 f"{self.factors.shape} for {len(self.segments.cutoffs)} segments of "
                 f"{self.segments.size} levels"
             )
-        overlaps = []
-        coherent1, coherent2, added1, added2 = self.factors
-        vdot, times = np.vdot, complex.__mul__
-        for i, j in self.segments.bounds:
-            c1, c2, a1, a2 = coherent1[i:j], coherent2[i:j], added1[i:j], added2[i:j]
-            n_c1, n_c2, n_a1, n_a2 = vdot(c1, c1), vdot(c2, c2), vdot(a1, a1), vdot(a2, a2)
-            # detector 1 = (a1, c2), detector 2 = (c1, a2); each Gram entry is a
-            # product of idler overlaps taken with Python's complex multiply,
-            # which rounds every product on its own
-            overlaps += (
-                n_c1, n_c2, n_a1, n_a2,
-                times(n_a1, n_c2),
-                times(vdot(a1, c1), vdot(c2, a2)),
-                times(vdot(c1, a1), vdot(a2, c2)),
-                times(n_c1, n_a2),
-            )
-        # one contiguous row per overlap: strided rows slow every check below
-        overlaps = np.array(overlaps, dtype=complex).reshape(count, 8).T.copy()
-        gram = overlaps[4:].reshape(2, 2, count)
+        segments, factors = self.segments, self.factors
+        norms_sq = _squared_norms(factors, segments)
+        # <c1|a1> and <a2|c2>; <a1|c1> and <c2|a2> are their conjugates
+        c1_a1 = _segment_overlaps(factors[COHERENT_1], factors[ADDED_1], segments)
+        a2_c2 = _segment_overlaps(factors[ADDED_2], factors[COHERENT_2], segments)
+        # detector 1 = (a1, c2), detector 2 = (c1, a2)
+        gram = np.empty((2, 2, count), dtype=complex)
+        gram[0, 0] = norms_sq[ADDED_1] * norms_sq[COHERENT_2]
+        gram[1, 1] = norms_sq[COHERENT_1] * norms_sq[ADDED_2]
+        np.multiply(c1_a1, a2_c2, out=gram[1, 0])
+        np.conjugate(gram[1, 0], out=gram[0, 1])
         object.__setattr__(self, "detector_gram", gram)
-        norms_sq = overlaps[:4].real
         # a NaN norm, from a non-finite factor, compares false and fails too
         off_unit = ~(np.abs(np.sqrt(norms_sq) - 1.0) <= _FACTOR_NORM_ATOL)
 
@@ -270,10 +275,7 @@ def route_residuals(
         [getattr(closed, name) for name in MEASURE_FIELDS], (len(MEASURE_FIELDS), -1)
     )
     residuals = dict(zip(MEASURE_FIELDS, np.abs(fock - expected)))
-    # Python's float ** (libm pow) can differ from x * x in the last place
-    residuals[PURITY_RESIDUAL] = np.array(
-        [abs(m**2 - mu**2) for m, mu in zip(fock[-1].tolist(), expected[-1].tolist())]
-    )
+    residuals[PURITY_RESIDUAL] = np.abs(fock[-1] * fock[-1] - expected[-1] * expected[-1])
     return residuals, state.cutoffs
 
 
@@ -401,14 +403,17 @@ def verify_identities(
     def closed_route(seeds: np.ndarray) -> ComplementarityMeasures:
         # np.hypot, unlike np.abs, matches abs(complex) bit for bit
         mags = np.hypot(seeds.real, seeds.imag)
-        return validate_measures(closed_form_measures(mags[:, 0], mags[:, 1]))
+        return closed_form_measures(mags[:, 0], mags[:, 1])
 
+    # one pass validates the closed-form draw and gives its identity residuals
+    identity_rows = validated_identity_residuals(closed_route(closed_seeds))
     checks = [
         _worst_check(name, residuals, closed_seeds, IDENTITY_ATOL)
-        for name, residuals in closed_route(closed_seeds).identity_residuals().items()
+        for name, residuals in zip(IDENTITY_NAMES, identity_rows)
     ]
 
-    residuals, _ = route_residuals(oracle_seeds, closed_route(oracle_seeds))
+    oracle_closed = validate_measures(closed_route(oracle_seeds))
+    residuals, _ = route_residuals(oracle_seeds, oracle_closed)
     for name, residual in residuals.items():
         label = (
             f"{name}: reduced purity vs closed form"

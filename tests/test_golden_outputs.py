@@ -16,16 +16,33 @@ hypot: only those four measures (as D2, P2, E2, mu_s2 in the sweeps)
 and ``oracle_residual``, by at most 2.2e-15, and verify's worst residuals
 and their seed pairs moved (its worst Fock-route P residual fell from
 2.0e-14 to 1.0e-15); every SVG, V, C2, F_abs, coordinate column and cutoff
-kept its value.  Any change to the numbers, their formatting or the column layout
+kept its value.  fig2a-oracle, verify and measures-oracle were re-recorded
+when the Fock route took its norms and inner products as segmented
+reductions over the flat photon-number array: only route residuals moved,
+by at most 1.7e-15 (``oracle_residual``), 8.3e-16 (verify) and 1.7e-16
+(measures-oracle), and every cutoff and worst seed pair held but verify's
+worst P residual, rounding noise of 7.8e-16, in place of 1.0e-15 at
+another pair.  The same change took the coherent phases from np.arctan2
+in place of cmath.phase, a second source of bit movement: with numpy's
+AVX-512 paths, about 7 % of complex seeds get a phase one ulp apart.
+Applied alone, that switch kept every digest here (fig2a and
+measures-oracle have real seeds, whose phase is exactly 0, and verify's
+worst residuals held) while moving other verify-draw residuals by up to
+1.1e-15.  The oracle digests were recorded on an x86-64 CPU with AVX-512
+and depend on numpy's SIMD paths: with those paths disabled they differ,
+before that change as after it.  Any change to the numbers, their formatting or the column layout
 changes a digest.  Default grid flags unless shown.
 """
 
 import hashlib
+import json
+import re
 
 import pytest
 
 from duality_lab import SeedPair, explicit_grid, rows_to_csv_text, rows_to_json_text, run_sweep
 from duality_lab.cli import main
+from duality_lab.oracle import ORACLE_ALPHA_MAX, ORACLE_ATOL
 
 SWEEP_FILES = [
     pytest.param(["--mode", "fig2a", "--format", "csv"], "out.csv",
@@ -50,9 +67,9 @@ SWEEP_FILES = [
                  "6ba093ff94e68a28c84321ca6c8469b132d36997073fe1747c60f1698aa0066e", id="surface_V.svg"),
     # 40 rows above the oracle cap carry an empty residual
     pytest.param(["--mode", "fig2a", "--oracle", "--format", "csv"], "out.csv",
-                 "dc67a3460c5754d31d56cc7660fc451a4b1953dbfa60d5e6ac70af4d72caba6c", id="fig2a-oracle.csv"),
+                 "abecab5c95b04e0f456777d68e7897cc5928abcfc280abce0471255b0746d85c", id="fig2a-oracle.csv"),
     pytest.param(["--mode", "fig2a", "--oracle", "--format", "json"], "out.json",
-                 "e85b39d6d7d57ece9dd85517c801799fe0a20fcaa126793033152fd1866d7f23", id="fig2a-oracle.json"),
+                 "d471c56185b24321083dda602774f9c7b0b72dfb5e7fd2049bb8d0e754be5289", id="fig2a-oracle.json"),
     pytest.param(["--mode", "surface", "--amax", "8", "--astep", "0.04", "--gstep", "0.01",
                   "--format", "csv"], "out.csv",
                  "5217efef39618811858d65a0d2b4134569c7b1210dc2aefaee93f6dec4d77ded", id="surface-fine.csv"),
@@ -60,10 +77,10 @@ SWEEP_FILES = [
 
 STDOUTS = [
     pytest.param(["verify", "--samples", "10000", "--seed", "0", "--json"],
-                 "25e9c05a2b2415ea86e6a6df03ec8566700fbfc85543c93d9db2a94536613261",
+                 "497546dc19aacbf0cf81ac3513fb67196a7a18f51283a9391eb6970b391ed4dd",
                  id="verify"),
     pytest.param(["measures", "--alpha1", "2", "--alpha2", "1", "--oracle", "--json"],
-                 "d2e22c81741f6b20e5b3c8592eda0e0fd7ccf00cb226dc624d26cea2337bc395",
+                 "887a31db36e8f4cdeaae600684b3d8f8880e9b77274ef31f00ca35bfe899bb0c",
                  id="measures-oracle"),
     pytest.param(["measures", "--alpha1=3,4", "--alpha2=-1,0.5", "--json"],
                  "01a4627ce859cce60eba9ddf49d343fec8e00a6b04e2129867006162ef1fec9b",
@@ -80,6 +97,52 @@ def test_sweep_file_digest(tmp_path, capsys, args, written, digest):
     suffix = written.rsplit(".", 1)[1]
     assert main(["sweep", *args, "--out", str(tmp_path / f"out.{suffix}")]) == 0
     assert sha256((tmp_path / written).read_bytes()) == digest
+
+
+def oracle_and_plain_outputs(tmp_path, fmt: str) -> tuple[str, str]:
+    """``sweep --mode fig2a`` written with and without ``--oracle``."""
+    texts = []
+    for extra in (["--oracle"], []):
+        out = tmp_path / f"out{len(texts)}.{fmt}"
+        assert main(["sweep", "--mode", "fig2a", *extra, "--format", fmt, "--out", str(out)]) == 0
+        texts.append(out.read_text())
+    return texts[0], texts[1]
+
+
+def assert_residuals_within_tolerance(alphas: list, residuals: list) -> None:
+    # fig2a has alpha1 = alpha2: the points within the oracle cap carry a
+    # residual, the rest none
+    assert [r is not None for r in residuals] == [a <= ORACLE_ALPHA_MAX for a in alphas]
+    assert all(0.0 <= r <= ORACLE_ATOL for r in residuals if r is not None)
+    assert any(r is None for r in residuals) and any(r is not None for r in residuals)
+
+
+# The oracle adds its residual column and leaves every other byte alone, so a
+# change to the Fock route can move only that column: a standing check for
+# every re-pin of the oracle outputs above.
+def test_oracle_sweep_csv_is_the_plain_sweep_plus_residuals(tmp_path, capsys):
+    oracle_csv, plain_csv = oracle_and_plain_outputs(tmp_path, "csv")
+    oracle_lines, plain_lines = oracle_csv.splitlines(), plain_csv.splitlines()
+    assert len(oracle_lines) == len(plain_lines)
+    assert oracle_lines[0] == plain_lines[0] + ",oracle_residual"
+    alphas, residuals = [], []
+    for oracle_line, plain_line in zip(oracle_lines[1:], plain_lines[1:]):
+        kept, residual = oracle_line.rsplit(",", 1)
+        assert kept == plain_line
+        alphas.append(float(kept.split(",", 1)[0]))
+        residuals.append(float(residual) if residual else None)
+    assert oracle_csv.endswith("\n") == plain_csv.endswith("\n")
+    assert_residuals_within_tolerance(alphas, residuals)
+
+
+def test_oracle_sweep_json_is_the_plain_sweep_plus_residuals(tmp_path, capsys):
+    oracle_json, plain_json = oracle_and_plain_outputs(tmp_path, "json")
+    residual_entry = re.compile(r',\n\s*"oracle_residual": ([^\n]*)')
+    assert residual_entry.sub("", oracle_json) == plain_json
+    rows = json.loads(oracle_json)
+    residuals = [json.loads(value) for value in residual_entry.findall(oracle_json)]
+    assert residuals == [row["oracle_residual"] for row in rows]
+    assert_residuals_within_tolerance([row["alpha1_abs"] for row in rows], residuals)
 
 
 @pytest.mark.parametrize(("args", "digest"), STDOUTS)

@@ -6,6 +6,8 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import gammainc
 
 from duality_lab import fock, oracle
@@ -47,9 +49,15 @@ def tr_rho_squared(rho) -> np.ndarray:
     return rho.rho11**2 + rho.rho22**2 + 2.0 * np.abs(rho.rho12) ** 2
 
 
+def pair_columns(segments, k) -> slice:
+    """The columns of segment k."""
+    start = int(segments.starts[k])
+    return slice(start, start + int(segments.lengths[k]))
+
+
 def detector_vectors(state, k):
     """Pair k's two detector states as full two-mode idler vectors."""
-    coherent1, coherent2, added1, added2 = state.factors[:, slice(*state.segments.bounds[k])]
+    coherent1, coherent2, added1, added2 = state.factors[:, pair_columns(state.segments, k)]
     return tensor_product(added1, coherent2), tensor_product(coherent1, added2)
 
 
@@ -63,9 +71,11 @@ def partial_trace_by_contraction(state, k) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Reference: the oracle as one chain of scalar steps per seed pair.  It is the
-# route the batch replaced, kept here so the batch can be held to it bit for
-# bit.  It runs no checks; the batch's checks are tested separately.
+# Reference: the oracle as one chain of scalar steps per seed pair, each on
+# that pair's own arrays, so the batch can be held to it bit for bit.  Every
+# sum is a one-segment ``np.add.reduceat``, the reduction the batch runs over
+# all segments at once; ``.sum()`` and ``np.vdot`` add in other orders.  It
+# runs no checks; the batch's checks are tested separately.
 
 
 def reference_tail(mean, n):
@@ -92,6 +102,29 @@ def reference_cutoff(mean, lo=DEFAULT_POLICY.floor, hi=DEFAULT_POLICY.ceiling):
     return hi
 
 
+def segment_sum(x):
+    return np.add.reduceat(x, [0])[0]
+
+
+def norm_sq(amps) -> float:
+    """<amps|amps>, summed over the interleaved squares re^2, im^2 as the batch sums it."""
+    return float(segment_sum(np.square(amps.view(float))))
+
+
+def ip(a, b) -> complex:
+    """<a|b>, the segment sum of conj(a) b."""
+    return complex(segment_sum(np.conj(a) * b))
+
+
+def vector_product(x, y) -> complex:
+    """x y as numpy multiplies complex arrays; Python's complex multiply can round differently."""
+    return complex(np.multiply([x], [y])[0])
+
+
+def normalized(amps):
+    return amps / math.sqrt(norm_sq(amps))
+
+
 def reference_coherent(alpha, cutoff):
     d = cutoff + 1
     mag = abs(alpha)
@@ -102,15 +135,14 @@ def reference_coherent(alpha, cutoff):
     # the Poisson log-pmf kernel on this pair's own levels alone
     n = np.arange(float(d))
     log_mag = 0.5 * fock._poisson_log_pmf(n, np.full(d, mag * mag))
-    amps = np.exp(log_mag) * np.exp(1j * n * cmath.phase(alpha))
-    amps /= np.linalg.norm(amps)
-    return amps
+    phase = np.arctan2([alpha.imag], [alpha.real])[0]
+    return normalized(np.exp(log_mag) * np.exp(1j * n * phase))
 
 
 def reference_photon_added(amps):
     out = np.zeros_like(amps)
     out[1:] = amps[:-1] * np.sqrt(np.arange(1, len(amps)))
-    return out / np.linalg.norm(out)
+    return normalized(out)
 
 
 def reference_measures(seeds: SeedPair):
@@ -119,19 +151,17 @@ def reference_measures(seeds: SeedPair):
     coh1 = reference_coherent(seeds.alpha1, cutoff)
     coh2 = reference_coherent(seeds.alpha2, cutoff)
     add1, add2 = reference_photon_added(coh1), reference_photon_added(coh2)
-
-    def ip(a, b):
-        return complex(np.vdot(a, b))
-
     a, b = abs(seeds.alpha1), abs(seeds.alpha2)
     na, nb = 1.0 + a * a, 1.0 + b * b
     c1, c2 = math.sqrt(na / (na + nb)), math.sqrt(nb / (na + nb))
     # detector 1 = (add1, coh2), detector 2 = (coh1, add2)
-    red11 = c1 * c1 * (ip(add1, add1) * ip(coh2, coh2)).real
-    red22 = c2 * c2 * (ip(coh1, coh1) * ip(add2, add2)).real
-    red12 = c1 * c2 * (ip(coh1, add1) * ip(add2, coh2))
+    red11 = c1 * c1 * (norm_sq(add1) * norm_sq(coh2))
+    red22 = c2 * c2 * (norm_sq(coh1) * norm_sq(add2))
+    # <d2|d1>; <d1|d2> is its conjugate
+    overlap = vector_product(ip(coh1, add1), ip(add2, coh2))
+    red12 = c1 * c2 * overlap
     rho11, rho22 = c1 * c1, c2 * c2
-    f_abs = abs(ip(add1, coh1) * ip(coh2, add2))
+    f_abs = abs(overlap)
     paired_root = 2.0 * math.sqrt(rho11 * rho22)
     paired_root_f = paired_root * f_abs
     visibility = 2.0 * c1 * c2
@@ -155,7 +185,7 @@ def reference_route_residuals(pairs, closed):
     }
     closed_mu = np.broadcast_to(closed.mu_s, len(pairs)).tolist()
     residuals[PURITY_RESIDUAL] = np.array(
-        [abs(m["mu_s"] ** 2 - mu**2) for m, mu in zip(fock_route, closed_mu)]
+        [abs(m["mu_s"] * m["mu_s"] - mu * mu) for m, mu in zip(fock_route, closed_mu)]
     )
     return residuals, np.array([c for _, c, _ in results])
 
@@ -178,6 +208,19 @@ EDGE_SEEDS = [
 ]
 # |alpha| above 19.4, where a cutoff ceiling of 512 once refused the pair
 FORMER_FAULT_SEEDS = [(20.5, 3), (24 + 7j, 9j), (1.5 - 2j, -29.5 + 0.5j)]
+
+
+def seed_strategy(magnitudes):
+    phases = st.floats(0.0, 2.0 * math.pi)
+    return st.builds(cmath.rect, magnitudes, phases)
+
+
+# pairs within the sweep and verify oracle cap, and pairs whose larger seed
+# has |alpha| in [20, 100], in either order
+SMALL_PAIRS = st.tuples(seed_strategy(st.floats(0.0, 4.0)), seed_strategy(st.floats(0.0, 4.0)))
+LARGE_PAIRS = st.tuples(
+    seed_strategy(st.floats(20.0, 100.0)), seed_strategy(st.floats(0.0, 100.0))
+).flatmap(lambda pair: st.sampled_from([pair, pair[::-1]]))
 
 
 def assert_batch_matches_reference(seeds):
@@ -211,6 +254,25 @@ class TestBatchMatchesReference:
     def test_large_seeds(self, seeds):
         assert_batch_matches_reference([seeds])
 
+    @settings(max_examples=25, deadline=None, database=None)
+    @given(pairs=st.lists(st.one_of(SMALL_PAIRS, LARGE_PAIRS), min_size=2, max_size=6))
+    def test_a_pair_in_any_batch_equals_the_pair_alone(self, pairs):
+        # segments from 17 to 10,713 levels, in random order: every
+        # residual, cutoff and reduced entry equals that of the pair built alone
+        seeds = np.array(pairs)
+        residuals, cutoffs = route_residuals(seeds, closed_at(seeds))
+        reduced = build_composite(seeds).reduced
+        for k in range(len(seeds)):
+            alone = seeds[k : k + 1]
+            alone_residuals, alone_cutoffs = route_residuals(alone, closed_at(alone))
+            assert cutoffs[k] == alone_cutoffs[0]
+            for name, values in alone_residuals.items():
+                assert residuals[name][k] == values[0], (k, name)
+            alone_reduced = build_composite(alone).reduced
+            assert reduced.rho11[k] == alone_reduced.rho11[0]
+            assert reduced.rho22[k] == alone_reduced.rho22[0]
+            assert reduced.rho12[k] == alone_reduced.rho12[0]
+
     def test_pair_order_and_batch_size_do_not_matter(self):
         seeds = verify_draw(5)[:40]
         together, _ = route_residuals(seeds, closed_at(seeds))
@@ -218,6 +280,18 @@ class TestBatchMatchesReference:
             alone, _ = route_residuals(seeds[k : k + 1], closed_at(seeds[k : k + 1]))
             for name, values in alone.items():
                 assert values[0] == together[name][k]
+
+    @pytest.mark.parametrize("scratch_bytes", [1, 1 << 40])
+    def test_row_blocks_do_not_matter(self, monkeypatch, scratch_bytes):
+        # row by row, or every factor row in one block: the same bits
+        seeds = np.concatenate([verify_draw(5)[:40], [[30 + 4j, 0.5], [2j, -55]]])
+        default = build_composite(seeds)
+        monkeypatch.setattr(fock, "_SCRATCH_BYTES", scratch_bytes)
+        blocked = build_composite(seeds)
+        assert np.array_equal(blocked.factors, default.factors)
+        assert np.array_equal(blocked.detector_gram, default.detector_gram)
+        for name in ("rho11", "rho22", "rho12"):
+            assert np.array_equal(getattr(blocked.reduced, name), getattr(default.reduced, name))
 
 
 def exact_tail(mean, n):
@@ -362,14 +436,14 @@ class TestBuildComposite:
         state = build_composite([(0.2, 0), (3, 1), (0, 12)])
         assert state.cutoffs.tolist() == [16, 38, cutoffs_for_means([144.0])[0]]
         assert state.factors.shape == (4, int(np.sum(state.cutoffs + 1)))
-        lengths = [stop - start for start, stop in state.segments.bounds]
-        assert lengths == (state.cutoffs + 1).tolist()
+        assert state.segments.lengths.tolist() == (state.cutoffs + 1).tolist()
+        assert state.segments.starts.tolist() == [0, 17, 17 + 39]
         assert not state.factors.flags.writeable
 
     def test_detector_factors_are_checked(self):
         state = build_composite([(0.5, 1), (1.5, 0.2j), (2, 2)])
         doubled = state.factors.copy()
-        doubled[ADDED_1, slice(*state.segments.bounds[1])] *= 2.0
+        doubled[ADDED_1, pair_columns(state.segments, 1)] *= 2.0
         with pytest.raises(
             ValueError,
             match=r"seed pair 1 \(alpha1=1\.5\+0j, alpha2=0\+0\.2j\): "
@@ -383,7 +457,7 @@ class TestBuildComposite:
         # each factor is off by less than the unit tolerance, their product is not
         state = build_composite([(0.5, 1), (3, 0.1), (2, 2)])
         stretched = state.factors.copy()
-        pair = slice(*state.segments.bounds[1])
+        pair = pair_columns(state.segments, 1)
         stretched[[ADDED_1, COHERENT_2], pair] *= 1.0 + 0.9e-10
         with pytest.raises(ValueError, match=r"seed pair 1 .*trace deviates from 1"):
             dataclasses.replace(state, factors=stretched)
