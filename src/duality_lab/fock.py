@@ -20,7 +20,8 @@ over the segment starts, which sums each segment on its own: a state comes
 out the same, bit for bit, in any batch.
 
 The cutoff rule, ``cutoffs_for_means``, is the one gate on which seeds can be
-built: it names each |alpha|^2 that is NaN, inf or past its ceiling.  The
+built: it names each |alpha|^2 that is NaN, inf or past its ceiling.  It
+scans each mean's Poisson tails from the mean up to a Bennett bound.  The
 builders take any cutoff and check their own work only.
 
 Cutoffs and coherent amplitudes both come from one numpy kernel for the
@@ -142,73 +143,56 @@ def _poisson_log_pmf(n: np.ndarray, mean: np.ndarray) -> np.ndarray:
     return np.subtract(_stirling_heads(int(levels.max(initial=0)))[levels], bd0, out=bd0)
 
 
-# The Poisson(mean) tail falls below 1e-12 near the Cornish-Fisher level
-# mean + z sqrt(mean) + (z^2 + 2) / 6 with z = 7.034.  The eight levels from
-# 4 below to 3 above its floor (or from the cutoff floor) hold the crossing
-# for every mean in [0, 1e6]: a walk over all 1,007,022 steps of the window
-# start k found tail(k) >= 1e-12 at each step's first mean and
-# tail(k + 7) < 1e-12 at its last, and tests/test_oracle.py repeats it on a
-# sample of the steps.  Above 1e6 the window stops at the ceiling.
-_TAIL_Z = 7.034
-_WINDOW = 8
-
-# A tail is the sum of the pmf from its level up to the window start plus
-# 4.5 sqrt(mean) + 18 levels; the levels beyond carry less than 1e-30, a
-# 1e-18 share of the tolerance, at every mean in [0, 1e6] (tests/test_fock.py
-# checks the bound).  At most this many levels are evaluated at once.
-_SPAN_SIGMAS = 4.5
-_SPAN_EXTRA = 18
+# Bernstein's form of Bennett's inequality for the Poisson(mean) upper tail,
+# P(X >= mean + t) <= exp(-t^2 / (2 (mean + t / 3))) (Boucheron, Lugosi &
+# Massart, *Concentration Inequalities*, OUP 2013, ch. 2), leaves less than
+# e^-x = 1e-30, a 1e-18 share of the tolerance, above mean + t with
+# t = x / 3 + sqrt(x^2 / 9 + 2 x mean).  At most _SPAN_BUDGET levels are
+# evaluated at once.
+_BENNETT_X = math.log(1e30)
 _SPAN_BUDGET = 1 << 18
 
 
-def _window_span(mean_max: float) -> int:
-    return math.ceil(_SPAN_SIGMAS * math.sqrt(mean_max)) + _SPAN_EXTRA
+def _scan_span(mean_max: float) -> int:
+    """The scan width for means up to ``mean_max``.
 
-
-def _window_tails(start: np.ndarray, means: np.ndarray, span: int) -> np.ndarray:
-    """Poisson tails P(X >= start + i), i = 0 .. 7, one row per mean."""
-    levels = start[:, None] + np.arange(span)
-    pmf = np.exp(_poisson_log_pmf(levels, means[:, None]))
-    # running sums from the top level down, smallest terms first
-    return np.cumsum(pmf[:, ::-1], axis=1)[:, : -_WINDOW - 1 : -1]
+    ceil(t) + 2 levels from floor(mean) reach past mean + t.
+    """
+    third = _BENNETT_X / 3.0
+    return math.ceil(third + math.sqrt(third * third + 2.0 * _BENNETT_X * mean_max)) + 2
 
 
 def _minimal_cutoffs(means, tolerance: float, floor: int, ceiling: int) -> np.ndarray:
     """Per mean, the smallest N in [floor, ceiling] with Poisson tail P(X >= N) < tolerance.
 
-    One vectorised pass sums the pmf over an eight-level window around the
-    Cornish-Fisher guess, plus the levels above it that still count, and
-    takes the level where the tail crosses the tolerance.  Means are taken
-    in chunks of at most ``_SPAN_BUDGET`` levels.  Raises ValueError naming
-    the first mean that is negative or NaN, or that even ``ceiling`` leaves
-    too much tail.
+    One scan per mean takes the tail of every level from max(floor,
+    floor(mean)) up past the Bennett bound, as running sums of the pmf from
+    the top level down (smallest terms first), and the first level whose tail is below the
+    tolerance is the cutoff.  No level below floor(mean) can be: the Poisson
+    median is at least mean - ln 2 (Choi, Proc. AMS 122, 1994), so the tail
+    there is at least 1/2.  Means are taken in chunks of at most
+    ``_SPAN_BUDGET`` levels.  Raises ValueError naming the first mean that
+    is negative or NaN, or whose cutoff is past ``ceiling``.
     """
     means = np.asarray(means, dtype=float)
     _fail_first(~(means >= 0.0), lambda k: f"mean photon number {means[k]} is not >= 0")
     # Past the ceiling every mean, inf too, fails as the ceiling itself does.
     lam = np.minimum(means, float(ceiling))
-    start = np.floor(lam + _TAIL_Z * np.sqrt(lam) + ((_TAIL_Z * _TAIL_Z + 2.0) / 6.0 - 4.0))
-    start = np.minimum(np.maximum(start, floor), ceiling + 1 - _WINDOW).astype(np.intp)
-    span = _window_span(float(lam.max(initial=0.0)))
-    rows = max(1, _SPAN_BUDGET // span)
-    if len(lam) <= rows:
-        tails = _window_tails(start, lam, span)
-    else:
-        tails = np.concatenate([
-            _window_tails(start[i : i + rows], lam[i : i + rows],
-                          _window_span(float(lam[i : i + rows].max())))
-            for i in range(0, len(lam), rows)
-        ])
-    below = tails < tolerance
-    first = below.argmax(axis=1)
-    # first == 0 is the answer only where the window starts at the floor.  Any
-    # other miss is a mean above 1e6, whose window ends at the ceiling.
+    start = np.maximum(np.floor(lam), floor).astype(np.intp)
+    cutoffs = np.empty(len(lam), dtype=np.int64)
+    rows = max(1, _SPAN_BUDGET // _scan_span(float(lam.max(initial=0.0))))
+    for i in range(0, len(lam), rows):
+        chunk = slice(i, i + rows)
+        levels = start[chunk, None] + np.arange(_scan_span(float(lam[chunk].max())))
+        pmf = np.exp(_poisson_log_pmf(levels, lam[chunk, None]))
+        tails = np.cumsum(pmf[:, ::-1], axis=1)[:, ::-1]
+        cutoffs[chunk] = start[chunk] + (tails < tolerance).argmax(axis=1)
     _fail_first(
-        (first == 0) & ((start > floor) | ~below[:, 0]),
+        cutoffs > ceiling,
         lambda k: f"no cutoff <= ceiling {ceiling} bounds the photon-number "
         f"tail below {tolerance:.3e} for |alpha|^2 = {means[k]:.6g}",
     )
-    return (start + first).astype(np.int64, copy=False)
+    return cutoffs
 
 
 @dataclass(frozen=True)

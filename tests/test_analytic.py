@@ -393,3 +393,48 @@ class TestClosedFormsSymbolically:
         assert len(identities) == len(analytic.IDENTITY_NAMES)
         for name, term in zip(analytic.IDENTITY_NAMES, identities):
             assert sympy.simplify(term) == 0, name
+
+
+class TestFockRouteSymbolically:
+    """The exact third route: path weights and |F| summed from the states' photon-number series.
+
+    Seeds are taken real, a = |alpha_1| and b = |alpha_2|: the measures
+    depend on the magnitudes alone.
+    """
+
+    def test_weights_and_overlap_from_the_states_match_the_closed_forms(self, monkeypatch):
+        a, b = sympy.symbols("a b", nonnegative=True)
+        n = sympy.symbols("n", integer=True, nonnegative=True)
+
+        def amplitude(alpha, k):
+            """<k|alpha> of the coherent state |alpha>."""
+            return sympy.exp(-alpha**2 / 2) * alpha**k / sympy.sqrt(sympy.factorial(k))
+
+        def series(term):
+            return sympy.simplify(sympy.summation(sympy.gammasimp(term), (n, 0, sympy.oo)))
+
+        alpha = sympy.symbols("alpha", nonnegative=True)
+        assert series(amplitude(alpha, n) ** 2) == 1
+        # a†|alpha> puts sqrt(n + 1) <n|alpha> on level n + 1:
+        # ||a†|alpha>||^2 = e^-x sum (n + 1) x^n / n! with x = alpha^2
+        added_norm_sq = series((sympy.sqrt(n + 1) * amplitude(alpha, n)) ** 2)
+        assert added_norm_sq == 1 + alpha**2
+        # <alpha|a†|alpha> = sum <alpha|n + 1> sqrt(n + 1) <n|alpha>
+        added_mean = series(amplitude(alpha, n + 1) * sympy.sqrt(n + 1) * amplitude(alpha, n))
+        assert added_mean == alpha
+        norm_a, norm_b = added_norm_sq.subs(alpha, a), added_norm_sq.subs(alpha, b)
+        # detector j pairs a†|alpha_j>, normalized, with the other idler's
+        # |alpha>, so F = <d1|d2> is a product over the two idlers
+        f_abs = added_mean.subs(alpha, a) * added_mean.subs(alpha, b) / sympy.sqrt(norm_a * norm_b)
+        assert sympy.simplify(f_abs - a * b / sympy.sqrt((1 + a**2) * (1 + b**2))) == 0
+        # the path weights follow the photon-added norms
+        rho11, rho22 = norm_a / (norm_a + norm_b), norm_b / (norm_a + norm_b)
+        p2 = (rho11 - rho22) ** 2
+        v2 = 4 * rho11 * rho22
+        c2 = v2 * f_abs**2
+        e2 = v2 * (1 - f_abs**2)
+        squares = dict(D=p2 + e2, P=p2, E=e2, V=v2, C=c2, F_abs=f_abs**2, mu_s=p2 + c2)
+        monkeypatch.setattr(analytic, "np", types.SimpleNamespace(sqrt=sympy.sqrt))
+        closed = closed_form_measures(a, b)
+        for name in MEASURE_FIELDS:
+            assert sympy.simplify(getattr(closed, name) ** 2 - squares[name]) == 0, name

@@ -7,15 +7,13 @@ from scipy.special import gammainc
 
 from duality_lab.analytic import _SEED_MAGNITUDE_MAX
 from duality_lab.fock import (
+    _BENNETT_X,
     _STIRLERR,
-    _TAIL_Z,
-    _WINDOW,
     DEFAULT_POLICY,
     Segments,
     _minimal_cutoffs,
     _poisson_log_pmf,
-    _window_span,
-    _window_tails,
+    _scan_span,
     cutoffs_for_means,
     apply_creation,
     choose_cutoff,
@@ -85,10 +83,16 @@ def exact_tail(mean: float, n: int):
         return mpmath.gammainc(n, 0, mpmath.mpf(mean), regularized=True)
 
 
-def window_start(mean: float) -> int:
-    """The first level of the cutoff rule's eight-level window, below the ceiling."""
-    shift = (_TAIL_Z * _TAIL_Z + 2.0) / 6.0 - 4.0
-    return max(DEFAULT_POLICY.floor, math.floor(mean + _TAIL_Z * math.sqrt(mean) + shift))
+def scan_start(mean: float) -> int:
+    """The first level the cutoff rule scans: the floor, or floor(mean) above it."""
+    return max(DEFAULT_POLICY.floor, math.floor(mean))
+
+
+def scan_tails(mean: float) -> tuple[int, np.ndarray]:
+    """The first level of one mean's scan and the Poisson tails the rule sums from it."""
+    start = scan_start(mean)
+    pmf = np.exp(_poisson_log_pmf(start + np.arange(_scan_span(mean)), np.array(mean)))
+    return start, np.cumsum(pmf[::-1])[::-1]
 
 
 class TestPoissonLogPmf:
@@ -98,14 +102,14 @@ class TestPoissonLogPmf:
              4321.5, 1e4, 1e5, 999_999.75, 1e6]
 
     def levels(self, mean: float, rng) -> np.ndarray:
-        """Low levels, the bulk, the cutoff window and the levels its tails sum, far tails."""
+        """Low levels, the bulk, the levels the cutoff rule scans, far tails."""
         sigma = math.sqrt(mean)
-        start = window_start(mean)
+        start = scan_start(mean)
         return np.unique(np.concatenate([
             np.arange(40.0),
             np.round(mean + sigma * rng.uniform(-12.0, 12.0, 150)).clip(0.0),
-            start + np.arange(float(_WINDOW)),
-            start + np.round(rng.uniform(0.0, _window_span(mean), 40)),
+            start + np.arange(8.0),
+            start + np.round(rng.uniform(0.0, _scan_span(mean), 80)),
             np.round(rng.uniform(0.0, 2e6, 40)),
             [2e6],
         ]))
@@ -129,29 +133,42 @@ class TestPoissonLogPmf:
         got = _poisson_log_pmf(np.arange(4.0), np.zeros(4))
         assert got.tolist() == [0.0, -math.inf, -math.inf, -math.inf]
 
-    def test_window_tails_match_mpmath_at_the_crossing(self):
+    def test_scan_tails_match_mpmath_at_the_crossing(self):
         tol = DEFAULT_POLICY.tail_tolerance
         checked = 0
         for mean in [0.3, 1.3, 5.0, 9.0, 40.0, 361.0, 870.0, 999.0, 1001.0, 5000.0,
                      1e4, 1e5, 5e5, 1e6]:
-            start = window_start(mean)
-            tails = _window_tails(np.array([float(start)]), np.array([mean]), _window_span(mean))
-            for i, tail in enumerate(tails[0].tolist()):
+            start, tails = scan_tails(mean)
+            first_below = int(np.argmax(tails < tol))
+            assert cutoffs_for_means([mean]).tolist() == [start + first_below], mean
+            # the eight levels around the crossing, where their tails are
+            # within six orders of the tolerance, decide the cutoff
+            for i in range(max(first_below - 4, 0), first_below + 4):
                 exact = exact_tail(mean, start + i)
-                # the tails within six orders of the tolerance decide the cutoff
                 if 1e-6 * tol <= exact <= 1e6 * tol:
-                    assert abs(tail - exact) <= 2e-14 * exact, (mean, start + i, tail)
+                    assert abs(tails[i] - exact) <= 2e-14 * exact, (mean, start + i, tails[i])
                     checked += 1
-            if start > DEFAULT_POLICY.floor:
-                assert tails[0, 0] >= tol > tails[0, -1], mean
         assert checked >= 90
+
+    def test_the_first_scanned_level_holds_half_the_mass(self):
+        # the Poisson median is at least mean - ln 2, so no level below
+        # floor(mean) can be a cutoff; P(X >= k) is smallest at mean = k
+        ks = np.concatenate([np.arange(17.0, 2001.0), np.geomspace(2001.0, 1e6, 400).round()])
+        means = np.concatenate([ks, np.nextafter(ks + 1.0, 0.0), ks + 0.5])
+        assert np.all(gammainc(np.floor(means), means) >= 0.5)
+        for mean in [17.0, 17.5, 100.0, 1234.0, 1e4, 98765.0, 1e6]:
+            start, tails = scan_tails(mean)
+            assert start > DEFAULT_POLICY.floor and tails[0] >= 0.5, mean
 
     def test_the_span_leaves_out_less_than_1e_30(self):
         # the remainder past the span is at most p(top) / (1 - mean / (top + 1))
         means = np.concatenate([np.linspace(1e-3, 100.0, 4001), np.geomspace(100.0, 1e6, 4000)])
-        tops = np.array([window_start(m) + _window_span(m) for m in means.tolist()], dtype=float)
+        tops = np.array([scan_start(m) + _scan_span(m) for m in means.tolist()], dtype=float)
         bound = _poisson_log_pmf(tops, means) - np.log1p(-means / (tops + 1.0))
         assert np.all(bound < math.log(1e-30))
+        # and the span reaches past Bennett's level mean + t
+        t = _BENNETT_X / 3.0 + np.sqrt(_BENNETT_X**2 / 9.0 + 2.0 * _BENNETT_X * means)
+        assert np.all(tops - 1.0 >= np.ceil(means + t))
 
     def test_tiny_means_keep_the_floor_and_the_vacuum(self):
         assert cutoffs_for_means([0.0, 5e-324, 1e-300]).tolist() == [16, 16, 16]

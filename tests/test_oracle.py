@@ -362,37 +362,6 @@ class TestCutoffRule:
         for mean, cutoff in zip([below, edge], got[1:3].tolist()):
             assert_exactly_minimal(mean, cutoff)
 
-    def test_the_window_holds_the_crossing_at_every_step(self):
-        # The eight-level window moves with its start k, a step function of
-        # the mean.  Both sides of every step up to k = 20,000, and of every
-        # 97th above it, get the minimal cutoff from the window alone.
-        z, top = fock._TAIL_Z, DEFAULT_POLICY.ceiling - 7
-        shift = (z * z + 2.0) / 6.0 - 4.0
-
-        def start(mean):
-            return np.floor(mean + z * np.sqrt(mean) + shift)
-
-        ks = np.concatenate([np.arange(17, 20_001), np.arange(20_001, top + 1, 97)])
-        root = (np.sqrt(z * z + 4.0 * (ks - shift)) - z) / 2.0
-        first = root * root  # about the smallest mean whose window starts at k
-        for _ in range(16):
-            first = np.where(start(first) < ks, np.nextafter(first, np.inf), first)
-        for _ in range(16):
-            lower = np.nextafter(first, 0.0)
-            first = np.where(start(lower) >= ks, lower, first)
-        last = np.nextafter(first, 0.0)  # the largest mean of step k - 1
-        assert np.array_equal(start(first), ks) and np.array_equal(start(last), ks - 1)
-        means = np.concatenate([last, first])
-        cutoffs = cutoffs_for_means(means)
-        tol = DEFAULT_POLICY.tail_tolerance
-        # scipy's gammainc is off by up to 9e-8 relative near a mean of 1e6;
-        # where it calls a cutoff wrong, the exact tail decides
-        minimal = (gammainc(cutoffs, means) < tol) & (gammainc(cutoffs - 1, means) >= tol)
-        disputed = np.flatnonzero(~minimal)
-        assert len(disputed) <= 3, disputed
-        for k in disputed.tolist():
-            assert_exactly_minimal(means[k], cutoffs[k])
-
     def test_no_means_give_no_cutoffs(self):
         got = cutoffs_for_means([])
         assert got.dtype == np.int64 and got.shape == (0,)
