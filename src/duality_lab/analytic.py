@@ -80,10 +80,10 @@ class QuantonDensityMatrix:
     Positivity demands |rho12| <= sqrt(rho11 rho22); equality holds exactly
     when the matrix describes the pure path superposition, while a reduced
     (detector-traced) state sits strictly inside the bound for |F| < 1.
-    ``path_density`` builds the pure matrix and ``oracle.CompositeState``
-    the reduced one.  Scalars for one seed pair or equal-length arrays for
-    a batch; a failed check names the first point at fault.  ``coherence``
-    is |rho12|.
+    ``oracle.build_composite`` builds the pure matrix from the photon-added
+    norms of its states and ``oracle.CompositeState`` the reduced one.
+    Scalars for one seed pair or equal-length arrays for a batch; a failed
+    check names the first point at fault.  ``coherence`` is |rho12|.
     """
 
     rho11: float
@@ -155,11 +155,6 @@ class ComplementarityMeasures:
     mu_s: float
 
     _FIELD_ORDER = ("D", "P", "E", "V", "C", "F_abs", "mu_s")
-
-    def identity_residuals(self) -> dict:
-        """Absolute residuals of the six cross-field identities."""
-        values = np.array([getattr(self, name) for name in self._FIELD_ORDER], dtype=float)
-        return {name: abs(term) for name, term in zip(IDENTITY_NAMES, _identity_terms(values))}
 
     def as_dict(self) -> dict:
         return {name: getattr(self, name) for name in self._FIELD_ORDER}
@@ -268,23 +263,6 @@ def _checked_residuals(values: np.ndarray) -> np.ndarray:
     if (p > d + IDENTITY_ATOL).any():
         raise ValueError("P must not exceed D")
     return residuals
-
-
-def path_density(alpha1_abs_sq, alpha2_abs_sq) -> QuantonDensityMatrix:
-    """Density matrix of the pure path state c1 |1> + c2 |2>, checked.
-
-    The path amplitudes are c_j = sqrt(1 + |alpha_j|^2) / sqrt(2 + |alpha_1|^2
-    + |alpha_2|^2): stimulated emission favours the more strongly seeded
-    crystal, so the path weights follow the seeded gains 1 + |alpha_j|^2.
-    Returns (rho11, rho22, rho12) = (c1^2, c2^2, c1 c2).  Takes the squared
-    seed magnitudes as floats or equal-length arrays.
-    """
-    na = 1.0 + alpha1_abs_sq
-    nb = 1.0 + alpha2_abs_sq
-    total = na + nb
-    c1 = np.sqrt(na / total)
-    c2 = np.sqrt(nb / total)
-    return QuantonDensityMatrix(c1 * c1, c2 * c2, c1 * c2)
 
 
 def detector_fidelity(seeds: SeedPair) -> complex:

@@ -11,10 +11,11 @@ one state per segment, segment p spanning levels 0 .. cutoffs[p] at the
 columns a ``Segments`` layout gives, and a failed check names the segment at
 fault.  ``coherent_state`` builds coherent states, ``apply_creation`` applies
 the creation operator and ``spacs_state`` turns coherent states into their
-normalized photon-added counterparts.  ``inner_product`` and
-``tensor_product`` act on one state's 1-d amplitude array; the latter builds
-the joint two-mode vector for tests that contract it in full.  A single state
-is a one-segment batch: ``coherent_state([[alpha]], Segments([cutoff]))[0]``.
+normalized photon-added counterparts, and returns the squared norms it
+divided by.  ``inner_product`` and ``tensor_product`` act on one state's 1-d
+amplitude array; the latter builds the joint two-mode vector for tests that
+contract it in full.  A single state is a one-segment batch:
+``coherent_state([[alpha]], Segments([cutoff]))[0]``.
 Every segment is normalized by a segmented reduction, one ``np.add.reduceat``
 over the segment starts, which sums each segment on its own: a state comes
 out the same, bit for bit, in any batch.
@@ -215,6 +216,7 @@ class CutoffPolicy:
 # where the Poisson tail underflows to zero.
 DEFAULT_POLICY = CutoffPolicy(1e-12, 16, 1_007_044)
 
+
 def cutoffs_for_means(means) -> np.ndarray:
     """The cutoff rule of ``DEFAULT_POLICY`` for each mean photon number |alpha|^2.
 
@@ -308,19 +310,21 @@ def _segment_overlaps(bra: np.ndarray, ket: np.ndarray, segments: Segments) -> n
     return np.add.reduceat(products, segments.starts)
 
 
-def _normalize_segments(amps: np.ndarray, segments: Segments) -> None:
+def _normalize_segments(amps: np.ndarray, segments: Segments) -> np.ndarray:
     """Divide each segment of each row, in place, by its Euclidean norm.
 
-    Each segment is multiplied by its norm's reciprocal: that is how numpy
+    Returns the squared norms divided by, shaped (rows, segments).  Each
+    segment is multiplied by its norm's reciprocal: that is how numpy
     divides a complex array by a real number, bit for bit, and its complex
     division loop costs several times more.  The repeated reciprocals take
     half the memory of ``amps``, as much as one block of squares for the two
     rows the state builders pass.
     """
-    scales = _squared_norms(amps, segments)
-    np.sqrt(scales, out=scales)
+    norms_sq = _squared_norms(amps, segments)
+    scales = np.sqrt(norms_sq)
     np.divide(1.0, scales, out=scales)
     amps *= scales.repeat(segments.lengths, axis=1)
+    return norms_sq
 
 
 def coherent_state(
@@ -393,18 +397,20 @@ def apply_creation(
 
 def spacs_state(
     coherent: np.ndarray, segments: Segments, out: Optional[np.ndarray] = None
-) -> np.ndarray:
+) -> tuple[np.ndarray, np.ndarray]:
     """Single-photon-added coherent states a†|alpha> / sqrt(1 + |alpha|^2).
 
     Takes the coherent states ``coherent_state`` built and applies a† to
     every segment, then divides each by its measured norm.  That norm equals
-    sqrt(1 + |alpha|^2) up to truncation error; dividing by it keeps each
-    segment exactly unit length.  For alpha = 0 a segment is exactly the
-    one-photon state |1>.  ``apply_creation`` guards the top level.
+    sqrt(1 + |alpha|^2) up to truncation error (Agarwal & Tara, PRA 43, 492,
+    1991); dividing by it keeps each segment exactly unit length.  For
+    alpha = 0 a segment is exactly the one-photon state |1>.
+    ``apply_creation`` guards the top level.  Returns ``(out, norms_sq)``:
+    ``out`` (allocated when None) holds the states and ``norms_sq`` the
+    measured ||a†|alpha>||^2, shaped (rows, segments).
     """
     out = apply_creation(coherent, segments, out)
-    _normalize_segments(out, segments)
-    return out
+    return out, _normalize_segments(out, segments)
 
 
 def _check_same_length(a: np.ndarray, b: np.ndarray) -> None:

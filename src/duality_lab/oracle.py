@@ -5,15 +5,18 @@ and makes transcription slips invisible.  This module rebuilds each quantity
 the long way: construct the joint quanton-detector state in a truncated
 photon-number basis, take overlaps and partial traces numerically, and only
 then form the measures from their definitions.  The two routes share no
-formula beyond the path amplitudes, so agreement between them is a real
-check, not a tautology:
+formula, so agreement between them is a real check, not a tautology:
 
+  * the path weights are the measured squared norms of the photon-added
+    factors, ||a†|alpha_j>||^2, which ``fock.spacs_state`` divides by; the
+    closed forms' 1 + |alpha_j|^2 is never evaluated;
   * |F| comes from explicit inner products of the idler states, not from
     its closed form.  Each detector state is a product over the two idler
     modes, so its overlaps are products of single-mode inner products and
     no two-mode vector is ever formed;
-  * P comes from the diagonal of the reduced quanton matrix, E, V and C
-    from their definitional sums over path pairs, and D = hypot(P, E);
+  * P comes from the diagonal of the reduced quanton matrix, V from the
+    pure matrix's coherence, C = V |F|, E = sqrt(V^2 - C^2) and
+    D = hypot(P, E);
   * mu_s comes from the purity of the numerically reduced quanton matrix,
     never from the closed-form expression the analytic module uses.
 
@@ -51,7 +54,6 @@ from .analytic import (
     QuantonDensityMatrix,
     _fail_first,
     closed_form_measures,
-    path_density,
     validate_measures,
     validated_identity_residuals,
 )
@@ -109,7 +111,11 @@ class CompositeState:
     """Joint quanton-detector states of a batch of seed pairs.
 
     Pair p's state is c1 |path 1>|d1> + c2 |path 2>|d2>, and ``pure`` is
-    the density matrix of its path part c1 |path 1> + c2 |path 2>.  The
+    the density matrix of its path part c1 |path 1> + c2 |path 2>.  Both
+    crystals share the pump, and stimulated emission favours the more
+    strongly seeded one: before normalization path j carries the
+    photon-added idler a†|alpha_j>, so c_j = sqrt(w_j / (w_1 + w_2)) with
+    w_j = ||a†|alpha_j>||^2 as measured on the truncated state.  The
     quanton factor is an explicit two-level path label (the signal photon
     occupies exactly one of two orthonormal modes) and each detector is a
     product state of the two idler modes, kept as its factors:
@@ -195,7 +201,8 @@ def build_composite(seeds) -> CompositeState:
     alpha_2), one row per pair.  Detector 1 pairs the photon-added state of
     idler 1 with the unchanged coherent state of idler 2; detector 2 is the
     mirror image.  Each pair's four factors are built at the cutoff
-    ``cutoffs_for_means`` picks for its larger seed, each coherent state once.
+    ``cutoffs_for_means`` picks for its larger seed, each coherent state once,
+    and the path weights are the photon-added norms ``spacs_state`` measures.
     """
     seeds = np.asarray(seeds, dtype=complex)
     if seeds.ndim != 2 or seeds.shape[1] != 2 or not len(seeds):
@@ -212,9 +219,10 @@ def build_composite(seeds) -> CompositeState:
         segments = Segments(cutoffs_for_means(np.maximum(mags_sq[0], mags_sq[1])))
         factors = np.empty((4, segments.size), dtype=complex)
         coherent_state(seeds.T, segments, out=factors[:2])
-        spacs_state(factors[:2], segments, out=factors[2:])
+        _, weights = spacs_state(factors[:2], segments, out=factors[2:])
         factors.setflags(write=False)
-        pure = path_density(mags_sq[0], mags_sq[1])
+        c1, c2 = np.sqrt(weights / (weights[0] + weights[1]))
+        pure = QuantonDensityMatrix(c1 * c1, c2 * c2, c1 * c2)
     return CompositeState(seeds, segments, factors, pure)
 
 
@@ -222,32 +230,30 @@ def measures_from_state(state: CompositeState) -> ComplementarityMeasures:
     """Form all seven measures from the explicit states, definitions first.
 
     P = |rho11 - rho22| of the reduced matrix, the which-path bias left after
-    the detectors are traced out.  E = sqrt(pr^2 - pr^2 |F|^2), with
-    pr = 2 sqrt(rho11 rho22) of the pure matrix and |F| the detector overlap,
-    and D = hypot(P, E).  V and C come from the weighted off-diagonal sums,
-    and mu_s from the purity of the reduced matrix, sqrt(2 Tr[rho_r^2] - 1),
+    the detectors are traced out.  V = 2 |rho12| of the pure matrix, C = V |F|
+    with |F| the detector overlap, E = sqrt(V^2 - C^2) and D = hypot(P, E).
+    mu_s comes from the purity of the reduced matrix, sqrt(2 Tr[rho_r^2] - 1),
     evaluated in its unit-trace form hypot(rho11 - rho22, 2 |rho12|), which
     is the same number without the cancellation near zero purity excess.
     None of the closed forms used by the analytic route appear here.  The
     batch is checked once by ``validate_measures``; a NaN there, such as the
     root of a negative E radicand, fails it.
     """
-    pure, reduced = state.pure, state.reduced
+    reduced = state.reduced
     fidelity = state.detector_gram[0, 1]
     f_abs = np.hypot(fidelity.real, fidelity.imag)
-    paired_root = 2.0 * np.sqrt(pure.rho11 * pure.rho22)
-    paired_root_f = paired_root * f_abs
-    visibility = 2.0 * pure.coherence
+    visibility = 2.0 * state.pure.coherence
+    coherence = visibility * f_abs
     balance = reduced.rho11 - reduced.rho22
     p = np.abs(balance)
-    e = np.sqrt(paired_root * paired_root - paired_root_f * paired_root_f)
+    e = np.sqrt(visibility * visibility - coherence * coherence)
     return validate_measures(
         ComplementarityMeasures(
             D=np.hypot(p, e),
             P=p,
             E=e,
             V=visibility,
-            C=visibility * f_abs,
+            C=coherence,
             F_abs=f_abs,
             mu_s=np.hypot(balance, 2.0 * reduced.coherence),
         )
@@ -372,13 +378,13 @@ def verify_identities(
     min(sample_count, ``ORACLE_SAMPLES_MAX``) pairs, with magnitudes
     uniform in [0, min(alpha_max, ``ORACLE_ALPHA_MAX``)], compares the
     Fock-space route against the closed forms field by field, plus the
-    reduced-purity route to the source purity, to ``ORACLE_ATOL``.  Route disagreements are reported, not
-    raised, and the caller decides what a failing report means.  Identity
-    violations are not: both routes pass their measures through
-    ``validate_measures``, which raises ValueError at the first point that
-    breaks an identity by more than the same 1e-12, or leaves [0, 1],
-    before any report is built.  Deterministic for a fixed ``rng_seed``
-    (--seed), which must be >= 0.
+    reduced-purity route to the source purity, to ``ORACLE_ATOL``.  Route
+    disagreements are reported, not raised, and the caller decides what a
+    failing report means.  Identity violations are not: both routes pass
+    their measures through ``validate_measures``, which raises ValueError at
+    the first point that breaks an identity by more than the same 1e-12, or
+    leaves [0, 1], before any report is built.  Deterministic for a fixed
+    ``rng_seed`` (--seed), which must be >= 0.
     """
     if rng_seed < 0:
         raise ValueError(f"rng_seed (--seed) must be >= 0, got {rng_seed}")

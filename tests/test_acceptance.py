@@ -12,7 +12,12 @@ import time
 import numpy as np
 import pytest
 
-from duality_lab.analytic import MEASURE_FIELDS, SeedPair, complementarity_measures
+from duality_lab.analytic import (
+    MEASURE_FIELDS,
+    SeedPair,
+    complementarity_measures,
+    validated_identity_residuals,
+)
 from duality_lab.cli import main
 from duality_lab.interferometer import FringeConfig, fit_fringe, simulate_fringe
 from duality_lab.oracle import build_composite, measures_from_state
@@ -129,8 +134,7 @@ def test_criterion_4_figure_curve_structure(capsys):
     assert 1.55 - 1e-9 <= lo <= exact <= hi <= 1.56 + 1e-9
 
     measures_b = run_sweep(fig2b_grid()).measures
-    for residual in measures_b.identity_residuals().values():
-        assert np.all(residual < 1e-12)
+    assert np.all(validated_identity_residuals(measures_b) < 1e-12)
     with capsys.disabled():
         report(
             f"criterion 4 PASS: equal-seed sweep has P2 == 0, C2 == F^2, "

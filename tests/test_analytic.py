@@ -19,9 +19,10 @@ from duality_lab.analytic import (
     closed_form_measures,
     complementarity_measures,
     detector_fidelity,
-    path_density,
     validate_measures,
+    validated_identity_residuals,
 )
+from duality_lab.oracle import build_composite, measures_from_state
 
 
 def random_seed_pairs(rng, count, mag_max):
@@ -49,27 +50,14 @@ class TestSeedPair:
 
 
 def pure_density(seeds: SeedPair) -> QuantonDensityMatrix:
-    """Density matrix of the pure path superposition c1 |1> + c2 |2>."""
-    a, b = abs(seeds.alpha1), abs(seeds.alpha2)
-    return path_density(a * a, b * b)
+    """Density matrix of the pure path superposition c1 |1> + c2 |2>.
 
-
-class TestPathDensity:
-    def test_equal_seeds_are_balanced(self):
-        for alpha in (0.0, 1.0, 3.7, 2.0 + 1.0j):
-            rho = path_density(abs(alpha) ** 2, abs(alpha) ** 2)
-            assert rho.rho11 == pytest.approx(0.5, abs=1e-15)
-            assert rho.rho22 == rho.rho11
-
-    def test_two_one_point(self):
-        rho = path_density(4.0, 1.0)
-        assert rho.rho11 == pytest.approx(5 / 7, abs=1e-15)
-        assert rho.rho22 == pytest.approx(2 / 7, abs=1e-15)
-
-    def test_trace_random(self):
-        mags = np.random.default_rng(0).uniform(0.0, 10.0, (2, 100))
-        rho = path_density(*(mags * mags))
-        assert np.all(np.abs(rho.rho11 + rho.rho22 - 1.0) < 1e-12)
+    The path weights are the photon-added norms 1 + |alpha_j|^2:
+    c_j = sqrt((1 + |alpha_j|^2) / (2 + |alpha_1|^2 + |alpha_2|^2)).
+    """
+    na, nb = 1.0 + abs(seeds.alpha1) ** 2, 1.0 + abs(seeds.alpha2) ** 2
+    c1, c2 = math.sqrt(na / (na + nb)), math.sqrt(nb / (na + nb))
+    return QuantonDensityMatrix(c1 * c1, c2 * c2, c1 * c2)
 
 
 class TestDetectorFidelity:
@@ -178,8 +166,8 @@ class TestComplementarityMeasures:
     def test_identities_random(self):
         rng = np.random.default_rng(2)
         for seeds in random_seed_pairs(rng, 2000, 10.0):
-            m = complementarity_measures(seeds)
-            for name, residual in m.identity_residuals().items():
+            residuals = validated_identity_residuals(complementarity_measures(seeds))
+            for name, residual in zip(analytic.IDENTITY_NAMES, residuals):
                 assert residual < 1e-12, (name, seeds)
 
     def test_swap_symmetry_exact(self):
@@ -366,6 +354,63 @@ class TestClosedFormsMatchMpmath:
     @given(a=st.floats(0.0, 1e-3), b=st.floats(0.0, 1e-3))
     def test_as_the_seeds_go_to_zero(self, a, b):
         assert_closed_forms_match_mpmath([a, b], [b, a])
+
+
+def assert_three_routes_agree(seeds, both_orders=True):
+    """Closed forms within 1e-14 relative of mpmath, the Fock route within 1e-10 of them.
+
+    ``seeds`` are complex seed pairs, each taken in both orders unless
+    ``both_orders`` is false.
+    """
+    seeds = np.array(seeds, dtype=complex)
+    if both_orders:
+        seeds = np.concatenate([seeds, seeds[:, ::-1]])
+    mags = np.hypot(seeds.real, seeds.imag)
+    assert_closed_forms_match_mpmath(mags[:, 0].tolist(), mags[:, 1].tolist())
+    closed = closed_form_measures(mags[:, 0], mags[:, 1])
+    fock_route = measures_from_state(build_composite(seeds))
+    for name in MEASURE_FIELDS:
+        error = np.abs(getattr(fock_route, name) - getattr(closed, name))
+        assert np.all(error <= 1e-10), (name, seeds[np.argmax(error)], error.max())
+
+
+PHASES = st.floats(0.0, 2.0 * math.pi)
+
+
+class TestThreeRoutesAtTheDomainEdges:
+    """The Fock, closed-form and mpmath routes agree at the edges of the seed domain.
+
+    A pair with |alpha| near 1000 costs about 0.1 s and 125 MB in the Fock
+    route, so those take few examples, one order and quarter-turn phases,
+    which keep |alpha| exact and within the domain.
+    """
+
+    @settings(max_examples=50, deadline=None, database=None)
+    @given(a=st.floats(0.0, 1e-3), b=st.floats(0.0, 1e-3), phases=st.tuples(PHASES, PHASES))
+    def test_as_the_seeds_go_to_zero(self, a, b, phases):
+        assert_three_routes_agree([(cmath.rect(a, phases[0]), cmath.rect(b, phases[1]))])
+
+    @settings(max_examples=50, deadline=None, database=None)
+    @given(a=st.floats(1e-3, 20.0), ratio=st.floats(0.0, 1e-6), phases=st.tuples(PHASES, PHASES))
+    def test_as_the_ratio_goes_to_zero(self, a, ratio, phases):
+        assert_three_routes_agree([(cmath.rect(a, phases[0]), cmath.rect(a * ratio, phases[1]))])
+
+    @settings(max_examples=50, deadline=None, database=None)
+    @given(a=st.floats(1e-3, 20.0), offset=st.floats(-1e-9, 1e-9), phases=st.tuples(PHASES, PHASES))
+    def test_as_the_ratio_goes_to_one(self, a, offset, phases):
+        b = a * (1.0 + offset)
+        assert_three_routes_agree([(cmath.rect(a, phases[0]), cmath.rect(b, phases[1]))])
+
+    @settings(max_examples=4, deadline=None, database=None)
+    @given(
+        a=st.floats(500.0, 1000.0),
+        ratio=st.one_of(st.floats(0.0, 1e-6), st.floats(1.0 - 1e-9, 1.0 + 1e-9), st.floats(0.0, 1.0)),
+        turns=st.tuples(*[st.sampled_from([1, 1j, -1, -1j])] * 2),
+        swap=st.booleans(),
+    )
+    def test_large_seeds(self, a, ratio, turns, swap):
+        pair = (a * turns[0], min(a * ratio, 1000.0) * turns[1])
+        assert_three_routes_agree([pair[::-1] if swap else pair], both_orders=False)
 
 
 class TestClosedFormsSymbolically:

@@ -32,7 +32,8 @@ def coherent(alpha: complex, cutoff: int) -> np.ndarray:
 def spacs(alpha: complex, cutoff: int) -> np.ndarray:
     """One photon-added coherent state, built as a one-segment batch."""
     segments = Segments([cutoff])
-    return spacs_state(coherent_state([[alpha]], segments), segments)[0]
+    states, _ = spacs_state(coherent_state([[alpha]], segments), segments)
+    return states[0]
 
 
 def raised(alpha: complex, cutoff: int) -> np.ndarray:
@@ -81,6 +82,20 @@ def exact_tail(mean: float, n: int):
     """P(X >= n) for X ~ Poisson(mean), to 40 digits."""
     with mpmath.workdps(40):
         return mpmath.gammainc(n, 0, mpmath.mpf(mean), regularized=True)
+
+
+def truncated_added_norm_sq(mean: float, cutoff: int):
+    """||a†|alpha>||^2 of |alpha> kept on levels 0 .. cutoff and renormalized, to 40 digits.
+
+    a† pushes level ``cutoff`` out, so with p_n the Poisson(mean) pmf this is
+    sum_(n < cutoff) (n + 1) p_n / sum_(n <= cutoff) p_n.  With n p_n =
+    mean p_(n-1) and tau_k = P(X >= k) it is (1 + mean - mean tau_(cutoff-1)
+    - tau_cutoff) / (1 - tau_(cutoff+1)).
+    """
+    with mpmath.workdps(40):
+        mean = mpmath.mpf(mean)
+        kept = 1 + mean - mean * exact_tail(mean, cutoff - 1) - exact_tail(mean, cutoff)
+        return kept / (1 - exact_tail(mean, cutoff + 1))
 
 
 def scan_start(mean: float) -> int:
@@ -297,6 +312,27 @@ class TestSpacs:
         for alpha in (0.5, 1.0, 3.0 + 1.0j):
             v = spacs(alpha, choose_cutoff([alpha]))
             assert abs(np.linalg.norm(v) - 1.0) < 1e-10
+
+    def test_returns_the_photon_added_norms(self):
+        # ||a†|alpha>||^2 over the whole seed domain: 1 + |alpha|^2 less what
+        # the cutoff leaves out, to rounding; a segment's norm in a mixed
+        # batch equals its one-segment value bit for bit
+        alphas = np.array([100.0, 0.0, 1000.0 * np.exp(0.3j), 0.7j, 1e-8, 19.5, -4.0, 1.24])
+        mags = np.hypot(alphas.real, alphas.imag)
+        segments = Segments(cutoffs_for_means(mags * mags))
+        _, norms_sq = spacs_state(coherent_state([alphas], segments), segments)
+        assert norms_sq.shape == (1, len(alphas))
+        for k, (mag, cutoff) in enumerate(zip(mags.tolist(), segments.cutoffs.tolist())):
+            exact = truncated_added_norm_sq(mag * mag, cutoff)
+            error = abs(mpmath.mpf(float(norms_sq[0, k])) - exact) / (1 + mag * mag)
+            assert error <= 1e-14, (mag, float(error))
+            # the rule bounds P(X >= cutoff), not P(X >= cutoff - 1), so the
+            # norm sits up to 7e-12 relative below 1 + |alpha|^2
+            assert abs(norms_sq[0, k] / (1.0 + mag * mag) - 1.0) <= 1e-11, mag
+        for k, alpha in enumerate(alphas.tolist()):
+            alone = Segments(segments.cutoffs[k : k + 1])
+            _, alone_norms_sq = spacs_state(coherent_state([[alpha]], alone), alone)
+            assert alone_norms_sq[0, 0] == norms_sq[0, k], alpha
 
 
 class TestInnerProduct:

@@ -1,5 +1,6 @@
 import cmath
 import dataclasses
+import inspect
 import json
 import math
 
@@ -10,13 +11,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import gammainc
 
-from duality_lab import fock, oracle
+from duality_lab import analytic, fock, oracle
 from duality_lab.analytic import (
     MEASURE_FIELDS,
     SeedPair,
     closed_form_measures,
     complementarity_measures,
     detector_fidelity,
+    validate_measures,
 )
 from duality_lab.fock import (
     DEFAULT_POLICY,
@@ -140,37 +142,35 @@ def reference_coherent(alpha, cutoff):
 
 
 def reference_photon_added(amps):
+    """a†|amps>, normalized, and its squared norm before normalizing."""
     out = np.zeros_like(amps)
     out[1:] = amps[:-1] * np.sqrt(np.arange(1, len(amps)))
-    return normalized(out)
+    return normalized(out), norm_sq(out)
 
 
 def reference_measures(seeds: SeedPair):
-    """(measures dict, cutoff) at one seed pair."""
+    """(measures dict, cutoff, reduced (rho11, rho22, rho12)) at one seed pair."""
     cutoff = reference_cutoff(max(abs(seeds.alpha1) ** 2, abs(seeds.alpha2) ** 2))
     coh1 = reference_coherent(seeds.alpha1, cutoff)
     coh2 = reference_coherent(seeds.alpha2, cutoff)
-    add1, add2 = reference_photon_added(coh1), reference_photon_added(coh2)
-    a, b = abs(seeds.alpha1), abs(seeds.alpha2)
-    na, nb = 1.0 + a * a, 1.0 + b * b
-    c1, c2 = math.sqrt(na / (na + nb)), math.sqrt(nb / (na + nb))
+    (add1, w1), (add2, w2) = reference_photon_added(coh1), reference_photon_added(coh2)
+    # the path weights are the photon-added norms the states carry
+    c1, c2 = math.sqrt(w1 / (w1 + w2)), math.sqrt(w2 / (w1 + w2))
     # detector 1 = (add1, coh2), detector 2 = (coh1, add2)
     red11 = c1 * c1 * (norm_sq(add1) * norm_sq(coh2))
     red22 = c2 * c2 * (norm_sq(coh1) * norm_sq(add2))
     # <d2|d1>; <d1|d2> is its conjugate
     overlap = vector_product(ip(coh1, add1), ip(add2, coh2))
     red12 = c1 * c2 * overlap
-    rho11, rho22 = c1 * c1, c2 * c2
     f_abs = abs(overlap)
-    paired_root = 2.0 * math.sqrt(rho11 * rho22)
-    paired_root_f = paired_root * f_abs
     visibility = 2.0 * c1 * c2
+    coherence = visibility * f_abs
     balance = red11 - red22
     p = abs(balance)
-    e = math.sqrt(paired_root * paired_root - paired_root_f * paired_root_f)
+    e = math.sqrt(visibility * visibility - coherence * coherence)
     # libm's hypot, as the batch takes it: math.hypot can differ in the last bit
     measures = dict(
-        D=float(np.hypot(p, e)), P=p, E=e, V=visibility, C=visibility * f_abs, F_abs=f_abs,
+        D=float(np.hypot(p, e)), P=p, E=e, V=visibility, C=coherence, F_abs=f_abs,
         mu_s=float(np.hypot(balance, 2.0 * abs(red12))),
     )
     return measures, cutoff, (red11, red22, red12)
@@ -517,6 +517,35 @@ class TestMeasuresFromState:
         assert fock_route.mu_s[0] == pytest.approx(0.5, abs=1e-9)
         assert fock_route.mu_s[0] == pytest.approx(fock_route.F_abs[0], abs=1e-9)
 
+    def test_the_fock_route_evaluates_no_closed_form(self, monkeypatch):
+        # every measure comes from the states alone: with every public
+        # function of ``analytic`` but the validators made to raise (the
+        # closed forms, the closed-form overlap), in ``analytic`` and
+        # wherever the oracle imported it, the route still gives all seven,
+        # and they agree with the closed forms taken beforehand
+        seeds = np.concatenate(
+            [random_seeds(np.random.default_rng(27), 30, 4.0), [[0, 0], [1e-8, 0], [20.5, 3j]]]
+        )
+        closed = validate_measures(closed_at(seeds))
+        validators = {"validate_measures", "validated_identity_residuals"}
+        closed_forms = {
+            name: value for name, value in vars(analytic).items()
+            if inspect.isfunction(value) and not name.startswith("_") and name not in validators
+        }
+        assert {"closed_form_measures", "detector_fidelity"} <= set(closed_forms)
+        for name, closed_form in closed_forms.items():
+
+            def called(*args, name=name, **kwargs):
+                raise AssertionError(f"the Fock route evaluated analytic.{name}")
+
+            for module in (analytic, oracle):
+                if getattr(module, name, None) is closed_form:
+                    monkeypatch.setattr(module, name, called)
+        fock_route = measures_from_state(build_composite(seeds))
+        for name in MEASURE_FIELDS:
+            error = np.abs(getattr(fock_route, name) - getattr(closed, name))
+            assert np.all(error <= 1e-11), (name, error.max())
+
     def test_route_independence(self):
         seeds = random_seeds(np.random.default_rng(24), 200, 3.0)
         fock_route = measures_from_state(build_composite(seeds))
@@ -529,7 +558,10 @@ class TestMeasuresFromState:
     def test_near_equal_and_tiny_seeds_agree(self, seeds):
         # a root of a cancelling difference such as 1 - V^2 would leave P
         # 1.5e-8 off at the first two pairs.  P and V carry no truncation
-        # error; the rest inherit the <= 1e-12 tail the cutoff leaves in |F|,
+        # error here: the two path weights are photon-added norms measured at
+        # one cutoff from near-equal seeds, so their tails cancel in the
+        # weights' ratio, and at (1e-8, 0) the tail is nil.  The rest
+        # inherit the <= 1e-12 tail the cutoff leaves in |F|,
         # which D and E amplify by |F| / sqrt(1 - |F|^2), about 2 at the
         # first pair (2.2e-12 seen)
         residuals, _ = route_residuals([seeds], closed_at(np.array([seeds], dtype=complex)))

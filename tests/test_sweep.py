@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from duality_lab import sweep
-from duality_lab.analytic import SeedPair
+from duality_lab.analytic import SeedPair, validated_identity_residuals
 from duality_lab.sweep import (
     MAX_GRID_POINTS,
     _axis,
@@ -91,8 +91,7 @@ class TestFig2Sweeps:
         cols = table.columns
         assert np.all(np.abs(cols["alpha2_abs"] - cols["alpha1_abs"] / 2) <= 1e-15)
         assert np.all(cols["gamma"] == 0.5)
-        for residual in table.measures.identity_residuals().values():
-            assert np.all(residual < 1e-12)
+        assert np.all(validated_identity_residuals(table.measures) < 1e-12)
 
 
 class TestSurfaceSweep:
