@@ -221,9 +221,11 @@ def cutoffs_for_means(means) -> np.ndarray:
     """The cutoff rule of ``DEFAULT_POLICY`` for each mean photon number |alpha|^2.
 
     Each cutoff is the smallest N in [floor, ceiling] whose Poisson(mean)
-    tail above N - 1 is below the tail tolerance; the extra level reserves
-    headroom for one creation-operator application.  Returns an int64 array
-    shaped like ``means``.
+    tail above N - 1, P(X >= N), is below the tail tolerance.  The rule bounds
+    that tail only and reserves no level for the creation operator: the
+    squared norm of a† applied to a coherent state truncated at N falls short
+    by up to P(X >= N - 1) relative.  Returns an int64 array shaped like
+    ``means``.
     """
     rule = DEFAULT_POLICY
     return _minimal_cutoffs(means, rule.tail_tolerance, rule.floor, rule.ceiling)

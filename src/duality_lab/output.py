@@ -6,9 +6,11 @@ hand-rolled static SVG for the two figure styles (measure curves versus
 |alpha|, and gamma-|alpha| heat maps).  All emitters produce byte-identical
 output for identical input.
 
-The sweep emitters work on whole columns.  Each distinct float of a column
-is formatted once, JSON records are filled from one template, and heat-map
-cells are placed by index arithmetic with colours from one vectorised ramp.
+The sweep emitters work on columns.  The CSV and JSON emitters take them a
+block of rows at a time and join the blocks' texts once; each distinct float
+of a block's column is formatted once, and JSON records are filled from one
+template.  Heat-map cells are placed by index arithmetic with colours from
+one vectorised ramp.
 The bytes are those of formatting every cell on its own: ``repr`` per CSV
 cell, and ``json.dumps(records, indent=2)`` with non-finite values as null.
 
@@ -39,11 +41,12 @@ import operator
 import os
 import stat
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
 from .analytic import SeedPair
+from .fock import _SCRATCH_BYTES
 from .interferometer import TWO_PI, FringeConfig, FringeScan
 from .sweep import ORACLE_RESIDUAL_FIELD, ROW_FIELDS, SweepTable
 
@@ -51,6 +54,14 @@ SCAN_HEADER = "delta_theta,counts"
 
 # Rows per block of the scan writer and lines per chunk of the scan reader.
 _SCAN_CHUNK = 4096
+
+# Rows per block of the sweep emitters, 1024.  A block's cells, row texts and
+# temporaries peak at about 330 B a row, well within the scratch budget,
+# whatever the table's length; 1024 rows ran faster than 256 or 4096.
+_ROW_BLOCK = _SCRATCH_BYTES // 1024
+
+# Characters encoded and written per slice by _write_ascii.
+_WRITE_SLICE = _SCRATCH_BYTES
 
 # Line breaks of str.splitlines other than "\n" and a CRLF pair's "\r"; the
 # non-ASCII ones are already rejected as non-ASCII bytes.
@@ -123,17 +134,22 @@ def _write_ascii(path: Path, text: str) -> None:
     Truncating a file before rewriting it stalls on ext4 (consistent with its
     ``auto_da_alloc`` flush); writing in place does not.  The inode, mode and
     links are kept and a symlink is followed.  Only regular files are cut, so
-    FIFOs and ``os.devnull`` work.  Not atomic: a crash mid-write can leave new
-    bytes over an old tail.
+    FIFOs and ``os.devnull`` work.  The text is checked before the file is
+    opened, so a non-ASCII text raises ``UnicodeEncodeError`` and leaves the
+    file as it was; it is then encoded and written ``_WRITE_SLICE`` characters
+    at a time, and no encoded copy of the whole text is made.  Not atomic: a
+    crash mid-write can leave new bytes over an old tail.
     """
-    data = text.encode("ascii")  # before opening, so an error leaves the file as it was
+    if not text.isascii():
+        text.encode("ascii")  # raises, naming the first non-ASCII character
     fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
     try:
-        rest = memoryview(data)
-        while rest:
-            rest = rest[os.write(fd, rest):]
+        for start in range(0, len(text), _WRITE_SLICE):
+            rest = memoryview(text[start:start + _WRITE_SLICE].encode("ascii"))
+            while rest:
+                rest = rest[os.write(fd, rest):]
         if stat.S_ISREG(os.fstat(fd).st_mode):
-            os.ftruncate(fd, len(data))
+            os.ftruncate(fd, len(text))
     finally:
         os.close(fd)
 
@@ -325,16 +341,22 @@ def _nonfinite(values: np.ndarray) -> np.ndarray:
     return ~np.isfinite(values)
 
 
+def _row_blocks(columns: Iterable[np.ndarray]) -> Iterator[list[np.ndarray]]:
+    """The columns ``_ROW_BLOCK`` rows at a time, as lists of views."""
+    columns = list(columns)
+    for start in range(0, len(columns[0]), _ROW_BLOCK):
+        yield [column[start:start + _ROW_BLOCK] for column in columns]
+
+
 def rows_to_csv_text(table: SweepTable) -> str:
     columns = _table_columns(table)
-    cells = [
-        # NaN marks a point above the oracle cap: an empty cell
-        _float_cells(column, "", np.isnan if name == ORACLE_RESIDUAL_FIELD else None)
-        for name, column in columns.items()
-    ]
-    lines = [",".join(columns)]
-    lines.extend(map(",".join, zip(*cells)))
-    return "\n".join(lines) + "\n"
+    # NaN marks a point above the oracle cap: an empty cell
+    marks = [np.isnan if name == ORACLE_RESIDUAL_FIELD else None for name in columns]
+    parts = [",".join(columns), "\n"]
+    for block in _row_blocks(columns.values()):
+        cells = [_float_cells(column, "", marked) for column, marked in zip(block, marks)]
+        parts += ["\n".join(map(",".join, zip(*cells))), "\n"]
+    return "".join(parts)
 
 
 def rows_to_json_text(table: SweepTable) -> str:
@@ -345,8 +367,12 @@ def rows_to_json_text(table: SweepTable) -> str:
         + ",\n".join(f"    {json.dumps(name)}: %s" for name in columns)
         + "\n  }"
     )
-    cells = [_float_cells(column, "null", _nonfinite) for column in columns.values()]
-    return "[\n" + ",\n".join(map(record.__mod__, zip(*cells))) + "\n]\n"
+    parts = ["[\n"]
+    for block in _row_blocks(columns.values()):
+        cells = [_float_cells(column, "null", _nonfinite) for column in block]
+        parts += [",\n".join(map(record.__mod__, zip(*cells))), ",\n"]
+    parts[-1] = "\n]\n"  # the last record takes no comma
+    return "".join(parts)
 
 
 # ---------------------------------------------------------------------------

@@ -13,12 +13,15 @@ from scipy.special import gammainc
 
 from duality_lab import analytic, fock, oracle
 from duality_lab.analytic import (
+    IDENTITY_ATOL,
+    IDENTITY_NAMES,
     MEASURE_FIELDS,
     SeedPair,
     closed_form_measures,
     complementarity_measures,
     detector_fidelity,
     validate_measures,
+    validated_identity_residuals,
 )
 from duality_lab.fock import (
     DEFAULT_POLICY,
@@ -30,8 +33,11 @@ from duality_lab.oracle import (
     ADDED_1,
     COHERENT_2,
     ORACLE_ALPHA_MAX,
+    ORACLE_ATOL,
+    ORACLE_SAMPLES_MAX,
     PURITY_RESIDUAL,
     _sample_seeds,
+    _worst_check,
     build_composite,
     measures_from_state,
     route_residuals,
@@ -623,3 +629,59 @@ class TestVerifyIdentities:
             "worst_seed_pair",
             "pass",
         }
+
+
+def reference_verify_checks(sample_count, rng_seed, alpha_max=10.0):
+    """The checks of ``verify_identities`` from one pass over the whole draw."""
+    rng = np.random.default_rng(rng_seed)
+    closed_seeds = _sample_seeds(rng, sample_count, alpha_max)
+    oracle_seeds = _sample_seeds(
+        rng, min(sample_count, ORACLE_SAMPLES_MAX), min(alpha_max, ORACLE_ALPHA_MAX)
+    )
+    identity_rows = validated_identity_residuals(closed_at(closed_seeds))
+    checks = [
+        _worst_check(name, residuals, closed_seeds, IDENTITY_ATOL)
+        for name, residuals in zip(IDENTITY_NAMES, identity_rows)
+    ]
+    residuals, _ = route_residuals(oracle_seeds, validate_measures(closed_at(oracle_seeds)))
+    for name, residual in residuals.items():
+        label = (
+            f"{name}: reduced purity vs closed form"
+            if name == PURITY_RESIDUAL
+            else f"fock route matches closed form: {name}"
+        )
+        checks.append(_worst_check(label, residual, oracle_seeds, ORACLE_ATOL))
+    return checks
+
+
+BLOCK = oracle._VERIFY_BLOCK
+
+
+class TestVerifyIdentitiesInBlocks:
+    @pytest.mark.parametrize("rng_seed", [0, 17])
+    @pytest.mark.parametrize("samples", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3])
+    def test_report_equals_one_pass_over_the_whole_draw(self, samples, rng_seed):
+        report = verify_identities(samples, rng_seed)
+        assert list(report.checks) == reference_verify_checks(samples, rng_seed)
+
+    def test_equal_worst_residuals_in_two_blocks_resolve_to_the_later(self, monkeypatch):
+        # blocks of 4 samples: the worst residual, 5e-13, is at sample 1 of
+        # the first block and sample 6 of the second
+        pattern = np.array([0.0, 5e-13, 0.0, 0.0, 0.0, 1e-13, 5e-13, 0.0, 1e-13, 0.0])
+        taken = []
+
+        def pinned_residuals(measures):
+            start = sum(taken)
+            count = len(validated_identity_residuals(measures)[0])
+            taken.append(count)
+            return np.tile(pattern[start:start + count], (len(IDENTITY_NAMES), 1))
+
+        monkeypatch.setattr(oracle, "_VERIFY_BLOCK", 4)
+        monkeypatch.setattr(oracle, "validated_identity_residuals", pinned_residuals)
+        report = verify_identities(len(pattern), rng_seed=5)
+        assert taken == [4, 4, 2]
+        seeds = _sample_seeds(np.random.default_rng(5), len(pattern), 10.0)
+        for check in report.checks[: len(IDENTITY_NAMES)]:
+            assert check.samples == len(pattern)
+            assert check.worst_residual == 5e-13
+            assert check.worst_seed_pair == (complex(seeds[6, 0]), complex(seeds[6, 1]))

@@ -200,6 +200,23 @@ def adversarial_table(rng_seed):
     return SweepTable(draw[0], draw[1], draw[2], valid.measures, oracle_residual=draw[3])
 
 
+def row_block_table(rows):
+    """A valid table of ``rows`` rows with NaN, signed zeros and repeats around row ``_ROW_BLOCK``.
+
+    Each coordinate and residual column cycles through ADVERSARIAL at its own
+    offset, and rows ``_ROW_BLOCK - 3`` to ``_ROW_BLOCK + 1`` of each hold a run
+    of NaN, -0.0 and 0.0 that straddles the emitters' first block boundary.
+    """
+    valid = run_sweep(explicit_grid([SeedPair(1 + k / rows, 2 - k / rows) for k in range(rows)]))
+    edge = output._ROW_BLOCK
+    straddle = np.array([math.nan, -0.0, -0.0, math.nan, 0.0])
+    columns = [np.roll(np.resize(ADVERSARIAL, rows), shift) for shift in range(4)]
+    for column in columns:
+        at = column[edge - 3:edge + 2]
+        at[:] = straddle[: len(at)]
+    return SweepTable(*columns[:3], valid.measures, oracle_residual=columns[3])
+
+
 @pytest.fixture
 def small_rows():
     return run_sweep(fig2a_grid(alpha_max=1.0, alpha_step=0.25))
@@ -273,6 +290,12 @@ class TestColumnEmittersMatchScalarReference:
     @pytest.mark.parametrize("rng_seed", range(4))
     def test_csv_and_json_on_adversarial_columns(self, rng_seed):
         table = adversarial_table(rng_seed)
+        assert rows_to_csv_text(table) == reference_csv_text(table)
+        assert rows_to_json_text(table) == reference_json_text(table)
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_csv_and_json_across_a_row_block_boundary(self, offset):
+        table = row_block_table(output._ROW_BLOCK + offset)
         assert rows_to_csv_text(table) == reference_csv_text(table)
         assert rows_to_json_text(table) == reference_json_text(table)
 
@@ -732,6 +755,23 @@ class TestOutputFilesWrittenInPlace:
             assert st.st_ino == inode and st.st_nlink == 2
             assert stat.S_IMODE(st.st_mode) == 0o600
             assert path.with_name(path.name + ".link").read_bytes() == new.read_bytes()
+
+    def test_text_longer_than_two_slices_overwrites_a_longer_file(self, tmp_path):
+        # a 37-character period puts every slice boundary at a new phase
+        length = 2 * output._WRITE_SLICE + 17
+        text = ("abcdefghijklmnopqrstuvwxyz0123456789\n" * (length // 37 + 1))[:length]
+        path = tmp_path / "long.out"
+        path.write_bytes(b"x" * (length + 4096))
+        output._write_ascii(path, text)
+        assert path.read_bytes() == text.encode("ascii")
+
+    def test_non_ascii_text_raises_and_leaves_the_file_untouched(self, tmp_path):
+        path = tmp_path / "old.out"
+        path.write_bytes(b"old bytes\n" * 1000)
+        text = "a" * (output._WRITE_SLICE + 5) + "\u00e9" + "b" * 17
+        with pytest.raises(UnicodeEncodeError):
+            output._write_ascii(path, text)
+        assert path.read_bytes() == b"old bytes\n" * 1000
 
     def test_devnull_target_is_written_and_not_truncated(self, small_rows, poisson_scan):
         assert write_scan_csv(poisson_scan, os.devnull) == Path(os.devnull)
