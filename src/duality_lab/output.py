@@ -6,13 +6,20 @@ hand-rolled static SVG for the two figure styles (measure curves versus
 |alpha|, and gamma-|alpha| heat maps).  All emitters produce byte-identical
 output for identical input.
 
+Each file is made by a private generator of text parts: a header, one part
+per block, then a trailer.  ``emit_outputs`` and ``write_scan_csv`` hand the
+generator to ``_write_ascii``, which checks and writes each part before the
+next is made, so no file's whole text is held in memory; the public
+``*_text`` and ``render_*`` functions join the same parts into one string.
+
 The sweep emitters work on columns.  The CSV and JSON emitters take them a
-block of rows at a time and join the blocks' texts once; each distinct float
-of a block's column is formatted once, and JSON records are filled from one
-template.  Heat-map cells are placed by index arithmetic with colours from
-one vectorised ramp.
-The bytes are those of formatting every cell on its own: ``repr`` per CSV
-cell, and ``json.dumps(records, indent=2)`` with non-finite values as null.
+block of rows at a time; each distinct float of a block's column is
+formatted once, and JSON records are filled from one template.  Heat-map
+cells are placed by index arithmetic with colours from one vectorised ramp,
+a block of cells at a time, and each curve is written a block of points at a
+time.  The bytes are those of formatting every cell on its own: ``repr`` per
+CSV cell, and ``json.dumps(records, indent=2)`` with non-finite values as
+null.
 
 The fringe-scan CSV format is the toolkit's one wire format::
 
@@ -60,6 +67,11 @@ _SCAN_CHUNK = 4096
 # whatever the table's length; 1024 rows ran faster than 256 or 4096.
 _ROW_BLOCK = _SCRATCH_BYTES // 1024
 
+# Cells per block of the heat-map SVG.  A block's cell texts and colour
+# temporaries peak at about 0.3 kB a cell; 4096 cells ran faster than 1024 or
+# 16384.
+_CELL_BLOCK = 4096
+
 # Characters encoded and written per slice by _write_ascii.
 _WRITE_SLICE = _SCRATCH_BYTES
 
@@ -98,12 +110,17 @@ class ScanFormatError(ValueError):
         self.line = line
 
 
+def _lines(lines: Iterable[str]) -> str:
+    """The lines as text, each ended by a line break."""
+    return "\n".join(lines) + "\n"
+
+
 # ---------------------------------------------------------------------------
 # fringe-scan CSV
 
 
-def scan_to_csv_text(scan: FringeScan) -> str:
-    """The scan as CSV text: optional metadata comments, the header, then rows.
+def _scan_csv_parts(scan: FringeScan) -> Iterator[str]:
+    """The scan's CSV text in parts: the comments and header, then each block of rows.
 
     Each block of ``_SCAN_CHUNK`` rows is formatted with one ``repr`` of each
     column's values, which gives every cell the text ``repr(float(value))``.
@@ -120,43 +137,65 @@ def scan_to_csv_text(scan: FringeScan) -> str:
         lines.append(f"# noise={config.noise}")
     lines.append(f"# provenance={scan.provenance}")
     lines.append(SCAN_HEADER)
+    yield _lines(lines)
     for start in range(0, len(scan), _SCAN_CHUNK):
         block = slice(start, start + _SCAN_CHUNK)
         thetas = repr(scan.delta_theta[block].tolist())[1:-1].split(", ")
         counts = repr(scan.counts[block].tolist())[1:-1].split(", ")
-        lines.append("\n".join(map(",".join, zip(thetas, counts))))
-    return "\n".join(lines) + "\n"
+        yield _lines(map(",".join, zip(thetas, counts)))
 
 
-def _write_ascii(path: Path, text: str) -> None:
-    """Write ``text`` to ``path`` as ASCII over any existing bytes, then cut the tail.
+def scan_to_csv_text(scan: FringeScan) -> str:
+    """The scan as CSV text: optional metadata comments, the header, then rows."""
+    return "".join(_scan_csv_parts(scan))
+
+
+def _ascii(part: str) -> str:
+    """``part``, once checked to be ASCII."""
+    if not part.isascii():
+        part.encode("ascii")  # raises, naming the first non-ASCII character
+    return part
+
+
+def _write_ascii(path: Path, parts: Iterable[str]) -> None:
+    """Write ``parts`` to ``path`` as ASCII over any existing bytes, then cut the tail.
+
+    ``parts`` is a string or an iterable of strings, such as an emitter's
+    generator, which is run as the file is written: each part is checked to
+    be ASCII and written before the next is made.  The first part is taken
+    before the file is opened, so an emitter that raises before its first
+    part, or a first part that is not ASCII, leaves the file as it was (and
+    creates no missing file).  Each part is encoded and written
+    ``_WRITE_SLICE`` characters at a time, so no encoded copy of a whole
+    part is made.
 
     Truncating a file before rewriting it stalls on ext4 (consistent with its
     ``auto_da_alloc`` flush); writing in place does not.  The inode, mode and
-    links are kept and a symlink is followed.  Only regular files are cut, so
-    FIFOs and ``os.devnull`` work.  The text is checked before the file is
-    opened, so a non-ASCII text raises ``UnicodeEncodeError`` and leaves the
-    file as it was; it is then encoded and written ``_WRITE_SLICE`` characters
-    at a time, and no encoded copy of the whole text is made.  Not atomic: a
-    crash mid-write can leave new bytes over an old tail.
+    links are kept and a symlink is followed.  Only regular files are cut to
+    the length written, so FIFOs and ``os.devnull`` work.  Not atomic: a
+    later part that raises, or a crash, leaves the parts already written over
+    the old bytes and the old tail uncut.
     """
-    if not text.isascii():
-        text.encode("ascii")  # raises, naming the first non-ASCII character
+    parts = iter((parts,) if isinstance(parts, str) else parts)
+    first = _ascii(next(parts, ""))
     fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
     try:
-        for start in range(0, len(text), _WRITE_SLICE):
-            rest = memoryview(text[start:start + _WRITE_SLICE].encode("ascii"))
-            while rest:
-                rest = rest[os.write(fd, rest):]
+        length = 0
+        for part in itertools.chain((first,), map(_ascii, parts)):
+            for start in range(0, len(part), _WRITE_SLICE):
+                rest = memoryview(part[start:start + _WRITE_SLICE].encode("ascii"))
+                while rest:
+                    rest = rest[os.write(fd, rest):]
+            length += len(part)
         if stat.S_ISREG(os.fstat(fd).st_mode):
-            os.ftruncate(fd, len(text))
+            os.ftruncate(fd, length)
     finally:
         os.close(fd)
 
 
 def write_scan_csv(scan: FringeScan, path) -> Path:
     path = Path(path)
-    _write_ascii(path, scan_to_csv_text(scan))
+    _write_ascii(path, _scan_csv_parts(scan))
     return path
 
 
@@ -348,31 +387,40 @@ def _row_blocks(columns: Iterable[np.ndarray]) -> Iterator[list[np.ndarray]]:
         yield [column[start:start + _ROW_BLOCK] for column in columns]
 
 
-def rows_to_csv_text(table: SweepTable) -> str:
+def _csv_parts(table: SweepTable) -> Iterator[str]:
+    """The table's CSV text in parts: the header, then each block of rows."""
     columns = _table_columns(table)
     # NaN marks a point above the oracle cap: an empty cell
     marks = [np.isnan if name == ORACLE_RESIDUAL_FIELD else None for name in columns]
-    parts = [",".join(columns), "\n"]
+    yield ",".join(columns) + "\n"
     for block in _row_blocks(columns.values()):
         cells = [_float_cells(column, "", marked) for column, marked in zip(block, marks)]
-        parts += ["\n".join(map(",".join, zip(*cells))), "\n"]
-    return "".join(parts)
+        yield _lines(map(",".join, zip(*cells)))
 
 
-def rows_to_json_text(table: SweepTable) -> str:
-    """The table as ``json.dumps(records, indent=2)`` writes it, non-finite as null."""
+def rows_to_csv_text(table: SweepTable) -> str:
+    return "".join(_csv_parts(table))
+
+
+def _json_parts(table: SweepTable) -> Iterator[str]:
+    """The table's JSON text in parts: each block of records after its separator, then the close."""
     columns = _table_columns(table)
     record = (
         "  {\n"
         + ",\n".join(f"    {json.dumps(name)}: %s" for name in columns)
         + "\n  }"
     )
-    parts = ["[\n"]
+    separator = "[\n"
     for block in _row_blocks(columns.values()):
         cells = [_float_cells(column, "null", _nonfinite) for column in block]
-        parts += [",\n".join(map(record.__mod__, zip(*cells))), ",\n"]
-    parts[-1] = "\n]\n"  # the last record takes no comma
-    return "".join(parts)
+        yield separator + ",\n".join(map(record.__mod__, zip(*cells)))
+        separator = ",\n"
+    yield "\n]\n"  # the last record takes no comma
+
+
+def rows_to_json_text(table: SweepTable) -> str:
+    """The table as ``json.dumps(records, indent=2)`` writes it, non-finite as null."""
+    return "".join(_json_parts(table))
 
 
 # ---------------------------------------------------------------------------
@@ -389,13 +437,13 @@ def _svg_header(width: int, height: int, title: str) -> list[str]:
     ]
 
 
-def render_curves_svg(table: SweepTable) -> str:
-    """Six measure curves against |alpha_1| with axes and a legend."""
+def _curves_svg_parts(table: SweepTable) -> Iterator[str]:
+    """The curve SVG in parts: the frame, then each curve a block of points at a time."""
     columns = _table_columns(table)
     width, height = 840, 560
     left, right, top, bottom = 70.0, 660.0, 50.0, 500.0
-    xs = columns["alpha1_abs"].tolist()
-    x_min, x_max = min(xs), max(xs)
+    xs = columns["alpha1_abs"]
+    x_min, x_max = float(xs.min()), float(xs.max())
     span = x_max - x_min or 1.0
 
     def px(x: float) -> float:
@@ -435,25 +483,28 @@ def render_curves_svg(table: SweepTable) -> str:
         f'font-family="monospace" font-size="14" text-anchor="middle">'
         "seed amplitude |alpha|</text>"
     )
+    yield _lines(parts)
     for index, (field_name, label, color) in enumerate(_CURVE_SERIES):
-        coords = " ".join(
-            f"{px(x):.2f},{py(y):.2f}" for x, y in zip(xs, columns[field_name].tolist())
-        )
-        parts.append(
-            f'<polyline points="{coords}" fill="none" stroke="{color}" '
-            'stroke-width="1.5"/>'
-        )
+        separator = '<polyline points="'
+        for block_xs, block_ys in _row_blocks((xs, columns[field_name])):
+            yield separator + " ".join(
+                f"{px(x):.2f},{py(y):.2f}" for x, y in zip(block_xs.tolist(), block_ys.tolist())
+            )
+            separator = " "
         ly = top + 18 + 24 * index
-        parts.append(
+        yield _lines([
+            f'" fill="none" stroke="{color}" stroke-width="1.5"/>',
             f'<line x1="{right + 20:.2f}" y1="{ly:.2f}" x2="{right + 50:.2f}" '
-            f'y2="{ly:.2f}" stroke="{color}" stroke-width="3"/>'
-        )
-        parts.append(
+            f'y2="{ly:.2f}" stroke="{color}" stroke-width="3"/>',
             f'<text x="{right + 58:.2f}" y="{ly + 4:.2f}" font-family="monospace" '
-            f'font-size="13">{label}</text>'
-        )
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+            f'font-size="13">{label}</text>',
+        ])
+    yield "</svg>\n"
+
+
+def render_curves_svg(table: SweepTable) -> str:
+    """Six measure curves against |alpha_1| with axes and a legend."""
+    return "".join(_curves_svg_parts(table))
 
 
 # A small fixed color ramp from dark blue to yellow over [0, 1].
@@ -477,8 +528,8 @@ def _heat_colors(values: np.ndarray) -> list[str]:
     return texts[inverse].tolist()
 
 
-def render_heatmap_svg(table: SweepTable, measure: str) -> str:
-    """One gamma-|alpha| heat map of ``measure`` on the fixed [0, 1] scale."""
+def _heatmap_svg_parts(table: SweepTable, measure: str) -> Iterator[str]:
+    """The heat-map SVG in parts: the header, then each block of cells, then the axes."""
     columns = _table_columns(table)
     if measure == "C":
         values = np.sqrt(columns["C2"])
@@ -505,7 +556,7 @@ def render_heatmap_svg(table: SweepTable, measure: str) -> str:
     left, right, top, bottom = 90.0, 640.0, 50.0, 560.0
     cell_w = (right - left) / len(gammas)
     cell_h = (bottom - top) / len(alphas)
-    parts = _svg_header(width, height, f"{measure} over seed ratio and magnitude")
+    yield _lines(_svg_header(width, height, f"{measure} over seed ratio and magnitude"))
     # gamma-major, |alpha| minor, as the cells of ``grid``
     x_open = [f'<rect x="{left + i * cell_w:.2f}" y="' for i in range(len(gammas))]
     y_fill = [
@@ -513,14 +564,17 @@ def render_heatmap_svg(table: SweepTable, measure: str) -> str:
         f'height="{cell_h:.2f}" fill="'
         for j in range(len(alphas))
     ]
-    parts.extend(
-        x + y + color + '"/>'
-        for (x, y), color in zip(itertools.product(x_open, y_fill), _heat_colors(grid))
-    )
-    parts.append(
+    cells = itertools.product(x_open, y_fill)
+    for start in range(0, len(grid), _CELL_BLOCK):
+        colors = _heat_colors(grid[start:start + _CELL_BLOCK])
+        yield "".join(
+            x + y + color + '"/>\n'
+            for (x, y), color in zip(itertools.islice(cells, len(colors)), colors)
+        )
+    parts = [
         f'<rect x="{left:.2f}" y="{top:.2f}" width="{right - left:.2f}" '
         f'height="{bottom - top:.2f}" fill="none" stroke="black"/>'
-    )
+    ]
     for frac in (0.0, 0.25, 0.5, 0.75, 1.0):
         gx = left + frac * (right - left)
         gval = gammas[0] + frac * (gammas[-1] - gammas[0])
@@ -566,7 +620,12 @@ def render_heatmap_svg(table: SweepTable, measure: str) -> str:
         'font-family="monospace" font-size="12">1.0</text>'
     )
     parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    yield _lines(parts)
+
+
+def render_heatmap_svg(table: SweepTable, measure: str) -> str:
+    """One gamma-|alpha| heat map of ``measure`` on the fixed [0, 1] scale."""
+    return "".join(_heatmap_svg_parts(table, measure))
 
 
 # ---------------------------------------------------------------------------
@@ -583,27 +642,29 @@ def emit_outputs(
 
     Returns the paths written.  svg picks curve or heat-map layout from the
     grid shape; heat maps write one file per selected measure, named
-    ``<stem>_<measure>.svg``.  Identical input produces identical bytes.
+    ``<stem>_<measure>.svg``.  Each file is written a block at a time as its
+    text is made (see ``_write_ascii``).  Identical input produces identical
+    bytes.
     """
     if format not in ("csv", "json", "svg"):
         raise ValueError(f"format must be csv, json or svg, got {format!r}")
     path = Path(path)
 
     if format == "csv":
-        _write_ascii(path, rows_to_csv_text(data))
+        _write_ascii(path, _csv_parts(data))
         return [path]
     if format == "json":
-        _write_ascii(path, rows_to_json_text(data))
+        _write_ascii(path, _json_parts(data))
         return [path]
     gammas = data.columns["gamma"]
     if np.isnan(gammas).any():
         raise ValueError("svg output needs a regular grid, not explicit seed lists")
     if len(np.unique(gammas)) == 1:
-        _write_ascii(path, render_curves_svg(data))
+        _write_ascii(path, _curves_svg_parts(data))
         return [path]
     written = []
     for measure in measures:
         target = path.with_name(f"{path.stem}_{measure}{path.suffix or '.svg'}")
-        _write_ascii(target, render_heatmap_svg(data, measure))
+        _write_ascii(target, _heatmap_svg_parts(data, measure))
         written.append(target)
     return written

@@ -29,6 +29,7 @@ from duality_lab.fock import (
     cutoffs_for_means,
     tensor_product,
 )
+from duality_lab.interferometer import count_rate
 from duality_lab.oracle import (
     ADDED_1,
     COHERENT_2,
@@ -585,6 +586,26 @@ class TestMeasuresFromState:
         purity = tr_rho_squared(state.reduced)
         concurrence = np.sqrt(np.maximum(0.0, 2.0 * (1.0 - purity)))
         assert np.all(np.abs(measures_from_state(state).E - concurrence) < 1e-8)
+
+
+class TestFringeFromTheStates:
+    """The fringe ``count_rate`` writes from closed forms, read off the Fock-route states."""
+
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(pair=SMALL_PAIRS)
+    def test_offset_and_contrast_match_the_states(self, pair):
+        seeds = SeedPair(*pair)
+        # at scale 1 the fringe is 2 + a^2 + b^2 - 2ab sin(dtheta)
+        offset = count_rate(seeds, 0.0, 1.0)
+        high, low = count_rate(seeds, np.array([-math.pi / 2, math.pi / 2]), 1.0)
+        contrast = (high - low) / (high + low)
+        pairs = np.array([pair], dtype=complex)
+        # w1 + w2, the photon-added norms, on the pair's cutoff
+        segments = Segments(cutoffs_for_means([max(abs(pair[0]), abs(pair[1])) ** 2]))
+        _, weights = fock.spacs_state(fock.coherent_state(pairs.T, segments), segments)
+        assert offset == pytest.approx(weights.sum(), rel=1e-10, abs=0.0)
+        reduced = build_composite(pairs).reduced
+        assert contrast == pytest.approx(2.0 * reduced.coherence[0], rel=0.0, abs=1e-10)
 
 
 class TestVerifyIdentities:

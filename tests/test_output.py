@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import os
+import re
 import stat
 from pathlib import Path
 
@@ -636,6 +637,15 @@ class TestSvg:
     def test_curve_output_deterministic(self, small_rows):
         assert render_curves_svg(small_rows) == render_curves_svg(small_rows)
 
+    def test_curves_across_row_blocks_keep_every_point(self):
+        table = run_sweep(fig2a_grid(alpha_max=6.0, alpha_step=6.0 / (2 * output._ROW_BLOCK + 1)))
+        polylines = re.findall(r'<polyline points="([^"]*)"', render_curves_svg(table))
+        assert len(polylines) == 6
+        for points in polylines:
+            pairs = points.split(" ")
+            assert len(pairs) == len(table) > 2 * output._ROW_BLOCK
+            assert all(re.fullmatch(r"\d+\.\d\d,\d+\.\d\d", pair) for pair in pairs)
+
     def test_heatmap_complete_grid_required(self, small_rows):
         rows = run_sweep(
             explicit_grid([SeedPair(1, 1), SeedPair(2, 1), SeedPair(2, 0.5)])
@@ -777,3 +787,60 @@ class TestOutputFilesWrittenInPlace:
         assert write_scan_csv(poisson_scan, os.devnull) == Path(os.devnull)
         for fmt in ("csv", "json", "svg"):
             assert emit_outputs(small_rows, fmt, os.devnull) == [Path(os.devnull)]
+
+
+def table_rows(table, rows):
+    """The sweep table of ``table``'s rows at index ``rows``."""
+    measures = table.measures
+    return SweepTable(
+        table.alpha1_abs[rows],
+        table.alpha2_abs[rows],
+        table.gamma[rows],
+        dataclasses.replace(
+            measures,
+            **{f.name: getattr(measures, f.name)[rows] for f in dataclasses.fields(measures)},
+        ),
+    )
+
+
+class TestEmitterErrorLeavesTargets:
+    """An emitter that raises before its first part touches no target."""
+
+    OLD = b"old bytes\n" * 1000
+
+    def assert_untouched(self, tmp_path, table, fmt, message, existing, missing):
+        (tmp_path / existing).write_bytes(self.OLD)
+        with pytest.raises(ValueError, match=message):
+            emit_outputs(table, fmt, tmp_path / f"out.{fmt}")
+        assert (tmp_path / existing).read_bytes() == self.OLD
+        assert not (tmp_path / missing).exists()
+        # with no target present, none is created
+        (tmp_path / existing).unlink()
+        with pytest.raises(ValueError, match=message):
+            emit_outputs(table, fmt, tmp_path / f"out.{fmt}")
+        assert not (tmp_path / existing).exists()
+
+    @pytest.mark.parametrize(
+        ("fmt", "existing", "missing"),
+        [("csv", "out.csv", "other.csv"), ("json", "out.json", "other.json"),
+         ("svg", "out_C.svg", "out_V.svg")],
+    )
+    def test_no_rows_to_emit(self, small_rows, tmp_path, fmt, existing, missing):
+        empty = table_rows(small_rows, slice(0))
+        self.assert_untouched(tmp_path, empty, fmt, "no rows to emit", existing, missing)
+
+    def test_non_rectangular_heat_map(self, tmp_path):
+        surface = run_sweep(surface_grid(alpha_max=1.0, alpha_step=0.5, gamma_step=0.5))
+        ragged = table_rows(surface, slice(len(surface) - 1))
+        self.assert_untouched(tmp_path, ragged, "svg", "rectangular", "out_C.svg", "out_V.svg")
+
+    def test_svg_of_an_explicit_grid(self, tmp_path):
+        rows = run_sweep(explicit_grid([SeedPair(0, 1), SeedPair(2, 1)]))
+        self.assert_untouched(tmp_path, rows, "svg", "regular grid", "out.svg", "out_C.svg")
+
+    def test_a_later_part_that_raises_leaves_the_parts_written_and_the_old_tail(self, tmp_path):
+        path = tmp_path / "old.out"
+        path.write_bytes(self.OLD)
+        with pytest.raises(UnicodeEncodeError):
+            output._write_ascii(path, iter(["new\n", "café\n"]))
+        assert path.read_bytes() == b"new\n" + self.OLD[4:]

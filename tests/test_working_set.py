@@ -2,17 +2,21 @@
 
 ``verify_identities`` keeps its draws whole (32 B a sample) and takes the
 closed forms a block at a time; the sweep emitters format a block of rows at a
-time and join the blocks' texts once.  A pass that builds its temporaries
-for the whole input at once breaks these bounds several times over.
+time and join the blocks' texts once.  The file writers write each block's
+text before they make the next, so their peaks are a fraction of the file.
+A pass that builds its temporaries, or a file's text, for the whole input at
+once breaks these bounds several times over.
 """
 
 import tracemalloc
 
 import pytest
 
+from duality_lab.analytic import SeedPair
+from duality_lab.interferometer import FringeConfig, simulate_fringe
 from duality_lab.oracle import verify_identities
-from duality_lab.output import rows_to_csv_text, rows_to_json_text
-from duality_lab.sweep import run_sweep, surface_grid
+from duality_lab.output import emit_outputs, rows_to_csv_text, rows_to_json_text, write_scan_csv
+from duality_lab.sweep import fig2a_grid, run_sweep, surface_grid
 
 
 def traced_peak(call):
@@ -48,3 +52,42 @@ def test_sweep_emitters_peak_within_3_5_times_their_text(emit, surface_table):
     emit(run_sweep(surface_grid(1.0, 0.5, 0.5)))  # lazy set-up first
     text, peak = traced_peak(lambda: emit(surface_table))
     assert peak <= 3.5 * len(text), f"{peak / len(text):.2f} times the text"
+
+
+def written_peak(write, warm_up):
+    """The peak bytes ``write()`` held, over the size of the largest file it wrote."""
+    warm_up()  # lazy set-up first
+    paths, peak = traced_peak(write)
+    return peak / max(path.stat().st_size for path in paths)
+
+
+@pytest.mark.parametrize(("fmt", "bound"), [("csv", 0.75), ("json", 0.75), ("svg", 2.5)])
+def test_sweep_files_peak_within_a_bound_times_their_size(fmt, bound, surface_table, tmp_path):
+    small = run_sweep(surface_grid(1.0, 0.5, 0.5))
+    ratio = written_peak(
+        lambda: emit_outputs(surface_table, fmt, tmp_path / f"surface.{fmt}"),
+        lambda: emit_outputs(small, fmt, tmp_path / f"small.{fmt}"),
+    )
+    assert ratio <= bound, f"{ratio:.2f} times the file"
+
+
+def test_curve_svg_peaks_within_its_size(tmp_path):
+    table = run_sweep(fig2a_grid(6.0, 6e-5))
+    small = run_sweep(fig2a_grid(1.0, 0.5))
+    ratio = written_peak(
+        lambda: emit_outputs(table, "svg", tmp_path / "curves.svg"),
+        lambda: emit_outputs(small, "svg", tmp_path / "small.svg"),
+    )
+    assert ratio <= 1.0, f"{ratio:.2f} times the file"
+
+
+def test_scan_csv_peaks_within_0_75_times_its_size(tmp_path):
+    def scan(points):
+        return simulate_fringe(FringeConfig(SeedPair(2, 1), 1e6, points, 0.01, 3, "poisson"))
+
+    long_scan, short_scan = scan(100_000), scan(10)
+    ratio = written_peak(
+        lambda: [write_scan_csv(long_scan, tmp_path / "long.csv")],
+        lambda: [write_scan_csv(short_scan, tmp_path / "short.csv")],
+    )
+    assert ratio <= 0.75, f"{ratio:.2f} times the file"
