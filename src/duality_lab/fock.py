@@ -6,16 +6,16 @@ complex amplitudes over photon-number basis states, truncated at a cutoff
 chosen so that the discarded photon-number tail carries negligible
 probability for the seed amplitudes in play.
 
-The builders work on batches.  Each row of a flat photon-number array holds
-one state per segment, segment p spanning levels 0 .. cutoffs[p] at the
-columns a ``Segments`` layout gives, and a failed check names the segment at
-fault.  ``coherent_state`` builds coherent states, ``apply_creation`` applies
-the creation operator and ``spacs_state`` turns coherent states into their
-normalized photon-added counterparts, and returns the squared norms it
-divided by.  ``inner_product`` and ``tensor_product`` act on one state's 1-d
-amplitude array; the latter builds the joint two-mode vector for tests that
-contract it in full.  A single state is a one-segment batch:
-``coherent_state([[alpha]], Segments([cutoff]))[0]``.
+The builders work on batches: a flat photon-number array holds one state per
+segment, segment p spanning levels 0 .. cutoffs[p] at the columns a
+``Segments`` layout gives, and a failed check names the segment at fault.
+``coherent_state`` builds coherent states, one seed per segment,
+``apply_creation`` applies the creation operator and ``spacs_state`` turns
+coherent states into their normalized photon-added counterparts, and returns
+the squared norms it divided by.  ``inner_product`` and ``tensor_product``
+act on one state's amplitude array; the latter builds the joint two-mode
+vector of two equal-cutoff states.  A single state is a one-segment batch:
+``coherent_state([alpha], Segments([cutoff]))``.
 Every segment is normalized by a segmented reduction, one ``np.add.reduceat``
 over the segment starts, which sums each segment on its own: a state comes
 out the same, bit for bit, in any batch.
@@ -276,36 +276,25 @@ class Segments:
         set_field(self, "levels", levels)
 
 
-# ``_squared_norms`` squares a block of rows at a time, into a temporary of at
-# most this many bytes, or of one row where a row is larger: one pass over the
-# few short rows of a small batch, and no full-size temporary when the rows
-# are long.  Taken row by row, a call costs about 0.7 us more per row: 1.7
-# times the one-pass cost for four rows of 8 KiB, nothing measurable from
-# 128 KiB a row up.
+# The working-set unit, 1 MiB: the bulk passes (verify's closed-form blocks,
+# the writers' row blocks and write slices) size their blocks from it.
 _SCRATCH_BYTES = 1 << 20
 
 
 def _squared_norms(amps: np.ndarray, segments: Segments) -> np.ndarray:
-    """Each segment's squared Euclidean norm, shaped (rows of ``amps``, segments).
+    """Each segment's squared Euclidean norm.
 
     ``np.add.reduceat`` sums each segment's interleaved squares re^2, im^2
     on their own, so a segment's sum equals the one-segment reduction of
-    that segment alone bit for bit, wherever it sits in the layout and
-    whichever block its row is in.
+    that segment alone bit for bit, wherever it sits in the layout.
     """
-    floats, starts = amps.view(float), 2 * segments.starts
-    step = _SCRATCH_BYTES // (floats[:1].nbytes or 1) or 1
-    norms = np.empty((len(floats), len(starts)))
-    for i in range(0, len(floats), step):
-        np.add.reduceat(np.square(floats[i:i + step]), starts, axis=1, out=norms[i:i + step])
-    return norms
+    return np.add.reduceat(np.square(amps.view(float)), 2 * segments.starts)
 
 
 def _segment_overlaps(bra: np.ndarray, ket: np.ndarray, segments: Segments) -> np.ndarray:
-    """<bra|ket> on every segment of two rows: conj(bra) ket summed segment by segment.
+    """<bra|ket> on every segment: conj(bra) ket summed segment by segment.
 
-    The sums are ``np.add.reduceat``'s, as in ``_squared_norms``, over one
-    row of products.
+    The sums are ``np.add.reduceat``'s, as in ``_squared_norms``.
     """
     products = np.conjugate(bra)
     products *= ket
@@ -313,53 +302,51 @@ def _segment_overlaps(bra: np.ndarray, ket: np.ndarray, segments: Segments) -> n
 
 
 def _normalize_segments(amps: np.ndarray, segments: Segments) -> np.ndarray:
-    """Divide each segment of each row, in place, by its Euclidean norm.
+    """Divide each segment, in place, by its Euclidean norm.
 
-    Returns the squared norms divided by, shaped (rows, segments).  Each
-    segment is multiplied by its norm's reciprocal: that is how numpy
-    divides a complex array by a real number, bit for bit, and its complex
-    division loop costs several times more.  The repeated reciprocals take
-    half the memory of ``amps``, as much as one block of squares for the two
-    rows the state builders pass.
+    Returns the squared norms divided by.  Each segment is multiplied by its
+    norm's reciprocal: that is how numpy divides a complex array by a real
+    number, bit for bit, and its complex division loop costs several times
+    more.
     """
     norms_sq = _squared_norms(amps, segments)
     scales = np.sqrt(norms_sq)
     np.divide(1.0, scales, out=scales)
-    amps *= scales.repeat(segments.lengths, axis=1)
+    amps *= scales.repeat(segments.lengths)
     return norms_sq
 
 
 def coherent_state(
     alphas, segments: Segments, out: Optional[np.ndarray] = None
 ) -> np.ndarray:
-    """Coherent states |alpha>, one row per row of ``alphas`` and one segment per column.
+    """Coherent states |alpha>, seed ``alphas[p]`` in segment p.
 
-    Segment p of every row holds levels 0 .. ``segments.cutoffs[p]``.
-    Amplitudes are proportional to alpha**n / sqrt(n!): their magnitudes are
-    sqrt(p(n; |alpha|^2)) from the Poisson log-pmf kernel, which stays
-    accurate at any level, and each truncated segment is renormalized to unit
-    norm, so it is exactly normalized even when the cutoff is tight.  Alpha
-    = 0 gives the vacuum |0>.  Returns ``out`` (allocated when None), shaped
-    (rows, ``segments.size``).
+    Segment p holds levels 0 .. ``segments.cutoffs[p]``.  Amplitudes are
+    proportional to alpha**n / sqrt(n!): their magnitudes are sqrt(p(n;
+    |alpha|^2)) from the Poisson log-pmf kernel, which stays accurate at any
+    level, and each truncated segment is renormalized to unit norm, so it is
+    exactly normalized even when the cutoff is tight.  Alpha = 0 gives the
+    vacuum |0>.  Returns ``out`` (allocated when None), of ``segments.size``
+    amplitudes.
     """
     alphas = np.asarray(alphas, dtype=complex)
-    cutoffs, lengths = segments.cutoffs, segments.lengths
-    if alphas.ndim != 2 or alphas.shape[1] != len(cutoffs):
+    lengths = segments.lengths
+    if alphas.shape != lengths.shape:
         raise ValueError(
-            f"alphas must be (rows, segments) with one segment per column, got "
-            f"shape {alphas.shape} for {len(cutoffs)} segments"
+            f"alphas must hold one seed per segment, got shape {alphas.shape} for "
+            f"{len(lengths)} segments"
         )
     # np.hypot, unlike np.abs, matches abs(complex) bit for bit
     mags = np.hypot(alphas.real, alphas.imag)
     means = mags * mags
     phases = np.arctan2(alphas.imag, alphas.real)
     if out is None:
-        out = np.empty((len(alphas), segments.size), dtype=complex)
+        out = np.empty(segments.size, dtype=complex)
     n = segments.levels
-    magnitudes = _poisson_log_pmf(n, means.repeat(lengths, axis=1))
+    magnitudes = _poisson_log_pmf(n, means.repeat(lengths))
     magnitudes *= 0.5
     np.exp(magnitudes, out=magnitudes)
-    np.multiply(1j * n, phases.repeat(lengths, axis=1), out=out)
+    np.multiply(1j * n, phases.repeat(lengths), out=out)
     np.exp(out, out=out)
     np.multiply(magnitudes, out, out=out)
     del magnitudes
@@ -377,23 +364,19 @@ def apply_creation(
     than the cutoff rule's tail tolerance or the cutoff is too small for this
     operation.  Returns ``out`` (allocated when None).
     """
-    tops = amps[:, segments.starts + segments.cutoffs]
+    tops = amps[segments.starts + segments.cutoffs]
     top_mass = tops.real * tops.real + tops.imag * tops.imag
     tolerance = DEFAULT_POLICY.tail_tolerance
-    if np.count_nonzero(top_mass <= tolerance) != top_mass.size:
-        _fail_first(
-            (top_mass > tolerance).any(axis=0),
-            lambda k: f"top-level probability {top_mass[:, k].max():.3e} exceeds tail "
-            f"tolerance {tolerance:.3e}; increase the cutoff before applying a "
-            "creation operator",
-        )
+    _fail_first(
+        top_mass > tolerance,
+        lambda k: f"top-level probability {top_mass[k]:.3e} exceeds tail tolerance "
+        f"{tolerance:.3e}; increase the cutoff before applying a creation operator",
+    )
     if out is None:
         out = np.empty_like(amps)
-    np.multiply(amps[:, :-1], np.sqrt(segments.levels[1:]), out=out[:, 1:])
+    np.multiply(amps[:-1], np.sqrt(segments.levels[1:]), out=out[1:])
     # a† leaves level 0 of every segment empty
-    out[:, 0] = 0.0
-    if len(segments.starts) > 1:
-        out[:, segments.starts[1:]] = 0.0
+    out[segments.starts] = 0.0
     return out
 
 
@@ -409,7 +392,7 @@ def spacs_state(
     alpha = 0 a segment is exactly the one-photon state |1>.
     ``apply_creation`` guards the top level.  Returns ``(out, norms_sq)``:
     ``out`` (allocated when None) holds the states and ``norms_sq`` the
-    measured ||a†|alpha>||^2, shaped (rows, segments).
+    measured ||a†|alpha>||^2 of each segment.
     """
     out = apply_creation(coherent, segments, out)
     return out, _normalize_segments(out, segments)

@@ -21,16 +21,18 @@ formula, so agreement between them is a real check, not a tautology:
     never from the closed-form expression the analytic module uses.
 
 The route works on a batch of seed pairs at once.  ``build_composite`` keeps
-the four single-mode factors of every pair in one flat photon-number array,
-pair p in its own segment of columns: ``fock.coherent_state`` builds the two
-coherent seeds and ``fock.spacs_state`` their photon-added counterparts.
-The state holds the pure path density matrix ``pure`` and the reduced one,
-``reduced``, built once from the detector overlaps.  Both, and the record
+one segment of a flat photon-number array per seed, alpha_1 of pair p in
+segment 2p and alpha_2 in segment 2p + 1, each at its own cutoff, in two
+factor rows: ``fock.coherent_state`` builds the coherent states and
+``fock.spacs_state`` their photon-added counterparts.  The state holds the
+pure path density matrix ``pure`` and the reduced one, ``reduced``, built
+once from the detector overlaps.  Both, and the record
 ``measures_from_state`` returns, are one array record for the batch, and
 every check names the seed pair at fault.  Inner products and norms are
 segmented reductions: one ``np.add.reduceat`` over the segment starts sums
-every pair's segment on its own, so a pair's results equal those of the
-pair built alone, bit for bit, and no Python loop runs over the pairs.
+every seed's segment on its own, so a seed's factors and sums do not depend
+on its partner or batch, bit for bit, and no Python loop runs over the
+pairs.
 ``route_residuals`` is the one comparison of the two routes that the CLI,
 the sweeps and ``verify_identities`` share; ``verify_identities`` wraps it
 in a randomized pass/fail report.
@@ -88,27 +90,33 @@ _VERIFY_BLOCK = _SCRATCH_BYTES // 256
 # route_residuals key of the reduced-purity residual |mu_s^2 - closed mu_s^2|.
 PURITY_RESIDUAL = "mu_s^2"
 
-# Rows of CompositeState.factors.  Detector 1 is ADDED_1 x COHERENT_2 (a photon
-# added to idler 1), detector 2 is COHERENT_1 x ADDED_2.
-COHERENT_1, COHERENT_2, ADDED_1, ADDED_2 = range(4)
+# A pair's factors in the order its checks name them.  Detector 1 is
+# photon-added idler 1 x coherent idler 2, detector 2 is coherent idler 1 x
+# photon-added idler 2.
 _FACTOR_NAMES = ("coherent idler 1", "coherent idler 2", "photon-added idler 1",
                  "photon-added idler 2")
 
 
 class _NamingSeedPairs:
-    """Context that re-raises a batch check's ``PointError`` naming the seed pair at fault."""
+    """Context that re-raises a batch check's ``PointError`` naming the seed pair at fault.
 
-    def __init__(self, seeds: np.ndarray):
+    A check over the seeds, not the pairs, takes ``per_pair=2``: seed k is
+    of pair k // 2.
+    """
+
+    def __init__(self, seeds: np.ndarray, per_pair: int = 1):
         self.seeds = seeds
+        self.per_pair = per_pair
 
     def __enter__(self):
         return self
 
     def __exit__(self, kind, err, traceback):
         if kind is not None and issubclass(kind, PointError):
-            a1, a2 = self.seeds[err.index]
+            pair = err.index // self.per_pair
+            a1, a2 = self.seeds[pair]
             raise ValueError(
-                f"seed pair {err.index} (alpha1={a1:.6g}, alpha2={a2:.6g}): {err.detail}"
+                f"seed pair {pair} (alpha1={a1:.6g}, alpha2={a2:.6g}): {err.detail}"
             ) from None
         return False
 
@@ -129,13 +137,15 @@ class CompositeState:
     d1 = a†|alpha_1> |alpha_2> and d2 = |alpha_1> a†|alpha_2>, photon-added
     factors normalized.
 
-    ``seeds`` is the (pairs, 2) complex seed array.  ``factors`` has one row
-    per factor (the ``COHERENT_1`` .. ``ADDED_2`` rows) and pair p's levels
-    0 .. cutoffs[p] in segment p of the ``segments`` layout.
+    ``seeds`` is the (pairs, 2) complex seed array.  ``factors`` has two
+    rows, coherent then photon-added, and one segment of the ``segments``
+    layout per seed: alpha_1 of pair p in segment 2p, alpha_2 in segment
+    2p + 1, each on levels 0 .. its own cutoff.  ``cutoffs`` gives each
+    pair's larger one.
 
     Construction takes the inner products once, as segmented reductions
-    over the factor rows: the four squared factor norms, <c1|a1> and
-    <a2|c2>, whose conjugates are the other two idler overlaps.
+    over the factor rows: every factor's squared norm and every seed's
+    <c|a>, whose conjugate is <a|c>, shaped (pairs, 2) by idler.
     ``detector_gram[i, j, p]`` is <d_i+1|d_j+1>, the product of two idler
     inner products, formed for all pairs at once.  It then traces the
     detector out: for |psi> = sum_j c_j |j>|d_j> the reduced quanton matrix
@@ -157,8 +167,8 @@ class CompositeState:
         count = len(self.seeds)
         if (
             self.seeds.shape != (count, 2)
-            or len(self.segments.cutoffs) != count
-            or self.factors.shape != (4, self.segments.size)
+            or len(self.segments.cutoffs) != 2 * count
+            or self.factors.shape != (2, self.segments.size)
             or np.shape(self.pure.rho11) != (count,)
         ):
             raise ValueError(
@@ -166,16 +176,18 @@ class CompositeState:
                 f"{self.factors.shape} for {len(self.segments.cutoffs)} segments of "
                 f"{self.segments.size} levels"
             )
-        segments, factors = self.segments, self.factors
-        norms_sq = _squared_norms(factors, segments)
-        # <c1|a1> and <a2|c2>; <a1|c1> and <c2|a2> are their conjugates
-        c1_a1 = _segment_overlaps(factors[COHERENT_1], factors[ADDED_1], segments)
-        a2_c2 = _segment_overlaps(factors[ADDED_2], factors[COHERENT_2], segments)
+        segments = self.segments
+        # the squared norms in the order of _FACTOR_NAMES, one row per factor
+        c1, c2, a1, a2 = norms_sq = np.concatenate(
+            [_squared_norms(row, segments).reshape(count, 2).T for row in self.factors]
+        )
+        # <c1|a1> and <c2|a2>; <a1|c1> and <a2|c2> are their conjugates
+        c1_a1, c2_a2 = _segment_overlaps(*self.factors, segments).reshape(count, 2).T
         # detector 1 = (a1, c2), detector 2 = (c1, a2)
         gram = np.empty((2, 2, count), dtype=complex)
-        gram[0, 0] = norms_sq[ADDED_1] * norms_sq[COHERENT_2]
-        gram[1, 1] = norms_sq[COHERENT_1] * norms_sq[ADDED_2]
-        np.multiply(c1_a1, a2_c2, out=gram[1, 0])
+        gram[0, 0] = a1 * c2
+        gram[1, 1] = c1 * a2
+        np.multiply(c1_a1, np.conjugate(c2_a2), out=gram[1, 0])
         np.conjugate(gram[1, 0], out=gram[0, 1])
         object.__setattr__(self, "detector_gram", gram)
         # a NaN norm, from a non-finite factor, compares false and fails too
@@ -198,7 +210,8 @@ class CompositeState:
 
     @property
     def cutoffs(self) -> np.ndarray:
-        return self.segments.cutoffs
+        """Each pair's larger cutoff, that of its larger seed."""
+        return self.segments.cutoffs.reshape(-1, 2).max(axis=1)
 
 
 def build_composite(seeds) -> CompositeState:
@@ -207,28 +220,30 @@ def build_composite(seeds) -> CompositeState:
     ``seeds`` is a (pairs, 2) array of complex seed amplitudes (alpha_1,
     alpha_2), one row per pair.  Detector 1 pairs the photon-added state of
     idler 1 with the unchanged coherent state of idler 2; detector 2 is the
-    mirror image.  Each pair's four factors are built at the cutoff
-    ``cutoffs_for_means`` picks for its larger seed, each coherent state once,
-    and the path weights are the photon-added norms ``spacs_state`` measures.
+    mirror image.  Each seed's coherent and photon-added factors are built
+    once, at the cutoff ``cutoffs_for_means`` picks for it, and the path
+    weights are the photon-added norms ``spacs_state`` measures.
     """
     seeds = np.asarray(seeds, dtype=complex)
     if seeds.ndim != 2 or seeds.shape[1] != 2 or not len(seeds):
         raise ValueError(
             f"seeds must be a (pairs, 2) array with at least one pair, got shape {seeds.shape}"
         )
-    with _NamingSeedPairs(seeds):
-        # |alpha_1|^2 and |alpha_2|^2 as two contiguous rows; np.hypot, unlike
-        # np.abs, matches abs(complex) bit for bit
-        mags = np.hypot(seeds.real.T, seeds.imag.T, order="C")
+    alphas = seeds.ravel()
+    with _NamingSeedPairs(seeds, per_pair=2):
+        # np.hypot, unlike np.abs, matches abs(complex) bit for bit
+        mags = np.hypot(alphas.real, alphas.imag)
         with np.errstate(over="ignore"):
-            mags_sq = mags * mags
-        # the rule names every pair whose |alpha|^2 is NaN, inf or too large
-        segments = Segments(cutoffs_for_means(np.maximum(mags_sq[0], mags_sq[1])))
-        factors = np.empty((4, segments.size), dtype=complex)
-        coherent_state(seeds.T, segments, out=factors[:2])
-        _, weights = spacs_state(factors[:2], segments, out=factors[2:])
-        factors.setflags(write=False)
-        c1, c2 = np.sqrt(weights / (weights[0] + weights[1]))
+            means = mags * mags
+        # the rule names every seed whose |alpha|^2 is NaN, inf or too large
+        segments = Segments(cutoffs_for_means(means))
+        factors = np.empty((2, segments.size), dtype=complex)
+        coherent_state(alphas, segments, out=factors[0])
+        _, weights = spacs_state(factors[0], segments, out=factors[1])
+    factors.setflags(write=False)
+    weights = weights.reshape(-1, 2).T
+    c1, c2 = np.sqrt(weights / (weights[0] + weights[1]))
+    with _NamingSeedPairs(seeds):
         pure = QuantonDensityMatrix(c1 * c1, c2 * c2, c1 * c2)
     return CompositeState(seeds, segments, factors, pure)
 

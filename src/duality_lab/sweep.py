@@ -228,10 +228,10 @@ class SweepTable:
 
 
 # Pairs per Fock-route batch, which bounds the oracle's memory on any grid: at
-# |alpha| <= 4 a factor has at most 53 levels, so one batch holds at most
-# 217,088 levels per factor row.  Its four factor rows take 13.3 MiB, and its
-# segmented reductions one more row, 3.3 MiB, for their elementwise products.
-# Residuals do not depend on it.
+# |alpha| <= 4 a seed's factor has at most 53 levels, so one batch of 8192
+# seeds holds at most 434,176 levels per factor row.  Its two factor rows take
+# 13.3 MiB, and its segmented reductions one more row, 6.6 MiB, for their
+# elementwise products.  Residuals do not depend on it.
 _ORACLE_BATCH = 4096
 
 

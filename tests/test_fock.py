@@ -26,20 +26,20 @@ from duality_lab.fock import (
 
 def coherent(alpha: complex, cutoff: int) -> np.ndarray:
     """One coherent state |alpha>, built as a one-segment batch."""
-    return coherent_state([[alpha]], Segments([cutoff]))[0]
+    return coherent_state([alpha], Segments([cutoff]))
 
 
 def spacs(alpha: complex, cutoff: int) -> np.ndarray:
     """One photon-added coherent state, built as a one-segment batch."""
     segments = Segments([cutoff])
-    states, _ = spacs_state(coherent_state([[alpha]], segments), segments)
-    return states[0]
+    states, _ = spacs_state(coherent_state([alpha], segments), segments)
+    return states
 
 
 def raised(alpha: complex, cutoff: int) -> np.ndarray:
     """a†|alpha>, unnormalized, built as a one-segment batch."""
     segments = Segments([cutoff])
-    return apply_creation(coherent_state([[alpha]], segments), segments)[0]
+    return apply_creation(coherent_state([alpha], segments), segments)
 
 
 def coherent_amplitudes_reference(alpha: complex, cutoff: int) -> np.ndarray:
@@ -246,8 +246,8 @@ class TestCoherentState:
         assert abs(np.linalg.norm(coherent(2.0, 40)) - 1.0) < 1e-12
 
     def test_rejects_alphas_not_matching_segments(self):
-        for alphas in ([1.0], [[1.0]], [[1.0, 2.0, 3.0]]):
-            with pytest.raises(ValueError, match="one segment per column"):
+        for alphas in (1.0, [1.0], [[1.0, 2.0]], [1.0, 2.0, 3.0]):
+            with pytest.raises(ValueError, match="one seed per segment"):
                 coherent_state(alphas, Segments([8, 8]))
 
     def test_rejects_cutoff_below_one(self):
@@ -267,12 +267,12 @@ class TestApplyCreation:
     def test_top_level_population_rejected(self):
         # three states in one flat array; the middle one sits in |n = cutoff>
         segments = Segments([16, 16, 24])
-        amps = coherent_state([[0.5, 1.0, 1.5]], segments)
+        amps = coherent_state([0.5, 1.0, 1.5], segments)
         apply_creation(amps, segments)  # each fits its cutoff
         start = int(segments.starts[1])
         stop = start + int(segments.lengths[1])
-        amps[0, start:stop] = 0.0
-        amps[0, stop - 1] = 1.0
+        amps[start:stop] = 0.0
+        amps[stop - 1] = 1.0
         message = r"point 1: top-level probability 1.000e\+00 exceeds tail tolerance"
         with pytest.raises(ValueError, match=message):
             apply_creation(amps, segments)
@@ -320,19 +320,19 @@ class TestSpacs:
         alphas = np.array([100.0, 0.0, 1000.0 * np.exp(0.3j), 0.7j, 1e-8, 19.5, -4.0, 1.24])
         mags = np.hypot(alphas.real, alphas.imag)
         segments = Segments(cutoffs_for_means(mags * mags))
-        _, norms_sq = spacs_state(coherent_state([alphas], segments), segments)
-        assert norms_sq.shape == (1, len(alphas))
+        _, norms_sq = spacs_state(coherent_state(alphas, segments), segments)
+        assert norms_sq.shape == (len(alphas),)
         for k, (mag, cutoff) in enumerate(zip(mags.tolist(), segments.cutoffs.tolist())):
             exact = truncated_added_norm_sq(mag * mag, cutoff)
-            error = abs(mpmath.mpf(float(norms_sq[0, k])) - exact) / (1 + mag * mag)
+            error = abs(mpmath.mpf(float(norms_sq[k])) - exact) / (1 + mag * mag)
             assert error <= 1e-14, (mag, float(error))
             # the rule bounds P(X >= cutoff), not P(X >= cutoff - 1), so the
             # norm sits up to 7e-12 relative below 1 + |alpha|^2
-            assert abs(norms_sq[0, k] / (1.0 + mag * mag) - 1.0) <= 1e-11, mag
+            assert abs(norms_sq[k] / (1.0 + mag * mag) - 1.0) <= 1e-11, mag
         for k, alpha in enumerate(alphas.tolist()):
             alone = Segments(segments.cutoffs[k : k + 1])
-            _, alone_norms_sq = spacs_state(coherent_state([[alpha]], alone), alone)
-            assert alone_norms_sq[0, 0] == norms_sq[0, k], alpha
+            _, alone_norms_sq = spacs_state(coherent_state([alpha], alone), alone)
+            assert alone_norms_sq[0] == norms_sq[k], alpha
 
 
 class TestInnerProduct:

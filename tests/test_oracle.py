@@ -27,12 +27,9 @@ from duality_lab.fock import (
     DEFAULT_POLICY,
     Segments,
     cutoffs_for_means,
-    tensor_product,
 )
 from duality_lab.interferometer import count_rate
 from duality_lab.oracle import (
-    ADDED_1,
-    COHERENT_2,
     ORACLE_ALPHA_MAX,
     ORACLE_ATOL,
     ORACLE_SAMPLES_MAX,
@@ -58,16 +55,25 @@ def tr_rho_squared(rho) -> np.ndarray:
     return rho.rho11**2 + rho.rho22**2 + 2.0 * np.abs(rho.rho12) ** 2
 
 
-def pair_columns(segments, k) -> slice:
-    """The columns of segment k."""
+# the rows of CompositeState.factors
+COHERENT, ADDED = 0, 1
+
+
+def seed_columns(segments, k) -> slice:
+    """The columns of segment k, the seed of pair k // 2 on idler k % 2 + 1."""
     start = int(segments.starts[k])
     return slice(start, start + int(segments.lengths[k]))
 
 
 def detector_vectors(state, k):
-    """Pair k's two detector states as full two-mode idler vectors."""
-    coherent1, coherent2, added1, added2 = state.factors[:, pair_columns(state.segments, k)]
-    return tensor_product(added1, coherent2), tensor_product(coherent1, added2)
+    """Pair k's two detector states as full two-mode idler vectors.
+
+    The two idler modes are cut off at their own levels, so the joint
+    vectors are ``np.kron`` products of unequal lengths.
+    """
+    coherent1, added1 = state.factors[:, seed_columns(state.segments, 2 * k)]
+    coherent2, added2 = state.factors[:, seed_columns(state.segments, 2 * k + 1)]
+    return np.kron(added1, coherent2), np.kron(coherent1, added2)
 
 
 def partial_trace_by_contraction(state, k) -> np.ndarray:
@@ -156,18 +162,23 @@ def reference_photon_added(amps):
 
 
 def reference_measures(seeds: SeedPair):
-    """(measures dict, cutoff, reduced (rho11, rho22, rho12)) at one seed pair."""
-    cutoff = reference_cutoff(max(abs(seeds.alpha1) ** 2, abs(seeds.alpha2) ** 2))
-    coh1 = reference_coherent(seeds.alpha1, cutoff)
-    coh2 = reference_coherent(seeds.alpha2, cutoff)
+    """(measures dict, cutoff, reduced (rho11, rho22, rho12)) at one seed pair.
+
+    Each seed is built at its own cutoff; the pair's cutoff is the larger.
+    """
+    cutoff1 = reference_cutoff(abs(seeds.alpha1) ** 2)
+    cutoff2 = reference_cutoff(abs(seeds.alpha2) ** 2)
+    coh1 = reference_coherent(seeds.alpha1, cutoff1)
+    coh2 = reference_coherent(seeds.alpha2, cutoff2)
     (add1, w1), (add2, w2) = reference_photon_added(coh1), reference_photon_added(coh2)
     # the path weights are the photon-added norms the states carry
     c1, c2 = math.sqrt(w1 / (w1 + w2)), math.sqrt(w2 / (w1 + w2))
     # detector 1 = (add1, coh2), detector 2 = (coh1, add2)
     red11 = c1 * c1 * (norm_sq(add1) * norm_sq(coh2))
     red22 = c2 * c2 * (norm_sq(coh1) * norm_sq(add2))
-    # <d2|d1>; <d1|d2> is its conjugate
-    overlap = vector_product(ip(coh1, add1), ip(add2, coh2))
+    # <d2|d1> = <c1|a1> <a2|c2>, with <a2|c2> the conjugate of <c2|a2>;
+    # <d1|d2> is its conjugate
+    overlap = vector_product(ip(coh1, add1), ip(coh2, add2).conjugate())
     red12 = c1 * c2 * overlap
     f_abs = abs(overlap)
     visibility = 2.0 * c1 * c2
@@ -180,7 +191,7 @@ def reference_measures(seeds: SeedPair):
         D=float(np.hypot(p, e)), P=p, E=e, V=visibility, C=coherence, F_abs=f_abs,
         mu_s=float(np.hypot(balance, 2.0 * abs(red12))),
     )
-    return measures, cutoff, (red11, red22, red12)
+    return measures, max(cutoff1, cutoff2), (red11, red22, red12)
 
 
 def reference_route_residuals(pairs, closed):
@@ -288,17 +299,39 @@ class TestBatchMatchesReference:
             for name, values in alone.items():
                 assert values[0] == together[name][k]
 
-    @pytest.mark.parametrize("scratch_bytes", [1, 1 << 40])
-    def test_row_blocks_do_not_matter(self, monkeypatch, scratch_bytes):
-        # row by row, or every factor row in one block: the same bits
-        seeds = np.concatenate([verify_draw(5)[:40], [[30 + 4j, 0.5], [2j, -55]]])
-        default = build_composite(seeds)
-        monkeypatch.setattr(fock, "_SCRATCH_BYTES", scratch_bytes)
-        blocked = build_composite(seeds)
-        assert np.array_equal(blocked.factors, default.factors)
-        assert np.array_equal(blocked.detector_gram, default.detector_gram)
-        for name in ("rho11", "rho22", "rho12"):
-            assert np.array_equal(getattr(blocked.reduced, name), getattr(default.reduced, name))
+
+def assert_seeds_ignore_their_partners(pairs):
+    """Each seed's factors equal those it gets beside the vacuum, bit for bit.
+
+    Also: one segment per seed at its own cutoff, two factor rows, and each
+    pair's ``cutoffs`` entry is the rule at its larger |alpha|^2.
+    """
+    seeds = np.asarray(pairs, dtype=complex)
+    state = build_composite(seeds)
+    alphas = seeds.ravel()
+    mags = np.hypot(alphas.real, alphas.imag)
+    own = cutoffs_for_means(mags * mags)
+    assert state.segments.cutoffs.tolist() == own.tolist()
+    assert state.factors.shape == (2, int(np.sum(own + 1)))
+    larger = np.max(mags.reshape(-1, 2), axis=1)
+    assert state.cutoffs.tolist() == cutoffs_for_means(larger * larger).tolist()
+    for k, alpha in enumerate(alphas.tolist()):
+        # beside the vacuum, in the same slot of the pair
+        beside_vacuum = build_composite([(alpha, 0)] if k % 2 == 0 else [(0, alpha)])
+        got = state.factors[:, seed_columns(state.segments, k)]
+        alone = beside_vacuum.factors[:, seed_columns(beside_vacuum.segments, k % 2)]
+        assert got.shape == alone.shape and np.array_equal(got, alone), (k, alpha)
+
+
+class TestOneSegmentPerSeed:
+    @pytest.mark.parametrize("pair", [(0.3, 900), (900, 0.3)])
+    def test_a_small_seed_beside_a_large_one(self, pair):
+        assert_seeds_ignore_their_partners([pair])
+
+    @settings(max_examples=25, deadline=None, database=None)
+    @given(pairs=st.lists(st.one_of(SMALL_PAIRS, LARGE_PAIRS), min_size=1, max_size=4))
+    def test_any_partner_and_batch(self, pairs):
+        assert_seeds_ignore_their_partners(pairs)
 
 
 def exact_tail(mean, n):
@@ -388,7 +421,7 @@ class TestCutoffRule:
 class TestBuildComposite:
     def test_vacuum_seeds_give_orthogonal_detectors(self):
         state = build_composite([(0, 0)])
-        d = int(state.cutoffs[0]) + 1
+        d = int(state.segments.lengths[1])  # idler 2's levels
         d1, d2 = detector_vectors(state, 0)
         assert d1[1 * d + 0] == 1.0
         assert d2[0 * d + 1] == 1.0
@@ -408,18 +441,19 @@ class TestBuildComposite:
         for k, (z1, z2) in enumerate(seeds.tolist()):
             assert abs(fock_route[k] - detector_fidelity(SeedPair(z1, z2))) < 1e-9
 
-    def test_pairs_keep_their_own_cutoffs(self):
+    def test_seeds_keep_their_own_cutoffs(self):
         state = build_composite([(0.2, 0), (3, 1), (0, 12)])
-        assert state.cutoffs.tolist() == [16, 38, cutoffs_for_means([144.0])[0]]
-        assert state.factors.shape == (4, int(np.sum(state.cutoffs + 1)))
-        assert state.segments.lengths.tolist() == (state.cutoffs + 1).tolist()
-        assert state.segments.starts.tolist() == [0, 17, 17 + 39]
+        own = [16, 16, 38, 16, 16, int(cutoffs_for_means([144.0])[0])]
+        assert state.segments.cutoffs.tolist() == own
+        assert state.cutoffs.tolist() == [16, 38, own[-1]]
+        assert state.factors.shape == (2, sum(own) + len(own))
+        assert state.segments.starts.tolist() == [0, 17, 34, 73, 90, 107]
         assert not state.factors.flags.writeable
 
     def test_detector_factors_are_checked(self):
         state = build_composite([(0.5, 1), (1.5, 0.2j), (2, 2)])
         doubled = state.factors.copy()
-        doubled[ADDED_1, pair_columns(state.segments, 1)] *= 2.0
+        doubled[ADDED, seed_columns(state.segments, 2)] *= 2.0
         with pytest.raises(
             ValueError,
             match=r"seed pair 1 \(alpha1=1\.5\+0j, alpha2=0\+0\.2j\): "
@@ -427,21 +461,21 @@ class TestBuildComposite:
         ):
             dataclasses.replace(state, factors=doubled)
         with pytest.raises(ValueError, match="factor layout"):
-            dataclasses.replace(state, segments=Segments(state.cutoffs + np.array([0, 1, 0])))
+            dataclasses.replace(state, segments=Segments(state.segments.cutoffs + [0, 0, 1, 0, 0, 0]))
 
     def test_global_norm_is_checked(self):
         # each factor is off by less than the unit tolerance, their product is not
         state = build_composite([(0.5, 1), (3, 0.1), (2, 2)])
         stretched = state.factors.copy()
-        pair = pair_columns(state.segments, 1)
-        stretched[[ADDED_1, COHERENT_2], pair] *= 1.0 + 0.9e-10
+        stretched[ADDED, seed_columns(state.segments, 2)] *= 1.0 + 0.9e-10
+        stretched[COHERENT, seed_columns(state.segments, 3)] *= 1.0 + 0.9e-10
         with pytest.raises(ValueError, match=r"seed pair 1 .*trace deviates from 1"):
             dataclasses.replace(state, factors=stretched)
 
     def test_non_finite_input_is_named(self):
         state = build_composite([(0.5, 1), (1, 2)])
         broken = state.factors.copy()
-        broken[COHERENT_2, state.segments.starts[1] + 3] = np.nan
+        broken[COHERENT, state.segments.starts[3] + 3] = np.nan
         with pytest.raises(ValueError, match="seed pair 1 .*coherent idler 2 norm nan is not"):
             dataclasses.replace(state, factors=broken)
         with pytest.raises(ValueError, match=r"seed pair 2 \(alpha1=nan.*mean photon number nan"):
@@ -565,9 +599,9 @@ class TestMeasuresFromState:
     def test_near_equal_and_tiny_seeds_agree(self, seeds):
         # a root of a cancelling difference such as 1 - V^2 would leave P
         # 1.5e-8 off at the first two pairs.  P and V carry no truncation
-        # error here: the two path weights are photon-added norms measured at
-        # one cutoff from near-equal seeds, so their tails cancel in the
-        # weights' ratio, and at (1e-8, 0) the tail is nil.  The rest
+        # error here: the two path weights are photon-added norms of
+        # near-equal seeds, which the rule gives one cutoff, so their tails
+        # cancel in the weights' ratio, and at (1e-8, 0) the tail is nil.  The rest
         # inherit the <= 1e-12 tail the cutoff leaves in |F|,
         # which D and E amplify by |F| / sqrt(1 - |F|^2), about 2 at the
         # first pair (2.2e-12 seen)
@@ -600,9 +634,10 @@ class TestFringeFromTheStates:
         high, low = count_rate(seeds, np.array([-math.pi / 2, math.pi / 2]), 1.0)
         contrast = (high - low) / (high + low)
         pairs = np.array([pair], dtype=complex)
-        # w1 + w2, the photon-added norms, on the pair's cutoff
-        segments = Segments(cutoffs_for_means([max(abs(pair[0]), abs(pair[1])) ** 2]))
-        _, weights = fock.spacs_state(fock.coherent_state(pairs.T, segments), segments)
+        # w1 + w2, the photon-added norms, each on its seed's cutoff
+        mags = np.hypot(pairs[0].real, pairs[0].imag)
+        segments = Segments(cutoffs_for_means(mags * mags))
+        _, weights = fock.spacs_state(fock.coherent_state(pairs[0], segments), segments)
         assert offset == pytest.approx(weights.sum(), rel=1e-10, abs=0.0)
         reduced = build_composite(pairs).reduced
         assert contrast == pytest.approx(2.0 * reduced.coherence[0], rel=0.0, abs=1e-10)

@@ -1,5 +1,6 @@
 """Working-set guards: the bulk paths' traced peaks stay bounded by their input.
 
+``build_composite`` builds each seed's factors at that seed's own cutoff;
 ``verify_identities`` keeps its draws whole (32 B a sample) and takes the
 closed forms a block at a time; the sweep emitters format a block of rows at a
 time and join the blocks' texts once.  The file writers write each block's
@@ -10,11 +11,13 @@ once breaks these bounds several times over.
 
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from duality_lab.analytic import SeedPair
+from duality_lab.fock import cutoffs_for_means
 from duality_lab.interferometer import FringeConfig, simulate_fringe
-from duality_lab.oracle import verify_identities
+from duality_lab.oracle import build_composite, verify_identities
 from duality_lab.output import emit_outputs, rows_to_csv_text, rows_to_json_text, write_scan_csv
 from duality_lab.sweep import fig2a_grid, run_sweep, surface_grid
 
@@ -40,6 +43,24 @@ def test_verify_peaks_within_48_bytes_a_sample():
     report, peak = traced_peak(lambda: verify_identities(samples, rng_seed=1))
     assert report.all_passed
     assert peak <= 48 * samples, f"{peak / samples:.1f} B a sample"
+
+
+@pytest.mark.parametrize(
+    ("pair", "bound"),
+    [
+        # a seed beside |alpha| = 1000 holds its own 17 levels, not 1,007,045
+        ((1000, 0.5), 3.5),
+        # two such seeds: ``Segments.levels`` spans both seeds' levels, and
+        # the peak reads 2.53 times the factors
+        ((1000, 999.5), 2.55),
+    ],
+)
+def test_oracle_peaks_within_a_bound_times_its_per_seed_factors(pair, bound):
+    # two rows, coherent and photon-added, of 16 B levels 0 .. each seed's cutoff
+    factor_bytes = 2 * 16 * int(np.sum(cutoffs_for_means(np.square(pair)) + 1))
+    build_composite([pair])  # the Stirling heads' cache first
+    _, peak = traced_peak(lambda: build_composite([pair]))
+    assert peak <= bound * factor_bytes, f"{peak / factor_bytes:.2f} times the factors"
 
 
 @pytest.fixture(scope="module")
