@@ -276,8 +276,8 @@ class Segments:
         set_field(self, "levels", levels)
 
 
-# The working-set unit, 1 MiB: the bulk passes (verify's closed-form blocks,
-# the writers' row blocks and write slices) size their blocks from it.
+# The working-set unit, 1 MiB: the bulk passes (verify's closed-form blocks
+# and the writers' row blocks) size their blocks from it.
 _SCRATCH_BYTES = 1 << 20
 
 

@@ -7,9 +7,10 @@ hand-rolled static SVG for the two figure styles (measure curves versus
 output for identical input.
 
 Each file is made by a private generator of text parts: a header, one part
-per block, then a trailer.  ``emit_outputs`` and ``write_scan_csv`` hand the
-generator to ``_write_ascii``, which checks and writes each part before the
-next is made, so no file's whole text is held in memory; the public
+per block, then a trailer.  Every block comes from one walker, ``_blocks``.
+``emit_outputs`` and ``write_scan_csv`` hand the generator to
+``_write_ascii``, which encodes each part as ASCII and writes it whole before
+the next is made, so no file's whole text is held in memory; the public
 ``*_text`` and ``render_*`` functions join the same parts into one string.
 
 The sweep emitters work on columns.  The CSV and JSON emitters take them a
@@ -72,9 +73,6 @@ _ROW_BLOCK = _SCRATCH_BYTES // 1024
 # 16384.
 _CELL_BLOCK = 4096
 
-# Characters encoded and written per slice by _write_ascii.
-_WRITE_SLICE = _SCRATCH_BYTES
-
 # Line breaks of str.splitlines other than "\n" and a CRLF pair's "\r"; the
 # non-ASCII ones are already rejected as non-ASCII bytes.
 _STRAY_LINE_BREAKS = (b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e", b"\r")
@@ -115,6 +113,13 @@ def _lines(lines: Iterable[str]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _blocks(columns: Iterable[np.ndarray], size: int = _ROW_BLOCK) -> Iterator[list[np.ndarray]]:
+    """The columns ``size`` rows at a time, as lists of views."""
+    columns = list(columns)
+    for start in range(0, len(columns[0]), size):
+        yield [column[start:start + size] for column in columns]
+
+
 # ---------------------------------------------------------------------------
 # fringe-scan CSV
 
@@ -138,10 +143,9 @@ def _scan_csv_parts(scan: FringeScan) -> Iterator[str]:
     lines.append(f"# provenance={scan.provenance}")
     lines.append(SCAN_HEADER)
     yield _lines(lines)
-    for start in range(0, len(scan), _SCAN_CHUNK):
-        block = slice(start, start + _SCAN_CHUNK)
-        thetas = repr(scan.delta_theta[block].tolist())[1:-1].split(", ")
-        counts = repr(scan.counts[block].tolist())[1:-1].split(", ")
+    for thetas, counts in _blocks((scan.delta_theta, scan.counts), _SCAN_CHUNK):
+        thetas = repr(thetas.tolist())[1:-1].split(", ")
+        counts = repr(counts.tolist())[1:-1].split(", ")
         yield _lines(map(",".join, zip(thetas, counts)))
 
 
@@ -150,24 +154,16 @@ def scan_to_csv_text(scan: FringeScan) -> str:
     return "".join(_scan_csv_parts(scan))
 
 
-def _ascii(part: str) -> str:
-    """``part``, once checked to be ASCII."""
-    if not part.isascii():
-        part.encode("ascii")  # raises, naming the first non-ASCII character
-    return part
-
-
 def _write_ascii(path: Path, parts: Iterable[str]) -> None:
     """Write ``parts`` to ``path`` as ASCII over any existing bytes, then cut the tail.
 
-    ``parts`` is a string or an iterable of strings, such as an emitter's
-    generator, which is run as the file is written: each part is checked to
-    be ASCII and written before the next is made.  The first part is taken
-    before the file is opened, so an emitter that raises before its first
-    part, or a first part that is not ASCII, leaves the file as it was (and
-    creates no missing file).  Each part is encoded and written
-    ``_WRITE_SLICE`` characters at a time, so no encoded copy of a whole
-    part is made.
+    ``parts`` is an iterable of strings, such as an emitter's generator,
+    which is run as the file is written: each part is encoded as ASCII and
+    written whole before the next is made.  The first part is made and
+    encoded before the file is opened, so an emitter that raises before its
+    first part, or a first part that is not ASCII, leaves the file as it was
+    (and creates no missing file).  No emitter's part comes near
+    ``_SCRATCH_BYTES``, so each is encoded whole.
 
     Truncating a file before rewriting it stalls on ext4 (consistent with its
     ``auto_da_alloc`` flush); writing in place does not.  The inode, mode and
@@ -176,21 +172,14 @@ def _write_ascii(path: Path, parts: Iterable[str]) -> None:
     later part that raises, or a crash, leaves the parts already written over
     the old bytes and the old tail uncut.
     """
-    parts = iter((parts,) if isinstance(parts, str) else parts)
-    first = _ascii(next(parts, ""))
-    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
-    try:
-        length = 0
-        for part in itertools.chain((first,), map(_ascii, parts)):
-            for start in range(0, len(part), _WRITE_SLICE):
-                rest = memoryview(part[start:start + _WRITE_SLICE].encode("ascii"))
-                while rest:
-                    rest = rest[os.write(fd, rest):]
-            length += len(part)
-        if stat.S_ISREG(os.fstat(fd).st_mode):
-            os.ftruncate(fd, length)
-    finally:
-        os.close(fd)
+    parts = iter(parts)
+    first = next(parts, "").encode("ascii")  # raises, naming the first non-ASCII character
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as file:
+        file.write(first)
+        for part in parts:
+            file.write(part.encode("ascii"))
+        if stat.S_ISREG(os.fstat(file.fileno()).st_mode):
+            file.truncate()
 
 
 def write_scan_csv(scan: FringeScan, path) -> Path:
@@ -380,20 +369,13 @@ def _nonfinite(values: np.ndarray) -> np.ndarray:
     return ~np.isfinite(values)
 
 
-def _row_blocks(columns: Iterable[np.ndarray]) -> Iterator[list[np.ndarray]]:
-    """The columns ``_ROW_BLOCK`` rows at a time, as lists of views."""
-    columns = list(columns)
-    for start in range(0, len(columns[0]), _ROW_BLOCK):
-        yield [column[start:start + _ROW_BLOCK] for column in columns]
-
-
 def _csv_parts(table: SweepTable) -> Iterator[str]:
     """The table's CSV text in parts: the header, then each block of rows."""
     columns = _table_columns(table)
     # NaN marks a point above the oracle cap: an empty cell
     marks = [np.isnan if name == ORACLE_RESIDUAL_FIELD else None for name in columns]
     yield ",".join(columns) + "\n"
-    for block in _row_blocks(columns.values()):
+    for block in _blocks(columns.values()):
         cells = [_float_cells(column, "", marked) for column, marked in zip(block, marks)]
         yield _lines(map(",".join, zip(*cells)))
 
@@ -411,7 +393,7 @@ def _json_parts(table: SweepTable) -> Iterator[str]:
         + "\n  }"
     )
     separator = "[\n"
-    for block in _row_blocks(columns.values()):
+    for block in _blocks(columns.values()):
         cells = [_float_cells(column, "null", _nonfinite) for column in block]
         yield separator + ",\n".join(map(record.__mod__, zip(*cells)))
         separator = ",\n"
@@ -486,7 +468,7 @@ def _curves_svg_parts(table: SweepTable) -> Iterator[str]:
     yield _lines(parts)
     for index, (field_name, label, color) in enumerate(_CURVE_SERIES):
         separator = '<polyline points="'
-        for block_xs, block_ys in _row_blocks((xs, columns[field_name])):
+        for block_xs, block_ys in _blocks((xs, columns[field_name])):
             yield separator + " ".join(
                 f"{px(x):.2f},{py(y):.2f}" for x, y in zip(block_xs.tolist(), block_ys.tolist())
             )
@@ -565,8 +547,8 @@ def _heatmap_svg_parts(table: SweepTable, measure: str) -> Iterator[str]:
         for j in range(len(alphas))
     ]
     cells = itertools.product(x_open, y_fill)
-    for start in range(0, len(grid), _CELL_BLOCK):
-        colors = _heat_colors(grid[start:start + _CELL_BLOCK])
+    for (block,) in _blocks((grid,), _CELL_BLOCK):
+        colors = _heat_colors(block)
         yield "".join(
             x + y + color + '"/>\n'
             for (x, y), color in zip(itertools.islice(cells, len(colors)), colors)

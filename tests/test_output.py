@@ -5,6 +5,7 @@ import math
 import os
 import re
 import stat
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 
 from duality_lab import output
 from duality_lab.analytic import SeedPair
+from duality_lab.fock import _SCRATCH_BYTES
 from duality_lab.interferometer import TWO_PI, FringeConfig, FringeScan, simulate_fringe
 from duality_lab.output import (
     _SCAN_META_KEYS,
@@ -766,27 +768,60 @@ class TestOutputFilesWrittenInPlace:
             assert stat.S_IMODE(st.st_mode) == 0o600
             assert path.with_name(path.name + ".link").read_bytes() == new.read_bytes()
 
-    def test_text_longer_than_two_slices_overwrites_a_longer_file(self, tmp_path):
-        # a 37-character period puts every slice boundary at a new phase
-        length = 2 * output._WRITE_SLICE + 17
+    def test_a_long_part_overwrites_a_longer_file(self, tmp_path):
+        length = 2 * 2**20 + 17
         text = ("abcdefghijklmnopqrstuvwxyz0123456789\n" * (length // 37 + 1))[:length]
         path = tmp_path / "long.out"
         path.write_bytes(b"x" * (length + 4096))
-        output._write_ascii(path, text)
+        output._write_ascii(path, [text])
         assert path.read_bytes() == text.encode("ascii")
 
     def test_non_ascii_text_raises_and_leaves_the_file_untouched(self, tmp_path):
         path = tmp_path / "old.out"
         path.write_bytes(b"old bytes\n" * 1000)
-        text = "a" * (output._WRITE_SLICE + 5) + "\u00e9" + "b" * 17
+        text = "a" * (2**20 + 5) + "\u00e9" + "b" * 17
         with pytest.raises(UnicodeEncodeError):
-            output._write_ascii(path, text)
+            output._write_ascii(path, [text])
         assert path.read_bytes() == b"old bytes\n" * 1000
 
     def test_devnull_target_is_written_and_not_truncated(self, small_rows, poisson_scan):
         assert write_scan_csv(poisson_scan, os.devnull) == Path(os.devnull)
         for fmt in ("csv", "json", "svg"):
             assert emit_outputs(small_rows, fmt, os.devnull) == [Path(os.devnull)]
+
+    def test_fifo_target_receives_the_whole_scan(self, tmp_path):
+        scan = simulate_fringe(FringeConfig(SeedPair(2, 1), 1e6, 20_000, 0.01, 7, "poisson"))
+        fifo = tmp_path / "scan.fifo"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        assert write_scan_csv(scan, fifo) == fifo
+        reader.join(timeout=60)
+        assert not reader.is_alive()
+        assert received == [scan_to_csv_text(scan).encode("ascii")]
+
+
+def emitter_parts():
+    """Each emitter's generator of parts, over tables and a scan that fill whole blocks."""
+    surface = run_sweep(surface_grid(8.0, 0.04, 0.01))
+    oracle = run_sweep(fig2a_grid(4.0, 1e-3), oracle_check=True)
+    scan = simulate_fringe(FringeConfig(SeedPair(1000, 999), 1e6, 100_000, 0.01, 3, "none"))
+    return {
+        "surface csv": output._csv_parts(surface),
+        "surface json": output._json_parts(surface),
+        "surface heat map": output._heatmap_svg_parts(surface, "C"),
+        "oracle csv": output._csv_parts(oracle),
+        "oracle json": output._json_parts(oracle),
+        "curves": output._curves_svg_parts(run_sweep(fig2a_grid(6.0, 6e-5))),
+        "scan": output._scan_csv_parts(scan),
+    }
+
+
+def test_every_emitters_largest_part_is_within_the_scratch_budget():
+    # _write_ascii encodes each part whole, so a part is its largest buffer
+    largest = {name: max(map(len, parts)) for name, parts in emitter_parts().items()}
+    assert max(largest.values()) <= _SCRATCH_BYTES, largest
 
 
 def table_rows(table, rows):
