@@ -15,6 +15,13 @@ Simulated scans draw Poisson counts per phase point from a seeded generator,
 and the fit recovers the contrast with a linear least-squares estimator that
 also reports standard errors.  Its Neyman weights 1/max(counts, 1) bias the
 contrast high at low counts and at C near 1.
+
+Both work on chunks of ``_SCAN_CHUNK`` points, so a scan costs its two
+arrays and one chunk's temporaries, whatever its length.  The simulation
+fills its counts a chunk at a time from the one generator, which draws the
+same numbers as one whole-scan draw; the fit sums its normal equations and
+residuals over the chunks.  A ``FringeScan`` holds read-only arrays and
+copies an input only when its caller could still write to it.
 """
 
 from __future__ import annotations
@@ -27,6 +34,7 @@ from typing import Optional
 import numpy as np
 
 from .analytic import SeedPair
+from .fock import _SCRATCH_BYTES
 
 logger = logging.getLogger(__name__)
 
@@ -47,6 +55,12 @@ POISSON_MEAN_MAX = float(np.iinfo("l").max - np.sqrt(np.iinfo("l").max) * 10)
 # The fit divides by amplitude**4, which overflows past about 1.2e77: counts,
 # offsets and amplitudes above this bound are refused.
 FIT_VALUE_MAX = 1e75
+
+# Points per chunk of simulate_fringe and fit_fringe, and rows per chunk of
+# the scan writer and reader, 4096.  A fit chunk's design matrix, its weighted
+# copy and their inputs peak at about 80 B a point: some 0.33 MB a chunk,
+# whatever the scan's length.
+_SCAN_CHUNK = _SCRATCH_BYTES // 256
 
 
 def count_rate(seeds: SeedPair, delta_theta, pump_rate_scale: float):
@@ -127,6 +141,31 @@ class FringeConfig:
                 )
 
 
+def _read_only(values) -> np.ndarray:
+    """``values`` as a read-only float array that its caller cannot write to.
+
+    A read-only float array that owns its data is kept as it is.  Anything
+    else is copied: a writeable array, and a view whose base the caller may
+    still write through.
+    """
+    if (
+        type(values) is np.ndarray
+        and values.dtype == np.float64
+        and values.flags.owndata
+        and not values.flags.writeable
+    ):
+        return values
+    array = np.array(values, dtype=float)
+    array.setflags(write=False)
+    return array
+
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    """``array`` made read-only, so that a ``FringeScan`` keeps it without a copy."""
+    array.setflags(write=False)
+    return array
+
+
 @dataclass(frozen=True, eq=False)
 class FringeScan:
     """Phase grid and observed counts, either simulated or ingested from disk."""
@@ -137,8 +176,8 @@ class FringeScan:
     config: Optional[FringeConfig] = None
 
     def __post_init__(self):
-        theta = np.array(self.delta_theta, dtype=float)
-        counts = np.array(self.counts, dtype=float)
+        theta = _read_only(self.delta_theta)
+        counts = _read_only(self.counts)
         if self.provenance not in ("simulated", "ingested"):
             raise ValueError(f"unknown provenance {self.provenance!r}")
         if theta.ndim != 1 or theta.shape != counts.shape or theta.size == 0:
@@ -147,12 +186,10 @@ class FringeScan:
             raise ValueError("scan values must be finite")
         if theta[0] < 0.0 or theta[-1] >= TWO_PI:
             raise ValueError("delta_theta must lie within [0, 2*pi)")
-        if theta.size > 1 and not np.all(np.diff(theta) > 0.0):
+        if not np.all(theta[1:] > theta[:-1]):
             raise ValueError("delta_theta must be strictly increasing")
         if np.any(counts < 0.0):
             raise ValueError("counts must be non-negative")
-        theta.setflags(write=False)
-        counts.setflags(write=False)
         object.__setattr__(self, "delta_theta", theta)
         object.__setattr__(self, "counts", counts)
 
@@ -167,19 +204,25 @@ def simulate_fringe(config: FringeConfig) -> FringeScan:
     counts are exactly rate * integration_time; with ``noise="poisson"``
     they are drawn from a generator seeded by ``config.rng_seed``, so a
     fixed config reproduces the identical scan.
+
+    The counts are filled ``_SCAN_CHUNK`` points at a time.  The generator
+    draws each point's count in turn, so the chunks' draws are those of one
+    whole-scan draw, and the scan is the same bit for bit.
     """
     k = config.phase_points
-    theta = TWO_PI * np.arange(k) / k
-    expected = (
-        count_rate(config.seeds, theta, config.pump_rate_scale)
-        * config.integration_time
-    )
-    if config.noise == "poisson":
-        rng = np.random.default_rng(config.rng_seed)
-        counts = rng.poisson(expected).astype(float)
-    else:
-        counts = expected
-    return FringeScan(theta, counts, "simulated", config)
+    theta = np.arange(k, dtype=float)
+    theta *= TWO_PI
+    theta /= k
+    counts = np.empty(k)
+    rng = np.random.default_rng(config.rng_seed) if config.noise == "poisson" else None
+    for start in range(0, k, _SCAN_CHUNK):
+        chunk = slice(start, start + _SCAN_CHUNK)
+        expected = (
+            count_rate(config.seeds, theta[chunk], config.pump_rate_scale)
+            * config.integration_time
+        )
+        counts[chunk] = expected if rng is None else rng.poisson(expected)
+    return FringeScan(_frozen(theta), _frozen(counts), "simulated", config)
 
 
 def extract_coherence_minmax(scan: FringeScan) -> float:
@@ -238,6 +281,14 @@ class FringeFit:
         )
 
 
+def _design_chunks(scan: FringeScan):
+    """The scan's counts and design matrix (1, sin, cos), ``_SCAN_CHUNK`` points at a time."""
+    for start in range(0, len(scan), _SCAN_CHUNK):
+        theta = scan.delta_theta[start:start + _SCAN_CHUNK]
+        design = np.column_stack([np.ones_like(theta), np.sin(theta), np.cos(theta)])
+        yield scan.counts[start:start + _SCAN_CHUNK], design
+
+
 def fit_fringe(scan: FringeScan) -> FringeFit:
     """Weighted least-squares fit of one sinusoidal fringe period.
 
@@ -248,15 +299,21 @@ def fit_fringe(scan: FringeScan) -> FringeFit:
     covariance with Poisson weights.  Needs at least 8 points spanning
     most of a period; a phase grid that cannot pin down all three basis
     functions raises.
+
+    The normal matrix, the moments and the residual sum of squares are summed
+    over chunks of ``_SCAN_CHUNK`` points, in two passes: the residuals need
+    the solution.  So the fit holds one chunk's design matrix, whatever the
+    scan's length, and a scan of one chunk gets the bits of the whole-array
+    expressions.
     """
     if len(scan) < 8:
         raise ValueError(f"fit needs >= 8 points, got {len(scan)}")
-    theta = scan.delta_theta
-    y = scan.counts
-    weights = 1.0 / np.maximum(y, 1.0)
-    design = np.column_stack([np.ones_like(theta), np.sin(theta), np.cos(theta)])
-    normal = design.T @ (weights[:, None] * design)
-    moment = design.T @ (weights * y)
+    # -0.0 + x is x for every x, so the first chunk's sums are kept bit for bit
+    normal = moment = squares = -0.0
+    for y, design in _design_chunks(scan):
+        weights = 1.0 / np.maximum(y, 1.0)
+        normal = normal + design.T @ (weights[:, None] * design)
+        moment = moment + design.T @ (weights * y)
     try:
         if np.linalg.cond(normal) > 1e12:
             raise np.linalg.LinAlgError
@@ -268,7 +325,7 @@ def fit_fringe(scan: FringeScan) -> FringeFit:
     if offset <= 0.0:
         raise ValueError("fit collapsed to a non-positive offset (all-zero scan?)")
     amplitude = math.hypot(p, q)
-    largest = max(float(y.max()), offset, amplitude)
+    largest = max(float(scan.counts.max()), offset, amplitude)
     if not largest <= FIT_VALUE_MAX:
         raise ValueError(
             f"counts too large to fit: {largest:.4g} exceeds {FIT_VALUE_MAX:.4g}, "
@@ -279,8 +336,10 @@ def fit_fringe(scan: FringeScan) -> FringeFit:
             f"counts too small to fit: offset {offset:.4g}, amplitude {amplitude:.4g}, "
             "below which the error propagation underflows"
         )
-    residuals = y - design @ beta
-    residual_rms = float(math.sqrt(np.mean(residuals**2)))
+    for y, design in _design_chunks(scan):
+        residuals = y - design @ beta
+        squares = squares + np.sum(residuals**2)
+    residual_rms = float(math.sqrt(squares / len(scan)))
 
     var_a = float(covariance[0, 0])
     var_p = float(covariance[1, 1])

@@ -33,11 +33,14 @@ Ingestion is strict: a non-ASCII byte, malformed header, non-numeric cell,
 non-monotone phase column or empty body is rejected with the offending line
 number.
 
-Both scan ends work on chunks.  The writer formats whole columns a block of
-rows at a time, and the reader parses a chunk of lines at a time: it
-classifies the lines, parses every cell with ``float`` into one array and
+Both scan ends work on chunks of ``_SCAN_CHUNK`` rows, the chunk that
+``simulate_fringe`` and ``fit_fringe`` work on.  The writer formats whole
+columns a chunk at a time, and the reader parses a chunk of lines at a time:
+it classifies the lines, parses every cell with ``float`` into one array and
 runs each check over the chunk.  The bytes, values, messages and line numbers
-are those of handling one row at a time.
+are those of handling one row at a time.  The reader joins each column from
+its chunks and hands both to the scan read-only, so the scan keeps them
+without a copy.
 """
 
 from __future__ import annotations
@@ -55,13 +58,10 @@ import numpy as np
 
 from .analytic import SeedPair
 from .fock import _SCRATCH_BYTES
-from .interferometer import TWO_PI, FringeConfig, FringeScan
+from .interferometer import _SCAN_CHUNK, TWO_PI, FringeConfig, FringeScan, _frozen
 from .sweep import ORACLE_RESIDUAL_FIELD, ROW_FIELDS, SweepTable
 
 SCAN_HEADER = "delta_theta,counts"
-
-# Rows per block of the scan writer and lines per chunk of the scan reader.
-_SCAN_CHUNK = 4096
 
 # Rows per block of the sweep emitters, 1024.  A block's cells, row texts and
 # temporaries peak at about 330 B a row, well within the scratch budget,
@@ -320,9 +320,10 @@ class _ScanReader:
             raise ScanFormatError("missing header", self.lines_read + 1)
         if not self.rows:
             raise ScanFormatError("empty body", self.lines_read + 1)
-        rows = np.concatenate(self.rows)
         config = _config_from_metadata(self.metadata)
-        return FringeScan(rows[:, 0], rows[:, 1], "ingested", config)
+        # each column is joined from the chunks and handed over without a copy
+        columns = (_frozen(np.concatenate([rows[:, k] for rows in self.rows])) for k in (0, 1))
+        return FringeScan(*columns, "ingested", config)
 
 
 def ingest_scan_csv(path) -> FringeScan:
@@ -632,11 +633,8 @@ def emit_outputs(
         raise ValueError(f"format must be csv, json or svg, got {format!r}")
     path = Path(path)
 
-    if format == "csv":
-        _write_ascii(path, _csv_parts(data))
-        return [path]
-    if format == "json":
-        _write_ascii(path, _json_parts(data))
+    if format != "svg":
+        _write_ascii(path, (_csv_parts if format == "csv" else _json_parts)(data))
         return [path]
     gammas = data.columns["gamma"]
     if np.isnan(gammas).any():

@@ -4,10 +4,12 @@ import math
 import numpy as np
 import pytest
 
+from duality_lab import interferometer
 from duality_lab.analytic import SeedPair, complementarity_measures
 from duality_lab.interferometer import (
     FIT_VALUE_MAX,
     POISSON_MEAN_MAX,
+    TWO_PI,
     FringeConfig,
     FringeScan,
     count_rate,
@@ -152,6 +154,137 @@ class TestFringeScanValidation:
     def test_rejects_unknown_provenance(self):
         with pytest.raises(ValueError, match="provenance"):
             FringeScan([0.0], [1.0], "guessed")
+
+
+class TestFringeScanOwnsItsArrays:
+    """A scan never shares a writeable array with its caller."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda values: values,
+            lambda values: values.astype(np.float32),
+            lambda values: values.tolist(),
+        ],
+        ids=["float64", "float32", "list"],
+    )
+    def test_writing_the_callers_array_leaves_the_scan(self, make):
+        theta = np.array([0.0, 1.0, 2.0])
+        counts = np.array([4.0, 5.0, 6.0])
+        given_theta, given_counts = make(theta), make(counts)
+        scan = FringeScan(given_theta, given_counts, "ingested")
+        given_theta[0] = 0.5
+        given_counts[1] = 50.0
+        assert scan.delta_theta.tolist() == [0.0, 1.0, 2.0]
+        assert scan.counts.tolist() == [4.0, 5.0, 6.0]
+        assert not scan.delta_theta.flags.writeable and not scan.counts.flags.writeable
+
+    def test_writing_the_base_of_a_read_only_view_leaves_the_scan(self):
+        rows = np.array([[0.0, 4.0], [1.0, 5.0], [2.0, 6.0]])
+        theta, counts = rows[:, 0], rows[:, 1]
+        theta.setflags(write=False)
+        counts.setflags(write=False)
+        scan = FringeScan(theta, counts, "ingested")
+        rows[:] = 0.0
+        assert scan.delta_theta.tolist() == [0.0, 1.0, 2.0]
+        assert scan.counts.tolist() == [4.0, 5.0, 6.0]
+
+    def test_a_read_only_array_of_its_own_is_kept_without_a_copy(self):
+        theta = np.array([0.0, 1.0, 2.0])
+        counts = np.array([4.0, 5.0, 6.0])
+        theta.setflags(write=False)
+        counts.setflags(write=False)
+        scan = FringeScan(theta, counts, "ingested")
+        assert scan.delta_theta is theta and scan.counts is counts
+
+    def test_simulated_arrays_are_read_only(self):
+        scan = noiseless_scan(2, 1, points=8)
+        assert not scan.delta_theta.flags.writeable and not scan.counts.flags.writeable
+
+
+BLOCK = interferometer._SCAN_CHUNK
+CHUNK_SIZES = [BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7]
+# Mean counts 1.5 to 5.5, and 300 to 1100: numpy draws Poisson variates below
+# a mean of 10 and above it by two different methods.
+CHUNK_CONFIGS = [
+    pytest.param("poisson", 0.5, id="poisson-below-10"),
+    pytest.param("poisson", 100.0, id="poisson-above-10"),
+    pytest.param("none", 0.5, id="none-below-10"),
+    pytest.param("none", 100.0, id="none-above-10"),
+]
+
+
+def chunk_config(points, noise, scale):
+    return FringeConfig(SeedPair(2, 1), scale, points, 1.0, 11, noise)
+
+
+def whole_array_sums(theta, y):
+    """The fit's normal equations and residuals over the whole scan at once."""
+    weights = 1.0 / np.maximum(y, 1.0)
+    design = np.column_stack([np.ones_like(theta), np.sin(theta), np.cos(theta)])
+    normal = design.T @ (weights[:, None] * design)
+    moment = design.T @ (weights * y)
+    beta = np.linalg.solve(normal, moment)
+    residuals = y - design @ beta
+    return beta, np.linalg.inv(normal), float(math.sqrt(np.mean(residuals**2)))
+
+
+def exactly_summed_fit(theta, y):
+    """The same equations with each per-point product rounded as above, summed exactly."""
+    weights = 1.0 / np.maximum(y, 1.0)
+    design = np.column_stack([np.ones_like(theta), np.sin(theta), np.cos(theta)])
+    weighted = weights[:, None] * design
+    normal = [[math.fsum(design[:, i] * weighted[:, j]) for j in range(3)] for i in range(3)]
+    moment = [math.fsum(design[:, i] * (weights * y)) for i in range(3)]
+    beta = np.linalg.solve(np.array(normal), np.array(moment))
+    offset, p, q = (float(v) for v in beta)
+    residuals = y - design @ beta
+    rms = math.sqrt(math.fsum(residuals**2) / len(y))
+    return offset, math.hypot(p, q), math.atan2(-q, -p), rms
+
+
+class TestScanChunks:
+    """Simulation and fit work on chunks with the results of whole-scan passes."""
+
+    @pytest.mark.parametrize(("noise", "scale"), CHUNK_CONFIGS)
+    @pytest.mark.parametrize("points", CHUNK_SIZES)
+    def test_simulation_equals_one_whole_scan_draw(self, points, noise, scale):
+        config = chunk_config(points, noise, scale)
+        theta = TWO_PI * np.arange(points) / points
+        expected = count_rate(config.seeds, theta, scale) * config.integration_time
+        if noise == "poisson":
+            expected = np.random.default_rng(config.rng_seed).poisson(expected).astype(float)
+        scan = simulate_fringe(config)
+        assert scan.delta_theta.tobytes() == theta.tobytes()
+        assert scan.counts.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize(("noise", "scale"), CHUNK_CONFIGS)
+    @pytest.mark.parametrize("points", CHUNK_SIZES[:2])
+    def test_one_chunk_fit_equals_the_whole_array_fit(self, points, noise, scale):
+        scan = simulate_fringe(chunk_config(points, noise, scale))
+        fit = fit_fringe(scan)
+        beta, covariance, rms = whole_array_sums(scan.delta_theta, scan.counts)
+        offset, p, q = (float(v) for v in beta)
+        assert fit.offset == offset
+        assert fit.amplitude == math.hypot(p, q)
+        assert fit.phase0 == math.atan2(-q, -p)
+        assert fit.offset_stderr == math.sqrt(float(covariance[0, 0]))
+        assert fit.coherence_estimate == math.hypot(p, q) / offset
+        assert fit.residual_rms == rms
+
+    @pytest.mark.parametrize(("noise", "scale"), CHUNK_CONFIGS)
+    @pytest.mark.parametrize("points", CHUNK_SIZES[2:])
+    def test_many_chunk_fit_equals_the_exactly_summed_fit(self, points, noise, scale):
+        scan = simulate_fringe(chunk_config(points, noise, scale))
+        fit = fit_fringe(scan)
+        offset, amplitude, phase0, rms = exactly_summed_fit(scan.delta_theta, scan.counts)
+        assert fit.offset == pytest.approx(offset, rel=1e-12)
+        assert fit.amplitude == pytest.approx(amplitude, rel=1e-12)
+        assert fit.coherence_estimate == pytest.approx(amplitude / offset, rel=1e-12)
+        # a noiseless scan's residuals are rounding errors of the counts
+        assert fit.residual_rms == pytest.approx(rms, rel=1e-12, abs=1e-12 * offset)
+        # phase0 sits near 0, where only an absolute bound means anything
+        assert fit.phase0 == pytest.approx(phase0, rel=0, abs=1e-12)
 
 
 class TestExtractCoherenceMinmax:

@@ -5,20 +5,30 @@
 closed forms a block at a time; the sweep emitters format a block of rows at a
 time and join the blocks' texts once.  The file writers write each block's
 text before they make the next, so their peaks are a fraction of the file.
-A pass that builds its temporaries, or a file's text, for the whole input at
-once breaks these bounds several times over.
+The fringe path simulates, reads and fits a scan a chunk at a time, so a scan
+costs its two arrays and one chunk.  A pass that builds its temporaries, or a
+file's text, for the whole input at once breaks these bounds several times
+over.
 """
 
+import tokenize
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from duality_lab import output
 from duality_lab.analytic import SeedPair
 from duality_lab.fock import cutoffs_for_means
-from duality_lab.interferometer import FringeConfig, simulate_fringe
+from duality_lab.interferometer import FringeConfig, fit_fringe, simulate_fringe
 from duality_lab.oracle import build_composite, verify_identities
-from duality_lab.output import emit_outputs, rows_to_csv_text, rows_to_json_text, write_scan_csv
+from duality_lab.output import (
+    emit_outputs,
+    ingest_scan_csv,
+    rows_to_csv_text,
+    rows_to_json_text,
+    write_scan_csv,
+)
 from duality_lab.sweep import fig2a_grid, run_sweep, surface_grid
 
 
@@ -112,3 +122,47 @@ def test_scan_csv_peaks_within_0_75_times_its_size(tmp_path):
         lambda: [write_scan_csv(short_scan, tmp_path / "short.csv")],
     )
     assert ratio <= 0.75, f"{ratio:.2f} times the file"
+
+
+def poisson_scan(points):
+    return simulate_fringe(FringeConfig(SeedPair(3 + 1j, 0.2 - 0.1j), 1e6, points, 0.01, 9, "poisson"))
+
+
+def scan_bytes(scan):
+    return scan.delta_theta.nbytes + scan.counts.nbytes
+
+
+SCAN_POINTS = [100_000, 400_000]
+
+
+@pytest.mark.parametrize("points", SCAN_POINTS)
+def test_simulation_peaks_within_1_25_times_its_arrays(points):
+    poisson_scan(10)  # lazy set-up first
+    scan, peak = traced_peak(lambda: poisson_scan(points))
+    assert peak <= 1.25 * scan_bytes(scan), f"{peak / scan_bytes(scan):.2f} times the arrays"
+
+
+@pytest.mark.parametrize("points", SCAN_POINTS)
+def test_ingest_peaks_within_2_25_times_its_arrays(points, tmp_path):
+    path = write_scan_csv(poisson_scan(points), tmp_path / "long.csv")
+    ingest_scan_csv(write_scan_csv(poisson_scan(10), tmp_path / "short.csv"))  # lazy set-up first
+    scan, peak = traced_peak(lambda: ingest_scan_csv(path))
+    assert peak <= 2.25 * scan_bytes(scan), f"{peak / scan_bytes(scan):.2f} times the arrays"
+
+
+@pytest.mark.parametrize("points", SCAN_POINTS)
+def test_fit_peaks_within_half_a_megabyte_whatever_the_length(points):
+    scan = poisson_scan(points)
+    fit_fringe(poisson_scan(10))  # lazy set-up first
+    _, peak = traced_peak(lambda: fit_fringe(scan))
+    assert peak <= 500_000, f"{peak / 1e6:.2f} MB"
+
+
+def test_output_module_stays_under_the_parser_step():
+    # CPython 3.11 compiles a module of more than about 4,096 tokens with
+    # 0.24 MB more peak memory, which every CLI process pays when no bytecode
+    # cache is written; it showed in peak RSS (see CHANGES.md).
+    with open(output.__file__, "rb") as file:
+        kinds = [token.type for token in tokenize.tokenize(file.readline)]
+    count = sum(kind not in (tokenize.NL, tokenize.COMMENT) for kind in kinds)
+    assert count < 4096, f"{count} tokens"
