@@ -40,7 +40,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .analytic import _fail_first
+from .analytic import _blocks, _fail_first, _modulus
 
 
 # stirlerr(n) = log(n!) - (n log n - n + log(2 pi n) / 2), Stirling's error,
@@ -182,12 +182,11 @@ def _minimal_cutoffs(means, tolerance: float, floor: int, ceiling: int) -> np.nd
     start = np.maximum(np.floor(lam), floor).astype(np.intp)
     cutoffs = np.empty(len(lam), dtype=np.int64)
     rows = max(1, _SPAN_BUDGET // _scan_span(float(lam.max(initial=0.0))))
-    for i in range(0, len(lam), rows):
-        chunk = slice(i, i + rows)
-        levels = start[chunk, None] + np.arange(_scan_span(float(lam[chunk].max())))
-        pmf = np.exp(_poisson_log_pmf(levels, lam[chunk, None]))
+    for lam_rows, start_rows, cutoff_rows in _blocks((lam, start, cutoffs), rows):
+        levels = start_rows[:, None] + np.arange(_scan_span(float(lam_rows.max())))
+        pmf = np.exp(_poisson_log_pmf(levels, lam_rows[:, None]))
         tails = np.cumsum(pmf[:, ::-1], axis=1)[:, ::-1]
-        cutoffs[chunk] = start[chunk] + (tails < tolerance).argmax(axis=1)
+        cutoff_rows[:] = start_rows + (tails < tolerance).argmax(axis=1)
     _fail_first(
         cutoffs > ceiling,
         lambda k: f"no cutoff <= ceiling {ceiling} bounds the photon-number "
@@ -236,7 +235,7 @@ def choose_cutoff(alphas: Iterable[complex]) -> int:
     alphas = np.array(list(alphas), dtype=complex)
     if not alphas.size:
         raise ValueError("at least one seed amplitude is required")
-    mags = np.hypot(alphas.real, alphas.imag)
+    mags = _modulus(alphas)
     # an overflowing |alpha|^2 is inf, which the rule refuses by name
     with np.errstate(over="ignore"):
         means = mags * mags
@@ -274,11 +273,6 @@ class Segments:
         set_field(self, "lengths", lengths)
         set_field(self, "size", size)
         set_field(self, "levels", levels)
-
-
-# The working-set unit, 1 MiB: the bulk passes (verify's closed-form blocks
-# and the writers' row blocks) size their blocks from it.
-_SCRATCH_BYTES = 1 << 20
 
 
 def _squared_norms(amps: np.ndarray, segments: Segments) -> np.ndarray:
@@ -336,8 +330,7 @@ def coherent_state(
             f"alphas must hold one seed per segment, got shape {alphas.shape} for "
             f"{len(lengths)} segments"
         )
-    # np.hypot, unlike np.abs, matches abs(complex) bit for bit
-    mags = np.hypot(alphas.real, alphas.imag)
+    mags = _modulus(alphas)
     means = mags * mags
     phases = np.arctan2(alphas.imag, alphas.real)
     if out is None:

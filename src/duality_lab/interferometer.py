@@ -16,7 +16,7 @@ and the fit recovers the contrast with a linear least-squares estimator that
 also reports standard errors.  Its Neyman weights 1/max(counts, 1) bias the
 contrast high at low counts and at C near 1.
 
-Both work on chunks of ``_SCAN_CHUNK`` points, so a scan costs its two
+Both work on chunks of ``analytic._BLOCK`` points, so a scan costs its two
 arrays and one chunk's temporaries, whatever its length.  The simulation
 fills its counts a chunk at a time from the one generator, which draws the
 same numbers as one whole-scan draw; the fit sums its normal equations and
@@ -33,8 +33,7 @@ from typing import Optional
 
 import numpy as np
 
-from .analytic import SeedPair
-from .fock import _SCRATCH_BYTES
+from .analytic import SeedPair, _blocks
 
 logger = logging.getLogger(__name__)
 
@@ -55,13 +54,6 @@ POISSON_MEAN_MAX = float(np.iinfo("l").max - np.sqrt(np.iinfo("l").max) * 10)
 # The fit divides by amplitude**4, which overflows past about 1.2e77: counts,
 # offsets and amplitudes above this bound are refused.
 FIT_VALUE_MAX = 1e75
-
-# Points per chunk of simulate_fringe and fit_fringe, and rows per chunk of
-# the scan writer and reader, 4096.  A fit chunk's design matrix, its weighted
-# copy and their inputs peak at about 80 B a point: some 0.33 MB a chunk,
-# whatever the scan's length.
-_SCAN_CHUNK = _SCRATCH_BYTES // 256
-
 
 def count_rate(seeds: SeedPair, delta_theta, pump_rate_scale: float):
     """Signal count rate at aggregate phase ``delta_theta`` (scalar or array).
@@ -205,7 +197,7 @@ def simulate_fringe(config: FringeConfig) -> FringeScan:
     they are drawn from a generator seeded by ``config.rng_seed``, so a
     fixed config reproduces the identical scan.
 
-    The counts are filled ``_SCAN_CHUNK`` points at a time.  The generator
+    The counts are filled ``analytic._BLOCK`` points at a time.  The generator
     draws each point's count in turn, so the chunks' draws are those of one
     whole-scan draw, and the scan is the same bit for bit.
     """
@@ -215,13 +207,12 @@ def simulate_fringe(config: FringeConfig) -> FringeScan:
     theta /= k
     counts = np.empty(k)
     rng = np.random.default_rng(config.rng_seed) if config.noise == "poisson" else None
-    for start in range(0, k, _SCAN_CHUNK):
-        chunk = slice(start, start + _SCAN_CHUNK)
+    for theta_block, counts_block in _blocks((theta, counts)):
         expected = (
-            count_rate(config.seeds, theta[chunk], config.pump_rate_scale)
+            count_rate(config.seeds, theta_block, config.pump_rate_scale)
             * config.integration_time
         )
-        counts[chunk] = expected if rng is None else rng.poisson(expected)
+        counts_block[:] = expected if rng is None else rng.poisson(expected)
     return FringeScan(_frozen(theta), _frozen(counts), "simulated", config)
 
 
@@ -282,11 +273,10 @@ class FringeFit:
 
 
 def _design_chunks(scan: FringeScan):
-    """The scan's counts and design matrix (1, sin, cos), ``_SCAN_CHUNK`` points at a time."""
-    for start in range(0, len(scan), _SCAN_CHUNK):
-        theta = scan.delta_theta[start:start + _SCAN_CHUNK]
+    """The scan's counts and design matrix (1, sin, cos), a block of points at a time."""
+    for theta, counts in _blocks((scan.delta_theta, scan.counts)):
         design = np.column_stack([np.ones_like(theta), np.sin(theta), np.cos(theta)])
-        yield scan.counts[start:start + _SCAN_CHUNK], design
+        yield counts, design
 
 
 def fit_fringe(scan: FringeScan) -> FringeFit:
@@ -301,7 +291,7 @@ def fit_fringe(scan: FringeScan) -> FringeFit:
     functions raises.
 
     The normal matrix, the moments and the residual sum of squares are summed
-    over chunks of ``_SCAN_CHUNK`` points, in two passes: the residuals need
+    over chunks of ``analytic._BLOCK`` points, in two passes: the residuals need
     the solution.  So the fit holds one chunk's design matrix, whatever the
     scan's length, and a scan of one chunk gets the bits of the whole-array
     expressions.

@@ -54,13 +54,14 @@ from .analytic import (
     ComplementarityMeasures,
     PointError,
     QuantonDensityMatrix,
+    _blocks,
     _fail_first,
+    _modulus,
     closed_form_measures,
     validate_measures,
     validated_identity_residuals,
 )
 from .fock import (
-    _SCRATCH_BYTES,
     Segments,
     _segment_overlaps,
     _squared_norms,
@@ -80,12 +81,6 @@ ORACLE_ATOL = 1e-8
 
 # verify_identities compares the routes on min(sample_count, this) pairs.
 ORACLE_SAMPLES_MAX = 200
-
-# Samples per block of verify_identities' closed-form pass, 4096.  A block's
-# seeds, seven fields and six residuals, with their temporaries, peak at about
-# 340 B a sample: some 1.4 MB a block, whatever the sample count.  At 1e5
-# samples, blocks of 4096 to 8192 ran fastest, 30 % faster than one pass.
-_VERIFY_BLOCK = _SCRATCH_BYTES // 256
 
 # route_residuals key of the reduced-purity residual |mu_s^2 - closed mu_s^2|.
 PURITY_RESIDUAL = "mu_s^2"
@@ -231,8 +226,7 @@ def build_composite(seeds) -> CompositeState:
         )
     alphas = seeds.ravel()
     with _NamingSeedPairs(seeds, per_pair=2):
-        # np.hypot, unlike np.abs, matches abs(complex) bit for bit
-        mags = np.hypot(alphas.real, alphas.imag)
+        mags = _modulus(alphas)
         with np.errstate(over="ignore"):
             means = mags * mags
         # the rule names every seed whose |alpha|^2 is NaN, inf or too large
@@ -263,7 +257,7 @@ def measures_from_state(state: CompositeState) -> ComplementarityMeasures:
     """
     reduced = state.reduced
     fidelity = state.detector_gram[0, 1]
-    f_abs = np.hypot(fidelity.real, fidelity.imag)
+    f_abs = _modulus(fidelity)
     visibility = 2.0 * state.pure.coherence
     coherence = visibility * f_abs
     balance = reduced.rho11 - reduced.rho22
@@ -406,8 +400,8 @@ def verify_identities(
     [0, alpha_max] and random phases and checks the six closed-form
     identities on every one to ``IDENTITY_ATOL``.  The magnitudes and
     phases are drawn whole, 32 B a sample.  The seeds, their closed forms
-    and the identity residuals are then formed ``_VERIFY_BLOCK`` samples at
-    a time, and each identity keeps its worst residual and seed pair, a
+    and the identity residuals are then formed ``analytic._BLOCK`` samples
+    at a time, and each identity keeps its worst residual and seed pair, a
     later one winning a tie.  Every step is elementwise, so the report is
     that of one pass over the whole draw.  A second draw of
     min(sample_count, ``ORACLE_SAMPLES_MAX``) pairs, with magnitudes
@@ -444,16 +438,14 @@ def verify_identities(
     )
 
     def closed_route(seeds: np.ndarray) -> ComplementarityMeasures:
-        # np.hypot, unlike np.abs, matches abs(complex) bit for bit
-        mags = np.hypot(seeds.real, seeds.imag)
+        mags = _modulus(seeds)
         return closed_form_measures(mags[:, 0], mags[:, 1])
 
     # one pass per block validates the closed-form draw and gives its identity
     # residuals, the values one pass over the whole draw would give
     worst: dict[str, IdentityCheck] = {}
-    for start in range(0, sample_count, _VERIFY_BLOCK):
-        block = slice(start, start + _VERIFY_BLOCK)
-        seeds = magnitudes[block] * np.exp(1j * phases[block])
+    for block_magnitudes, block_phases in _blocks((magnitudes, phases)):
+        seeds = block_magnitudes * np.exp(1j * block_phases)
         identity_rows = validated_identity_residuals(closed_route(seeds))
         for name, residuals in zip(IDENTITY_NAMES, identity_rows):
             check = _worst_check(name, residuals, seeds, IDENTITY_ATOL)

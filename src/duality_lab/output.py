@@ -7,7 +7,8 @@ hand-rolled static SVG for the two figure styles (measure curves versus
 output for identical input.
 
 Each file is made by a private generator of text parts: a header, one part
-per block, then a trailer.  Every block comes from one walker, ``_blocks``.
+per block, then a trailer.  Every block comes from one walker,
+``analytic._blocks``.
 ``emit_outputs`` and ``write_scan_csv`` hand the generator to
 ``_write_ascii``, which encodes each part as ASCII and writes it whole before
 the next is made, so no file's whole text is held in memory; the public
@@ -33,7 +34,7 @@ Ingestion is strict: a non-ASCII byte, malformed header, non-numeric cell,
 non-monotone phase column or empty body is rejected with the offending line
 number.
 
-Both scan ends work on chunks of ``_SCAN_CHUNK`` rows, the chunk that
+Both scan ends work on chunks of ``analytic._BLOCK`` rows, the chunk that
 ``simulate_fringe`` and ``fit_fringe`` work on.  The writer formats whole
 columns a chunk at a time, and the reader parses a chunk of lines at a time:
 it classifies the lines, parses every cell with ``float`` into one array and
@@ -56,22 +57,18 @@ from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
-from .analytic import SeedPair
-from .fock import _SCRATCH_BYTES
-from .interferometer import _SCAN_CHUNK, TWO_PI, FringeConfig, FringeScan, _frozen
+from . import analytic
+from .analytic import SeedPair, _blocks
+from .interferometer import TWO_PI, FringeConfig, FringeScan, _frozen
 from .sweep import ORACLE_RESIDUAL_FIELD, ROW_FIELDS, SweepTable
 
 SCAN_HEADER = "delta_theta,counts"
 
-# Rows per block of the sweep emitters, 1024.  A block's cells, row texts and
-# temporaries peak at about 330 B a row, well within the scratch budget,
-# whatever the table's length; 1024 rows ran faster than 256 or 4096.
-_ROW_BLOCK = _SCRATCH_BYTES // 1024
-
-# Cells per block of the heat-map SVG.  A block's cell texts and colour
-# temporaries peak at about 0.3 kB a cell; 4096 cells ran faster than 1024 or
-# 16384.
-_CELL_BLOCK = 4096
+# Rows per block of the sweep emitters and points per block of a curve, in
+# place of ``analytic._BLOCK``.  A block's cells, row texts and temporaries
+# peak at about 330 B a row, whatever the table's length; 1024 rows ran faster
+# than 256 or 4096, and 4096 rows would make a JSON part larger than 1 MiB.
+_ROW_BLOCK = 1024
 
 # Line breaks of str.splitlines other than "\n" and a CRLF pair's "\r"; the
 # non-ASCII ones are already rejected as non-ASCII bytes.
@@ -113,13 +110,6 @@ def _lines(lines: Iterable[str]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _blocks(columns: Iterable[np.ndarray], size: int = _ROW_BLOCK) -> Iterator[list[np.ndarray]]:
-    """The columns ``size`` rows at a time, as lists of views."""
-    columns = list(columns)
-    for start in range(0, len(columns[0]), size):
-        yield [column[start:start + size] for column in columns]
-
-
 # ---------------------------------------------------------------------------
 # fringe-scan CSV
 
@@ -127,7 +117,7 @@ def _blocks(columns: Iterable[np.ndarray], size: int = _ROW_BLOCK) -> Iterator[l
 def _scan_csv_parts(scan: FringeScan) -> Iterator[str]:
     """The scan's CSV text in parts: the comments and header, then each block of rows.
 
-    Each block of ``_SCAN_CHUNK`` rows is formatted with one ``repr`` of each
+    Each block of ``analytic._BLOCK`` rows is formatted with one ``repr`` of each
     column's values, which gives every cell the text ``repr(float(value))``.
     """
     lines = []
@@ -143,7 +133,7 @@ def _scan_csv_parts(scan: FringeScan) -> Iterator[str]:
     lines.append(f"# provenance={scan.provenance}")
     lines.append(SCAN_HEADER)
     yield _lines(lines)
-    for thetas, counts in _blocks((scan.delta_theta, scan.counts), _SCAN_CHUNK):
+    for thetas, counts in _blocks((scan.delta_theta, scan.counts)):
         thetas = repr(thetas.tolist())[1:-1].split(", ")
         counts = repr(counts.tolist())[1:-1].split(", ")
         yield _lines(map(",".join, zip(thetas, counts)))
@@ -162,8 +152,8 @@ def _write_ascii(path: Path, parts: Iterable[str]) -> None:
     written whole before the next is made.  The first part is made and
     encoded before the file is opened, so an emitter that raises before its
     first part, or a first part that is not ASCII, leaves the file as it was
-    (and creates no missing file).  No emitter's part comes near
-    ``_SCRATCH_BYTES``, so each is encoded whole.
+    (and creates no missing file).  No emitter's part reaches 1 MiB, so
+    each is encoded whole.
 
     Truncating a file before rewriting it stalls on ext4 (consistent with its
     ``auto_da_alloc`` flush); writing in place does not.  The inode, mode and
@@ -329,7 +319,7 @@ class _ScanReader:
 def ingest_scan_csv(path) -> FringeScan:
     """Parse a fringe-scan CSV file; metadata comments are optional.
 
-    The file is read ``_SCAN_CHUNK`` lines at a time, and a line ends at
+    The file is read ``analytic._BLOCK`` lines at a time, and a line ends at
     ``"\\n"`` only.  The earliest faulting line raises ``ScanFormatError``
     with its 1-based number.  The returned scan always carries provenance
     ``"ingested"``; when the metadata block is complete it is echoed back as
@@ -337,7 +327,7 @@ def ingest_scan_csv(path) -> FringeScan:
     """
     reader = _ScanReader()
     with open(path, "rb") as file:
-        while lines := list(itertools.islice(file, _SCAN_CHUNK)):
+        while lines := list(itertools.islice(file, analytic._BLOCK)):
             reader.read_chunk(b"".join(lines))
     return reader.finish()
 
@@ -376,7 +366,7 @@ def _csv_parts(table: SweepTable) -> Iterator[str]:
     # NaN marks a point above the oracle cap: an empty cell
     marks = [np.isnan if name == ORACLE_RESIDUAL_FIELD else None for name in columns]
     yield ",".join(columns) + "\n"
-    for block in _blocks(columns.values()):
+    for block in _blocks(columns.values(), _ROW_BLOCK):
         cells = [_float_cells(column, "", marked) for column, marked in zip(block, marks)]
         yield _lines(map(",".join, zip(*cells)))
 
@@ -394,7 +384,7 @@ def _json_parts(table: SweepTable) -> Iterator[str]:
         + "\n  }"
     )
     separator = "[\n"
-    for block in _blocks(columns.values()):
+    for block in _blocks(columns.values(), _ROW_BLOCK):
         cells = [_float_cells(column, "null", _nonfinite) for column in block]
         yield separator + ",\n".join(map(record.__mod__, zip(*cells)))
         separator = ",\n"
@@ -469,7 +459,7 @@ def _curves_svg_parts(table: SweepTable) -> Iterator[str]:
     yield _lines(parts)
     for index, (field_name, label, color) in enumerate(_CURVE_SERIES):
         separator = '<polyline points="'
-        for block_xs, block_ys in _blocks((xs, columns[field_name])):
+        for block_xs, block_ys in _blocks((xs, columns[field_name]), _ROW_BLOCK):
             yield separator + " ".join(
                 f"{px(x):.2f},{py(y):.2f}" for x, y in zip(block_xs.tolist(), block_ys.tolist())
             )
@@ -548,7 +538,7 @@ def _heatmap_svg_parts(table: SweepTable, measure: str) -> Iterator[str]:
         for j in range(len(alphas))
     ]
     cells = itertools.product(x_open, y_fill)
-    for (block,) in _blocks((grid,), _CELL_BLOCK):
+    for (block,) in _blocks((grid,)):
         colors = _heat_colors(block)
         yield "".join(
             x + y + color + '"/>\n'

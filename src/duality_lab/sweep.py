@@ -32,6 +32,8 @@ from .analytic import (
     MEASURE_FIELDS,
     ComplementarityMeasures,
     SeedPair,
+    _blocks,
+    _modulus,
     closed_form_measures,
     validate_measures,
 )
@@ -173,8 +175,7 @@ def explicit_grid(seed_pairs: Sequence[SeedPair]) -> SweepGrid:
         raise ValueError("explicit mode needs at least one seed pair")
     _check_point_count(len(seed_pairs))
     seeds = np.array([(pair.alpha1, pair.alpha2) for pair in seed_pairs])
-    # np.hypot, unlike np.abs, matches abs(complex) bit for bit
-    a1, a2 = np.hypot(seeds.real, seeds.imag).T
+    a1, a2 = _modulus(seeds).T
     gamma = np.full_like(a1, math.nan)
     np.divide(a2, a1, out=gamma, where=a1 > 0.0)
     return SweepGrid(a1, a2, gamma, seeds=seeds)
@@ -227,14 +228,6 @@ class SweepTable:
         return len(self.gamma)
 
 
-# Pairs per Fock-route batch, which bounds the oracle's memory on any grid: at
-# |alpha| <= 4 a seed's factor has at most 53 levels, so one batch of 8192
-# seeds holds at most 434,176 levels per factor row.  Its two factor rows take
-# 13.3 MiB, and its segmented reductions one more row, 6.6 MiB, for their
-# elementwise products.  Residuals do not depend on it.
-_ORACLE_BATCH = 4096
-
-
 def _oracle_residuals(grid: SweepGrid, measures: ComplementarityMeasures) -> Optional[np.ndarray]:
     """Worst per-field Fock-route deviation, NaN above the oracle cap.
 
@@ -248,8 +241,8 @@ def _oracle_residuals(grid: SweepGrid, measures: ComplementarityMeasures) -> Opt
     if seeds is None:
         seeds = np.stack((a1, a2), axis=1).astype(complex)
     worst = np.full(len(a1), math.nan)
-    for start in range(0, len(eligible), _ORACLE_BATCH):
-        batch = eligible[start : start + _ORACLE_BATCH]
+    # a batch of ``analytic._BLOCK`` pairs takes about 20 MiB at |alpha| <= 4
+    for (batch,) in _blocks((eligible,)):
         closed = ComplementarityMeasures(
             **{name: getattr(measures, name)[batch] for name in MEASURE_FIELDS}
         )

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from duality_lab import interferometer
+from duality_lab import analytic
 from duality_lab.analytic import SeedPair, complementarity_measures
 from duality_lab.interferometer import (
     FIT_VALUE_MAX,
@@ -202,7 +202,7 @@ class TestFringeScanOwnsItsArrays:
         assert not scan.delta_theta.flags.writeable and not scan.counts.flags.writeable
 
 
-BLOCK = interferometer._SCAN_CHUNK
+BLOCK = analytic._BLOCK
 CHUNK_SIZES = [BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7]
 # Mean counts 1.5 to 5.5, and 300 to 1100: numpy draws Poisson variates below
 # a mean of 10 and above it by two different methods.

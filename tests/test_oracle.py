@@ -710,7 +710,7 @@ def reference_verify_checks(sample_count, rng_seed, alpha_max=10.0):
     return checks
 
 
-BLOCK = oracle._VERIFY_BLOCK
+BLOCK = analytic._BLOCK
 
 
 class TestVerifyIdentitiesInBlocks:
@@ -732,7 +732,7 @@ class TestVerifyIdentitiesInBlocks:
             taken.append(count)
             return np.tile(pattern[start:start + count], (len(IDENTITY_NAMES), 1))
 
-        monkeypatch.setattr(oracle, "_VERIFY_BLOCK", 4)
+        monkeypatch.setattr(analytic, "_BLOCK", 4)
         monkeypatch.setattr(oracle, "validated_identity_residuals", pinned_residuals)
         report = verify_identities(len(pattern), rng_seed=5)
         assert taken == [4, 4, 2]

@@ -13,9 +13,8 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from duality_lab import output
+from duality_lab import analytic, output
 from duality_lab.analytic import SeedPair
-from duality_lab.fock import _SCRATCH_BYTES
 from duality_lab.interferometer import TWO_PI, FringeConfig, FringeScan, simulate_fringe
 from duality_lab.output import (
     _SCAN_META_KEYS,
@@ -509,8 +508,9 @@ class TestScanCsv:
     def test_fuzzed_bytes_give_a_valid_scan_or_a_format_error(
         self, tmp_path, monkeypatch, data, chunk
     ):
-        # small chunks put chunk boundaries between every few lines
-        monkeypatch.setattr(output, "_SCAN_CHUNK", chunk)
+        # small chunks put chunk boundaries between every few lines, for the
+        # reader and the writer alike
+        monkeypatch.setattr(analytic, "_BLOCK", chunk)
         # a fresh file per example: rewriting one file stalls on ext4
         path = tmp_path / f"fuzz{next(_FUZZ_FILES)}.csv"
         path.write_bytes(data)
@@ -525,9 +525,10 @@ class TestScanCsv:
         assert theta[0] >= 0.0 and theta[-1] < TWO_PI
         assert np.all(np.diff(theta) > 0.0) and np.all(counts >= 0.0)
         assert scan.config is None or isinstance(scan.config, FringeConfig)
+        assert scan_to_csv_text(scan) == reference_scan_csv_text(scan)
 
 
-CHUNK = output._SCAN_CHUNK
+CHUNK = analytic._BLOCK
 
 
 class TestChunkedScanReader:
@@ -818,10 +819,10 @@ def emitter_parts():
     }
 
 
-def test_every_emitters_largest_part_is_within_the_scratch_budget():
+def test_every_emitters_largest_part_is_within_1_mib():
     # _write_ascii encodes each part whole, so a part is its largest buffer
     largest = {name: max(map(len, parts)) for name, parts in emitter_parts().items()}
-    assert max(largest.values()) <= _SCRATCH_BYTES, largest
+    assert max(largest.values()) <= 1 << 20, largest
 
 
 def table_rows(table, rows):

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from duality_lab import sweep
+from duality_lab import analytic
 from duality_lab.analytic import SeedPair, validated_identity_residuals
 from duality_lab.sweep import (
     MAX_GRID_POINTS,
@@ -170,7 +170,7 @@ class TestOracleCheck:
             ]),
         ]
         whole = [run_sweep(grid, oracle_check=True).columns["oracle_residual"] for grid in grids]
-        monkeypatch.setattr(sweep, "_ORACLE_BATCH", 3)
+        monkeypatch.setattr(analytic, "_BLOCK", 3)
         for grid, expected in zip(grids, whole):
             got = run_sweep(grid, oracle_check=True).columns["oracle_residual"]
             assert np.array_equal(got, expected, equal_nan=True)

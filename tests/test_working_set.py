@@ -13,6 +13,7 @@ over.
 
 import tokenize
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -158,11 +159,15 @@ def test_fit_peaks_within_half_a_megabyte_whatever_the_length(points):
     assert peak <= 500_000, f"{peak / 1e6:.2f} MB"
 
 
-def test_output_module_stays_under_the_parser_step():
+MODULES = sorted(Path(output.__file__).parent.glob("*.py"))
+
+
+@pytest.mark.parametrize("module", MODULES, ids=[module.name for module in MODULES])
+def test_module_stays_under_the_parser_step(module):
     # CPython 3.11 compiles a module of more than about 4,096 tokens with
     # 0.24 MB more peak memory, which every CLI process pays when no bytecode
     # cache is written; it showed in peak RSS (see CHANGES.md).
-    with open(output.__file__, "rb") as file:
+    with open(module, "rb") as file:
         kinds = [token.type for token in tokenize.tokenize(file.readline)]
     count = sum(kind not in (tokenize.NL, tokenize.COMMENT) for kind in kinds)
     assert count < 4096, f"{count} tokens"
