@@ -17,7 +17,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -158,14 +158,15 @@ class QuantonDensityMatrix:
         _fail_first(~holds, detail)
 
 
-@dataclass(frozen=True)
-class ComplementarityMeasures:
+class ComplementarityMeasures(NamedTuple):
     """All seven measures, at one seed point (floats) or at many (equal-length arrays).
 
-    A plain record.  The cross-field identities (D^2 = P^2 + E^2,
-    P^2 + E^2 + C^2 = 1, P^2 + C^2 = mu_s^2, mu_s^2 + E^2 = 1, C = V |F|,
-    V^2 + P^2 = 1) are checked by ``validate_measures``, which every route
-    that produces measures passes its result through once.
+    A plain record whose field order, ``MEASURE_FIELDS``, is that of every
+    report and emitter; iterating it gives the seven values in that order.
+    The cross-field identities (D^2 = P^2 + E^2, P^2 + E^2 + C^2 = 1,
+    P^2 + C^2 = mu_s^2, mu_s^2 + E^2 = 1, C = V |F|, V^2 + P^2 = 1) are
+    checked by ``validate_measures``, which every route that produces
+    measures passes its result through once.
     """
 
     D: float
@@ -176,14 +177,8 @@ class ComplementarityMeasures:
     F_abs: float
     mu_s: float
 
-    _FIELD_ORDER = ("D", "P", "E", "V", "C", "F_abs", "mu_s")
 
-    def as_dict(self) -> dict:
-        return {name: getattr(self, name) for name in self._FIELD_ORDER}
-
-
-# Field order of ComplementarityMeasures, shared by reports and emitters.
-MEASURE_FIELDS = ComplementarityMeasures._FIELD_ORDER
+MEASURE_FIELDS = ComplementarityMeasures._fields
 
 IDENTITY_NAMES = (
     "D^2 = P^2 + E^2",
@@ -251,8 +246,7 @@ def validated_identity_residuals(measures: ComplementarityMeasures) -> np.ndarra
 
 
 def _stacked_fields(measures: ComplementarityMeasures) -> np.ndarray:
-    values = np.array([getattr(measures, name) for name in MEASURE_FIELDS], dtype=float)
-    return values.reshape(len(MEASURE_FIELDS), -1)
+    return np.array(measures, dtype=float).reshape(len(MEASURE_FIELDS), -1)
 
 
 def _checked_residuals(values: np.ndarray) -> np.ndarray:
@@ -351,6 +345,4 @@ def complementarity_measures(seeds: SeedPair) -> ComplementarityMeasures:
     measures = validate_measures(
         closed_form_measures(abs(seeds.alpha1), abs(seeds.alpha2))
     )
-    return ComplementarityMeasures(
-        *(float(getattr(measures, name)) for name in MEASURE_FIELDS)
-    )
+    return ComplementarityMeasures(*map(float, measures))

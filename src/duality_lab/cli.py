@@ -13,6 +13,7 @@ error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -123,7 +124,7 @@ def _cmd_measures(args) -> int:
         payload = {
             "alpha1": [seeds.alpha1.real, seeds.alpha1.imag],
             "alpha2": [seeds.alpha2.real, seeds.alpha2.imag],
-            "measures": closed.as_dict(),
+            "measures": closed._asdict(),
         }
         if oracle_block is not None:
             payload["oracle"] = oracle_block
@@ -131,8 +132,8 @@ def _cmd_measures(args) -> int:
         return 0
     print(f"alpha1 = {seeds.alpha1}")
     print(f"alpha2 = {seeds.alpha2}")
-    for name in MEASURE_FIELDS:
-        print(f"{name:6s} = {getattr(closed, name):.15f}")
+    for name, value in closed._asdict().items():
+        print(f"{name:6s} = {value:.15f}")
     if oracle_block is not None:
         print(f"fock-route cross-check at cutoff {oracle_block['cutoff']}:")
         for name, residual in oracle_block["residuals"].items():
@@ -197,21 +198,9 @@ def _cmd_fit(args) -> int:
     scan = ingest_scan_csv(args.input)
     fit = fit_fringe(scan)
     if args.json:
-        def finite_or_none(value: float):
-            return value if math.isfinite(value) else None
-
-        payload = {
-            "points": len(scan),
-            "offset": fit.offset,
-            "offset_stderr": fit.offset_stderr,
-            "amplitude": fit.amplitude,
-            "amplitude_stderr": fit.amplitude_stderr,
-            "phase0": fit.phase0,
-            "phase0_stderr": finite_or_none(fit.phase0_stderr),
-            "coherence_estimate": fit.coherence_estimate,
-            "coherence_stderr": fit.coherence_stderr,
-            "residual_rms": fit.residual_rms,
-        }
+        payload = {"points": len(scan), **dataclasses.asdict(fit)}
+        if not math.isfinite(fit.phase0_stderr):
+            payload["phase0_stderr"] = None
         print(json.dumps(payload, indent=2))
     else:
         print(f"points = {len(scan)}")

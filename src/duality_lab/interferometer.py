@@ -237,14 +237,16 @@ class FringeFit:
 
     ``coherence_estimate`` is amplitude/offset, the fitted counterpart of the
     min/max contrast.  Standard errors come from the weighted linear model
-    with per-point variance max(counts, 1), the Poisson choice.
+    with per-point variance max(counts, 1), the Poisson choice;
+    ``phase0_stderr`` is infinite when the amplitude is zero.  The fields
+    are declared in the order ``fit --json`` prints them.
     """
 
     offset: float
-    amplitude: float
-    phase0: float
     offset_stderr: float
+    amplitude: float
     amplitude_stderr: float
+    phase0: float
     phase0_stderr: float
     coherence_estimate: float
     coherence_stderr: float
@@ -362,10 +364,10 @@ def fit_fringe(scan: FringeScan) -> FringeFit:
         var_c = var_b / offset**2
     return FringeFit(
         offset=offset,
-        amplitude=amplitude,
-        phase0=phase0,
         offset_stderr=math.sqrt(max(var_a, 0.0)),
+        amplitude=amplitude,
         amplitude_stderr=math.sqrt(max(var_b, 0.0)),
+        phase0=phase0,
         phase0_stderr=math.sqrt(var_phase) if math.isfinite(var_phase) else math.inf,
         coherence_estimate=amplitude / offset,
         coherence_stderr=math.sqrt(max(var_c, 0.0)),

@@ -291,11 +291,9 @@ def route_residuals(
     """
     state = build_composite(seeds)
     measures = measures_from_state(state)
-    fock = np.array([getattr(measures, name) for name in MEASURE_FIELDS])
+    fock = np.array(measures)
     expected = np.empty_like(fock)
-    expected[...] = np.reshape(
-        [getattr(closed, name) for name in MEASURE_FIELDS], (len(MEASURE_FIELDS), -1)
-    )
+    expected[...] = np.reshape(closed, (len(MEASURE_FIELDS), -1))
     residuals = dict(zip(MEASURE_FIELDS, np.abs(fock - expected)))
     residuals[PURITY_RESIDUAL] = np.abs(fock[-1] * fock[-1] - expected[-1] * expected[-1])
     return residuals, state.cutoffs

@@ -12,11 +12,12 @@ per block, then a trailer.  Every block comes from one walker,
 ``emit_outputs`` and ``write_scan_csv`` hand the generator to
 ``_write_ascii``, which encodes each part as ASCII and writes it whole before
 the next is made, so no file's whole text is held in memory; the public
-``*_text`` and ``render_*`` functions join the same parts into one string.
+``*_text`` functions and ``render_heatmap_svg`` join the same parts into one
+string.
 
 The sweep emitters work on columns.  The CSV and JSON emitters take them a
-block of rows at a time; each distinct float of a block's column is
-formatted once, and JSON records are filled from one template.  Heat-map
+block of rows at a time; one ``repr`` of a block's column formats all its
+cells, and JSON records are filled from one template.  Heat-map
 cells are placed by index arithmetic with colours from one vectorised ramp,
 a block of cells at a time, and each curve is written a block of points at a
 time.  The bytes are those of formatting every cell on its own: ``repr`` per
@@ -73,16 +74,6 @@ _ROW_BLOCK = 1024
 # Line breaks of str.splitlines other than "\n" and a CRLF pair's "\r"; the
 # non-ASCII ones are already rejected as non-ASCII bytes.
 _STRAY_LINE_BREAKS = (b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e", b"\r")
-
-_SCAN_META_KEYS = (
-    "alpha1",
-    "alpha2",
-    "pump_rate_scale",
-    "integration_time",
-    "phase_points",
-    "rng_seed",
-    "noise",
-)
 
 # Default surface heat maps: coherence vs pure-state visibility.
 DEFAULT_SURFACE_MEASURES = ("C", "V")
@@ -179,8 +170,7 @@ def write_scan_csv(scan: FringeScan, path) -> Path:
 
 
 def _config_from_metadata(metadata: dict) -> Optional[FringeConfig]:
-    if not all(key in metadata for key in _SCAN_META_KEYS):
-        return None
+    """The config the metadata comments describe, or None if a key is missing or bad."""
     try:
         return FringeConfig(
             seeds=SeedPair(complex(metadata["alpha1"]), complex(metadata["alpha2"])),
@@ -190,7 +180,7 @@ def _config_from_metadata(metadata: dict) -> Optional[FringeConfig]:
             rng_seed=int(metadata["rng_seed"]),
             noise=metadata["noise"],
         )
-    except (ValueError, TypeError):
+    except (KeyError, ValueError, TypeError):
         return None
 
 
@@ -345,15 +335,14 @@ def _table_columns(table: SweepTable) -> dict:
 def _float_cells(column: np.ndarray, marker: str, marked) -> list[str]:
     """The ``repr`` text of each value of ``column``, as the scalar emitters wrote it.
 
-    Each distinct bit pattern is formatted once (so ``-0.0`` and ``0.0`` stay
-    apart), and the distinct values for which ``marked`` holds read ``marker``.
+    One ``repr`` of the column's values gives every cell its text; the cells
+    for which ``marked`` holds read ``marker``.
     """
-    keys, inverse = np.unique(column.view(np.int64), return_inverse=True)
-    values = keys.view(np.float64)
-    texts = np.array(repr(values.tolist())[1:-1].split(", "), dtype=object)
+    texts = repr(column.tolist())[1:-1].split(", ")
     if marked is not None:
-        texts[marked(values)] = marker
-    return texts[inverse].tolist()
+        for k in np.flatnonzero(marked(column)).tolist():
+            texts[k] = marker
+    return texts
 
 
 def _nonfinite(values: np.ndarray) -> np.ndarray:
@@ -473,11 +462,6 @@ def _curves_svg_parts(table: SweepTable) -> Iterator[str]:
             f'font-size="13">{label}</text>',
         ])
     yield "</svg>\n"
-
-
-def render_curves_svg(table: SweepTable) -> str:
-    """Six measure curves against |alpha_1| with axes and a legend."""
-    return "".join(_curves_svg_parts(table))
 
 
 # A small fixed color ramp from dark blue to yellow over [0, 1].

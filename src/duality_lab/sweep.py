@@ -243,9 +243,7 @@ def _oracle_residuals(grid: SweepGrid, measures: ComplementarityMeasures) -> Opt
     worst = np.full(len(a1), math.nan)
     # a batch of ``analytic._BLOCK`` pairs takes about 20 MiB at |alpha| <= 4
     for (batch,) in _blocks((eligible,)):
-        closed = ComplementarityMeasures(
-            **{name: getattr(measures, name)[batch] for name in MEASURE_FIELDS}
-        )
+        closed = ComplementarityMeasures(*(column[batch] for column in measures))
         residuals, _ = route_residuals(seeds[batch], closed)
         worst[batch] = np.max([residuals[name] for name in MEASURE_FIELDS], axis=0)
     return worst

@@ -1,3 +1,4 @@
+import dataclasses
 import errno
 import json
 import logging
@@ -14,6 +15,7 @@ from duality_lab import cli, oracle, sweep
 from duality_lab.analytic import SeedPair, complementarity_measures
 from duality_lab.cli import build_parser, main
 from duality_lab.fock import DEFAULT_POLICY
+from duality_lab.interferometer import FringeFit
 
 
 def _fail_if_called(*args, **kwargs):
@@ -313,6 +315,30 @@ class TestFringeAndFitCommands:
         assert payload["points"] == 80
         assert payload["coherence_estimate"] == pytest.approx(0.5, abs=0.02)
         assert payload["coherence_stderr"] > 0
+
+    def test_fit_json_keys_are_the_fit_records_fields(self, tmp_path, capsys):
+        out = tmp_path / "scan.csv"
+        assert main(["fringe", "--alpha1", "2", "--alpha2", "1", "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["fit", "--input", str(out), "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert list(payload) == ["points", *(f.name for f in dataclasses.fields(FringeFit))]
+
+    def test_fit_json_writes_an_infinite_phase_stderr_as_null(self, tmp_path, capsys, monkeypatch):
+        # a zero amplitude leaves the phase, and its error, undetermined
+        flat = FringeFit(
+            offset=100.0, offset_stderr=2.5, amplitude=0.0, amplitude_stderr=3.5, phase0=0.0,
+            phase0_stderr=math.inf, coherence_estimate=0.0, coherence_stderr=0.035,
+            residual_rms=0.0,
+        )
+        monkeypatch.setattr(cli, "fit_fringe", lambda scan: flat)
+        out = tmp_path / "scan.csv"
+        assert main(["fringe", "--alpha1", "2", "--alpha2", "1", "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["fit", "--input", str(out), "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["phase0_stderr"] is None
+        assert payload["offset"] == 100.0
 
     def test_fit_on_counts_past_the_fit_bound_exits_one(self, tmp_path, capsys):
         # what fringe wrote for --alpha1 1 --alpha2 1 --scale 1e200 --noise none

@@ -17,14 +17,12 @@ from duality_lab import analytic, output
 from duality_lab.analytic import SeedPair
 from duality_lab.interferometer import TWO_PI, FringeConfig, FringeScan, simulate_fringe
 from duality_lab.output import (
-    _SCAN_META_KEYS,
     SCAN_HEADER,
     ScanFormatError,
     _config_from_metadata,
     _heat_colors,
     emit_outputs,
     ingest_scan_csv,
-    render_curves_svg,
     render_heatmap_svg,
     rows_to_csv_text,
     rows_to_json_text,
@@ -276,7 +274,7 @@ class TestRowEmitters:
     def test_emitters_fail_closed(self, small_rows):
         # an inconsistent table cannot be built, and a built one cannot be edited
         measures = small_rows.measures
-        forged = dataclasses.replace(measures, E=measures.E * (1.0 - 1e-6))
+        forged = measures._replace(E=measures.E * (1.0 - 1e-6))
         with pytest.raises(ValueError, match="identity"):
             dataclasses.replace(small_rows, measures=forged)
         with pytest.raises(ValueError, match="read-only"):
@@ -334,6 +332,9 @@ def _scan_like_bytes():
     so the fuzzer reaches the body and metadata parsers as well as the header.
     Rows may be padded with whitespace and have blank and comment lines among
     them."""
+    keys = (
+        "alpha1", "alpha2", "pump_rate_scale", "integration_time", "phase_points", "rng_seed", "noise"
+    )
     number = st.one_of(
         st.floats().map(repr),
         st.integers(-(10**20), 10**20).map(str),
@@ -346,7 +347,7 @@ def _scan_like_bytes():
         st.text(max_size=8),
     )
     metadata = st.lists(value, min_size=7, max_size=7).map(
-        lambda values: [f"# {k}={v}" for k, v in zip(_SCAN_META_KEYS, values)]
+        lambda values: [f"# {k}={v}" for k, v in zip(keys, values)]
     )
     rows = st.dictionaries(
         st.floats(0.0, 6.3), st.one_of(st.floats(0.0, 1e12), st.just(-0.0)), max_size=6
@@ -630,19 +631,26 @@ class TestChunkedScanWriter:
         assert scan_to_csv_text(scan) == reference_scan_csv_text(scan)
 
 
+def curves_svg(table):
+    return "".join(output._curves_svg_parts(table))
+
+
 class TestSvg:
     def test_curves_have_six_polylines(self, small_rows):
-        svg = render_curves_svg(small_rows)
+        svg = curves_svg(small_rows)
         assert svg.count("<polyline") == 6
         for label in ("D^2", "P^2", "E^2", "C^2", "|F|", "mu_s^2"):
             assert label in svg
 
-    def test_curve_output_deterministic(self, small_rows):
-        assert render_curves_svg(small_rows) == render_curves_svg(small_rows)
+    def test_curve_output_deterministic(self, small_rows, tmp_path):
+        first, second = tmp_path / "first.svg", tmp_path / "second.svg"
+        assert emit_outputs(small_rows, "svg", first) == [first]
+        assert emit_outputs(small_rows, "svg", second) == [second]
+        assert first.read_bytes() == second.read_bytes() == curves_svg(small_rows).encode()
 
     def test_curves_across_row_blocks_keep_every_point(self):
         table = run_sweep(fig2a_grid(alpha_max=6.0, alpha_step=6.0 / (2 * output._ROW_BLOCK + 1)))
-        polylines = re.findall(r'<polyline points="([^"]*)"', render_curves_svg(table))
+        polylines = re.findall(r'<polyline points="([^"]*)"', curves_svg(table))
         assert len(polylines) == 6
         for points in polylines:
             pairs = points.split(" ")
@@ -832,10 +840,7 @@ def table_rows(table, rows):
         table.alpha1_abs[rows],
         table.alpha2_abs[rows],
         table.gamma[rows],
-        dataclasses.replace(
-            measures,
-            **{f.name: getattr(measures, f.name)[rows] for f in dataclasses.fields(measures)},
-        ),
+        measures._make(column[rows] for column in measures),
     )
 
 

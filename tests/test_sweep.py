@@ -181,7 +181,7 @@ class TestSweepRow:
 
     def test_identity_violation_rejected(self):
         table = run_sweep(explicit_grid([SeedPair(2, 1)]))
-        forged = dataclasses.replace(table.measures, D=table.measures.D + 1e-6)
+        forged = table.measures._replace(D=table.measures.D + 1e-6)
         with pytest.raises(ValueError, match="violated"):
             dataclasses.replace(table, measures=forged)
 

@@ -104,7 +104,7 @@ def test_sweep_files_peak_within_a_bound_times_their_size(fmt, bound, surface_ta
 
 
 def test_curve_svg_peaks_within_its_size(tmp_path):
-    table = run_sweep(fig2a_grid(6.0, 6e-5))
+    table = run_sweep(fig2a_grid(6.0, 6e-4))
     small = run_sweep(fig2a_grid(1.0, 0.5))
     ratio = written_peak(
         lambda: emit_outputs(table, "svg", tmp_path / "curves.svg"),
