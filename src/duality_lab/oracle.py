@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -397,14 +397,16 @@ def verify_identities(
     Draws ``sample_count`` seed pairs with magnitudes uniform in
     [0, alpha_max] and random phases and checks the six closed-form
     identities on every one to ``IDENTITY_ATOL``.  The magnitudes and
-    phases are drawn whole, 32 B a sample.  The seeds, their closed forms
-    and the identity residuals are then formed ``analytic._BLOCK`` samples
-    at a time, and each identity keeps its worst residual and seed pair, a
-    later one winning a tie.  Every step is elementwise, so the report is
-    that of one pass over the whole draw.  A second draw of
-    min(sample_count, ``ORACLE_SAMPLES_MAX``) pairs, with magnitudes
-    uniform in [0, min(alpha_max, ``ORACLE_ALPHA_MAX``)], compares the
-    Fock-space route against the closed forms field by field, plus the
+    phases are drawn whole, 32 B a sample.  The measures depend on the
+    magnitudes alone, so the closed forms and the identity residuals are
+    formed at the drawn magnitudes, ``analytic._BLOCK`` samples at a time,
+    and each identity keeps the index of its worst sample, a later one
+    winning a tie.  Every step is elementwise, so the report is that of one
+    pass over the whole draw.  A complex seed pair, magnitude times
+    exp(1j * phase), is formed only for each identity's reported sample.
+    A second draw of min(sample_count, ``ORACLE_SAMPLES_MAX``) pairs, with
+    magnitudes uniform in [0, min(alpha_max, ``ORACLE_ALPHA_MAX``)], compares
+    the Fock-space route against the closed forms field by field, plus the
     reduced-purity route to the source purity, to ``ORACLE_ATOL``.  Route
     disagreements are reported, not raised, and the caller decides what a
     failing report means.  Identity violations are not: both routes pass
@@ -435,24 +437,35 @@ def verify_identities(
         rng, min(sample_count, ORACLE_SAMPLES_MAX), min(alpha_max, ORACLE_ALPHA_MAX)
     )
 
-    def closed_route(seeds: np.ndarray) -> ComplementarityMeasures:
-        mags = _modulus(seeds)
-        return closed_form_measures(mags[:, 0], mags[:, 1])
+    # one pass per block validates the closed forms at the drawn magnitudes
+    # and gives their identity residuals, the values one pass over the whole
+    # draw would give; each identity keeps its worst sample's index
+    worst_residuals = np.full(len(IDENTITY_NAMES), -np.inf)
+    worst_samples = np.zeros(len(IDENTITY_NAMES), dtype=np.intp)
+    start = 0
+    for (block,) in _blocks((magnitudes,)):
+        identity_rows = validated_identity_residuals(
+            closed_form_measures(block[:, 0], block[:, 1])
+        )
+        # the last of equal worsts in a block, and a later block's equal worst
+        last = len(block) - 1 - np.argmax(identity_rows[:, ::-1], axis=1)
+        block_worst = identity_rows[np.arange(len(IDENTITY_NAMES)), last]
+        later = block_worst >= worst_residuals
+        worst_residuals[later] = block_worst[later]
+        worst_samples[later] = start + last[later]
+        start += len(block)
+    # the complex seeds of the reported samples only
+    worst_pairs = magnitudes[worst_samples] * np.exp(1j * phases[worst_samples])
+    checks = [
+        IdentityCheck(name, sample_count, IDENTITY_ATOL, worst, (complex(a1), complex(a2)),
+                      worst <= IDENTITY_ATOL)
+        for name, worst, (a1, a2) in zip(IDENTITY_NAMES, worst_residuals.tolist(), worst_pairs)
+    ]
 
-    # one pass per block validates the closed-form draw and gives its identity
-    # residuals, the values one pass over the whole draw would give
-    worst: dict[str, IdentityCheck] = {}
-    for block_magnitudes, block_phases in _blocks((magnitudes, phases)):
-        seeds = block_magnitudes * np.exp(1j * block_phases)
-        identity_rows = validated_identity_residuals(closed_route(seeds))
-        for name, residuals in zip(IDENTITY_NAMES, identity_rows):
-            check = _worst_check(name, residuals, seeds, IDENTITY_ATOL)
-            # a later block's equal worst wins, as a later tie does in a block
-            if name not in worst or check.worst_residual >= worst[name].worst_residual:
-                worst[name] = check
-    checks = [replace(check, samples=sample_count) for check in worst.values()]
-
-    oracle_closed = validate_measures(closed_route(oracle_seeds))
+    oracle_magnitudes = _modulus(oracle_seeds)
+    oracle_closed = validate_measures(
+        closed_form_measures(oracle_magnitudes[:, 0], oracle_magnitudes[:, 1])
+    )
     residuals, _ = route_residuals(oracle_seeds, oracle_closed)
     for name, residual in residuals.items():
         label = (

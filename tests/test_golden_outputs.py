@@ -19,18 +19,20 @@ reruns these pins with numpy's AVX-512 paths disabled.
 
 import hashlib
 import json
+import math
 import os
 import re
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from duality_lab import SeedPair, explicit_grid, rows_to_csv_text, rows_to_json_text, run_sweep
-from duality_lab.analytic import IDENTITY_NAMES
+from duality_lab.analytic import IDENTITY_NAMES, closed_form_measures, validated_identity_residuals
 from duality_lab.cli import main
-from duality_lab.oracle import ORACLE_ALPHA_MAX
+from duality_lab.oracle import ORACLE_ALPHA_MAX, _polar_draw
 
 # The largest route residual these outputs carry is 3.84e-12 (fig2a-oracle),
 # with AVX-512 and without it.
@@ -179,7 +181,7 @@ def test_stdout_digest(capsys, args, digest):
 
 ORACLE_STDOUTS = [
     pytest.param(["verify", "--samples", "10000", "--seed", "0", "--json"], mask_verify,
-                 "4c68535e8a861413ea1b3e85e78f53fc242b0391cfcdf9212132636ac7d4258b", id="verify"),
+                 "a4f982d02359abb653b881c2b49d7028595a2e04a49d7de909f512c1f29fe8eb", id="verify"),
     pytest.param(["measures", "--alpha1", "2", "--alpha2", "1", "--oracle", "--json"], mask_measures,
                  "24f77931ead6fdc036e492e1e9c815b36070d399d44453112e9296fdc6a040cb", id="measures-oracle"),
 ]
@@ -191,6 +193,26 @@ def test_oracle_stdout_digest_and_residuals(capsys, args, mask, digest):
     masked, residuals = masked_json(capsys.readouterr().out, mask)
     assert sha256(masked.encode()) == digest
     assert_route_residuals_bounded(residuals)
+
+
+def test_verify_identity_checks_are_those_of_the_drawn_magnitudes(capsys):
+    # the pinned verify run's identity checks: each names the last of its
+    # identity's worst samples at the drawn magnitudes, its worst residual is,
+    # bit for bit, that of the closed forms at that sample's drawn magnitudes,
+    # and each reported seed's modulus is that magnitude to within an ulp
+    main(["verify", "--samples", "10000", "--seed", "0", "--json"])
+    checks = json.loads(capsys.readouterr().out)["checks"][: len(IDENTITY_NAMES)]
+    mags, phases = _polar_draw(np.random.default_rng(0), 10000, 10.0)
+    identity_rows = validated_identity_residuals(closed_form_measures(mags[:, 0], mags[:, 1]))
+    for row, check in enumerate(checks):
+        k = len(mags) - 1 - int(np.argmax(identity_rows[row, ::-1]))
+        pair = [complex(*z) for z in check["worst_seed_pair"]]
+        residuals = validated_identity_residuals(closed_form_measures(*mags[k]))
+        assert check["identity"] == IDENTITY_NAMES[row]
+        assert check["worst_residual"] == residuals[row, 0]
+        assert pair == list(mags[k] * np.exp(1j * phases[k]))
+        for z, m in zip(pair, mags[k]):
+            assert abs(abs(z) - m) <= math.ulp(m)
 
 
 def test_explicit_grid_digests_and_residuals():

@@ -34,6 +34,7 @@ from duality_lab.oracle import (
     ORACLE_ATOL,
     ORACLE_SAMPLES_MAX,
     PURITY_RESIDUAL,
+    _polar_draw,
     _sample_seeds,
     _worst_check,
     build_composite,
@@ -688,13 +689,18 @@ class TestVerifyIdentities:
 
 
 def reference_verify_checks(sample_count, rng_seed, alpha_max=10.0):
-    """The checks of ``verify_identities`` from one pass over the whole draw."""
+    """The checks of ``verify_identities`` from one pass over the whole draw.
+
+    The identities are evaluated at the drawn magnitudes, and sample k's
+    seed pair is its magnitudes times exp(1j * its phases).
+    """
     rng = np.random.default_rng(rng_seed)
-    closed_seeds = _sample_seeds(rng, sample_count, alpha_max)
+    mags, phases = _polar_draw(rng, sample_count, alpha_max)
     oracle_seeds = _sample_seeds(
         rng, min(sample_count, ORACLE_SAMPLES_MAX), min(alpha_max, ORACLE_ALPHA_MAX)
     )
-    identity_rows = validated_identity_residuals(closed_at(closed_seeds))
+    identity_rows = validated_identity_residuals(closed_form_measures(mags[:, 0], mags[:, 1]))
+    closed_seeds = mags * np.exp(1j * phases)
     checks = [
         _worst_check(name, residuals, closed_seeds, IDENTITY_ATOL)
         for name, residuals in zip(IDENTITY_NAMES, identity_rows)
@@ -714,11 +720,21 @@ BLOCK = analytic._BLOCK
 
 
 class TestVerifyIdentitiesInBlocks:
+    # 0 gives zero seeds, where every residual is 0; 1000 is the sanity bound
+    @pytest.mark.parametrize("alpha_max", [10.0, 0.0, 1000.0])
     @pytest.mark.parametrize("rng_seed", [0, 17])
     @pytest.mark.parametrize("samples", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3])
-    def test_report_equals_one_pass_over_the_whole_draw(self, samples, rng_seed):
-        report = verify_identities(samples, rng_seed)
-        assert list(report.checks) == reference_verify_checks(samples, rng_seed)
+    def test_report_equals_one_pass_over_the_whole_draw(self, samples, rng_seed, alpha_max):
+        report = verify_identities(samples, rng_seed, alpha_max)
+        assert list(report.checks) == reference_verify_checks(samples, rng_seed, alpha_max)
+        if alpha_max == 0.0:
+            # all residuals tie at 0, so each identity names the last sample,
+            # whose zero seeds carry the signs of its phases' cosines and sines
+            mags, phases = _polar_draw(np.random.default_rng(rng_seed), samples, alpha_max)
+            last = tuple(map(complex, mags[-1] * np.exp(1j * phases[-1])))
+            for check in report.checks[: len(IDENTITY_NAMES)]:
+                assert check.worst_residual == 0.0
+                assert repr(check.worst_seed_pair) == repr(last)
 
     def test_equal_worst_residuals_in_two_blocks_resolve_to_the_later(self, monkeypatch):
         # blocks of 4 samples: the worst residual, 5e-13, is at sample 1 of
